@@ -54,6 +54,7 @@ from blockprod.words import (
     Word,
     WordClass,
     all_words,
+    block_counts,
     classify,
     count_block,
     to_digits,
@@ -74,6 +75,7 @@ __all__ = [
     "WordClass",
     "all_words",
     "alternating_product_estimate",
+    "block_counts",
     "classify",
     "closed_form_base2",
     "closed_form_baseB",

@@ -22,7 +22,6 @@ BACKEND: str = _impl.BACKEND
 
 fx_log_ratio = _impl.fx_log_ratio
 fx_log1p_inv = _impl.fx_log1p_inv
-count_word = _impl.count_word
 logsum_word_product = _impl.logsum_word_product
 logsum_ratio_product = _impl.logsum_ratio_product
 logsum_rivoal_original = _impl.logsum_rivoal_original

@@ -17,8 +17,6 @@ BACKEND = "cython"
 DEF FAST_K = 1 << 29
 DEF FAST_N = 1 << 40
 DEF FAST_BASE = 1 << 10
-DEF MAX_WORD = 64
-DEF MAX_BUF = 512
 
 
 cdef inline int _bitlen_ll(unsigned long long v) noexcept:
@@ -81,83 +79,15 @@ def fx_log1p_inv(q, F):
 
 
 # --------------------------------------------------------------------------
-# digit-block counting
-# --------------------------------------------------------------------------
-
-
-cdef int _count_word_fast(unsigned long long n, int base, int* dd, int L, int pad) noexcept:
-    cdef int buf[MAX_BUF]
-    cdef int m = 0
-    cdef int i, j, count
-    cdef bint hit
-    while n:
-        buf[m] = <int> (n % <unsigned long long> base)
-        n //= <unsigned long long> base
-        m += 1
-    # reverse in place, then shift right by pad zeros
-    for i in range(m // 2):
-        buf[i], buf[m - 1 - i] = buf[m - 1 - i], buf[i]
-    if pad:
-        for i in range(m - 1, -1, -1):
-            buf[i + pad] = buf[i]
-        for i in range(pad):
-            buf[i] = 0
-        m += pad
-    count = 0
-    for i in range(m - L + 1):
-        hit = True
-        for j in range(L):
-            if buf[i + j] != dd[j]:
-                hit = False
-                break
-        if hit:
-            count += 1
-    return count
-
-
-def _count_word_obj(n, base, digits, pad):
-    # object-arithmetic twin of the pure-Python count (for huge n)
-    if n <= 0:
-        return 0
-    buf = []
-    while n:
-        n, r = divmod(n, base)
-        buf.append(r)
-    buf.reverse()
-    if pad:
-        buf = [0] * pad + buf
-    L = len(digits)
-    count = 0
-    for i in range(len(buf) - L + 1):
-        for j in range(L):
-            if buf[i + j] != digits[j]:
-                break
-        else:
-            count += 1
-    return count
-
-
-def count_word(n, base, digits, pad):
-    """Occurrences of ``digits`` in the (pad-extended) expansion of ``n``."""
-    cdef int dd[MAX_WORD]
-    cdef int L = len(digits)
-    cdef int i
-    if n <= 0:
-        return 0
-    if L <= MAX_WORD and pad < MAX_WORD and base <= FAST_BASE and n < (1 << 62):
-        for i in range(L):
-            dd[i] = digits[i]
-        return _count_word_fast(n, base, dd, L, pad)
-    return _count_word_obj(n, base, digits, pad)
-
-
-# --------------------------------------------------------------------------
 # log-sum accumulators
 # --------------------------------------------------------------------------
 
 
-def logsum_word_product(base, digits, pad, a_num, a_den, b_num, b_den, lo, hi, F):
+def logsum_word_product(base, counts, a_num, a_den, b_num, b_den, lo, hi, F):
     """Sum of ``N_w(n) * log(term_n)``; see the pure twin for the term shape."""
+    if len(counts) != hi - lo + 1:
+        raise ValueError("counts must hold one entry per index in [lo, hi]")
+    cdef const unsigned char[:] cv = counts
     cdef int d = len(a_num)
     cdef bint canonical = (
         base == 2
@@ -167,38 +97,33 @@ def logsum_word_product(base, digits, pad, a_num, a_den, b_num, b_den, lo, hi, F
         and a_den == (1, 1)
         and b_den == (1, 1)
     )
-    cdef int dd[MAX_WORD]
-    cdef int L = len(digits)
-    cdef int cpad = pad
     cdef int cbase = base
     cdef int i, k, c
-    cdef long long n, n0, n1, bn, b2n, x
+    cdef Py_ssize_t j, size = len(cv)
+    cdef long long n, n0, bn, b2n, x
     total = 0
-    cdef bint fast_words = L <= MAX_WORD and cpad < MAX_WORD and cbase <= FAST_BASE
-    if fast_words:
-        for i in range(L):
-            dd[i] = digits[i]
-    if canonical and fast_words and hi <= FAST_K:
+    if canonical and hi <= FAST_K:
         n0 = lo
-        n1 = hi
-        for n in range(n0, n1 + 1):
-            c = _count_word_fast(n, 2, dd, L, cpad)
+        for j in range(size):
+            c = cv[j]
             if c:
+                n = n0 + j
                 total += (2 * c) * fx_log1p_inv((4 * n + 1) * (4 * n + 3), F)
         return total
     if canonical:
-        for nn in range(lo, hi + 1):
-            cc = count_word(nn, 2, digits, pad)
-            if cc:
-                total += (2 * cc) * fx_log1p_inv((4 * nn + 1) * (4 * nn + 3), F)
+        for j in range(size):
+            c = cv[j]
+            if c:
+                nn = lo + j
+                total += (2 * c) * fx_log1p_inv((4 * nn + 1) * (4 * nn + 3), F)
         return total
-    if fast_words and hi <= FAST_N:
+    if cbase <= FAST_BASE and hi <= FAST_N:
         n0 = lo
-        n1 = hi
-        for n in range(n0, n1 + 1):
-            c = _count_word_fast(n, cbase, dd, L, cpad)
+        for j in range(size):
+            c = cv[j]
             if not c:
                 continue
+            n = n0 + j
             bn = (<long long> cbase) * n
             b2n = (<long long> cbase) * bn
             p = 1
@@ -217,10 +142,11 @@ def logsum_word_product(base, digits, pad, a_num, a_den, b_num, b_den, lo, hi, F
             total += c * fx_log_ratio(p, q, F)
         return total
     # object fallback, identical to the pure kernel
-    for nn in range(lo, hi + 1):
-        cc = count_word(nn, base, digits, pad)
-        if not cc:
+    for j in range(size):
+        c = cv[j]
+        if not c:
             continue
+        nn = lo + j
         obn = base * nn
         ob2n = base * obn
         p = 1
@@ -236,7 +162,7 @@ def logsum_word_product(base, digits, pad, a_num, a_den, b_num, b_den, lo, hi, F
                 q *= b_den[i]
                 q *= ox * a_den[i] + a_num[i]
                 p *= a_den[i]
-        total += cc * fx_log_ratio(p, q, F)
+        total += c * fx_log_ratio(p, q, F)
     return total
 
 

@@ -1,9 +1,10 @@
 """Pure-Python reference kernels for the hot per-term product loops.
 
 These functions dominate the runtime of every truncated-product evaluation:
-for each index ``n`` they count digit-block occurrences and accumulate an
-integer fixed-point logarithm (scale ``F`` bits, see
-:mod:`blockprod.fixedpoint`).  A Cython twin (``blockprod._kernels_cy``)
+for each index ``n`` they accumulate an integer fixed-point logarithm (scale
+``F`` bits, see :mod:`blockprod.fixedpoint`) times an integer exponent: a
+digit-block count handed in by the caller, or a bit-length expression
+computed in place.  A Cython twin (``blockprod._kernels_cy``)
 implements the exact same integer algorithms; ``blockprod._kernels`` picks
 whichever is importable.  Both backends must return *bit-identical* integers
 — the test suite enforces this — so all arithmetic here is exact integer
@@ -73,46 +74,13 @@ def fx_log1p_inv(q: int, F: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# digit-block counting on machine integers
-# --------------------------------------------------------------------------
-
-
-def count_word(n: int, base: int, digits: tuple, pad: int) -> int:
-    """Occurrences of ``digits`` in the base-``base`` expansion of ``n``.
-
-    ``pad`` leading zeros are prepended to the expansion (the caller passes
-    ``len(digits) - 1`` for zero-leading mixed words, 0 otherwise).
-    Occurrences may overlap.  ``n = 0`` has the empty expansion.
-    """
-    if n <= 0:
-        return 0
-    buf = []
-    while n:
-        n, r = divmod(n, base)
-        buf.append(r)
-    buf.reverse()
-    if pad:
-        buf = [0] * pad + buf
-    L = len(digits)
-    count = 0
-    for i in range(len(buf) - L + 1):
-        for j in range(L):
-            if buf[i + j] != digits[j]:
-                break
-        else:
-            count += 1
-    return count
-
-
-# --------------------------------------------------------------------------
 # log-sum accumulators
 # --------------------------------------------------------------------------
 
 
 def logsum_word_product(
     base: int,
-    digits: tuple,
-    pad: int,
+    counts,
     a_num: tuple,
     a_den: tuple,
     b_num: tuple,
@@ -123,6 +91,8 @@ def logsum_word_product(
 ) -> int:
     """Sum of ``N_w(n) * log(term_n)`` for ``n`` in ``[lo, hi]``.
 
+    ``counts`` is a bytes-like buffer with ``counts[n - lo] = N_w(n)`` (see
+    :func:`blockprod.words.block_counts`).
     ``term_n = prod_i (Bn+a_i)/(Bn+b_i) * prod_{k<B} (B^2 n+Bk+b_i)/(B^2 n+Bk+a_i)``
     with rational parameters ``a_i = a_num[i]/a_den[i]`` etc.  For the
     canonical base-2 parameters ``a = (1,1)``, ``b = (0,2)`` the term
@@ -130,6 +100,8 @@ def logsum_word_product(
     both backends implement the identical fast path so results stay
     bit-identical.
     """
+    if len(counts) != hi - lo + 1:
+        raise ValueError("counts must hold one entry per index in [lo, hi]")
     d = len(a_num)
     canonical = (
         base == 2
@@ -141,13 +113,11 @@ def logsum_word_product(
     )
     total = 0
     if canonical:
-        for n in range(lo, hi + 1):
-            c = count_word(n, 2, digits, pad)
+        for n, c in enumerate(counts, lo):
             if c:
                 total += (2 * c) * fx_log1p_inv((4 * n + 1) * (4 * n + 3), F)
         return total
-    for n in range(lo, hi + 1):
-        c = count_word(n, base, digits, pad)
+    for n, c in enumerate(counts, lo):
         if not c:
             continue
         bn = base * n

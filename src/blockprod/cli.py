@@ -1,7 +1,8 @@
 """Command-line frontend: counting, closed forms, verification, enumeration, fuzzing.
 
 Exit codes: 0 success / verified pass, 1 verified failure (a check that ran
-and did not hold), 2 usage or validation error.  All randomized behaviour
+and did not hold), 2 usage or validation error, 3 internal error (any other
+exception; its traceback goes to stderr).  All randomized behaviour
 flows from the explicit ``--seed``; identical invocations produce
 byte-identical output.  The environment variable ``BLOCKPROD_PRECISION``
 overrides the default precision (an explicit ``--precision`` still wins).
@@ -378,6 +379,12 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash must not read as a verified failure
+        import traceback  # only a crash needs it; keeps it off every CLI start
+
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from blockprod import _kernels
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision
@@ -436,8 +436,39 @@ def rivoal_grouped_factors(K: int) -> dict[int, int]:
     return factors
 
 
+def _grouping_exponents(K: int) -> Iterator[tuple[int, int, int]]:
+    """``(m, original, grouped)``: exponent of every integer ``m`` in both factored forms.
+
+    ``original`` is the exponent of ``m`` in ``rivoal_original_factors(4K+3)``:
+    the factor for ``k`` puts ``e(k)`` on ``k+2`` and ``-e(k)`` on ``k+1``, so
+    ``m`` carries ``e(m-2) - e(m-1)``.  ``grouped`` is its exponent in
+    ``rivoal_grouped_factors(K)``, read off from ``divmod(m, 4)``.  Every
+    other integer has exponent 0 in both.
+    """
+    top = 4 * K + 3
+    prev = 0  # e(m - 2)
+    for m in range(3, top + 3):
+        k = m - 1
+        cur = 0  # e(m - 1)
+        if k <= top and k & 3 < 2:
+            cur = 2 * (k.bit_length() - 2)
+            if k & 3:
+                cur = -cur
+        q, r = divmod(m, 4)
+        grouped = 0
+        if r and 1 <= q <= K:
+            grouped = 2 * q.bit_length()
+            grouped = 2 * grouped if r == 2 else -grouped
+        yield m, prev - cur, grouped
+        prev = cur
+
+
 def grouping_identity_holds(K: int) -> bool:
-    """Whether the original partial up to ``4K+3`` equals the grouped partial up to ``K`` exactly."""
+    """Whether the original partial up to ``4K+3`` equals the grouped partial up to ``K`` exactly.
+
+    Compares the two factored forms one integer at a time, without building
+    either map.
+    """
     if K < 1:
         raise ValueError("K must be >= 1")
-    return rivoal_original_factors(4 * K + 3) == rivoal_grouped_factors(K)
+    return all(original == grouped for _, original, grouped in _grouping_exponents(K))

@@ -34,7 +34,7 @@ from blockprod.identities import (
     closed_form_baseB,
     companion_closed_form,
 )
-from blockprod.words import Word, all_words, padding_for
+from blockprod.words import Word, all_words, block_counts
 
 __all__ = [
     "VerifyReport",
@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 NAMED_FORMULAS = ("rivoal_eq1", "companion_eq2")
+
+# indices per block_counts buffer in eval_lhs_partial
+COUNT_CHUNK = 1 << 16
 
 # verdict threshold is max(tolerance, TAIL_FACTOR * tail_estimate): a partial
 # product cannot be expected to sit closer to the limit than its own tail.
@@ -63,25 +66,22 @@ def eval_lhs_partial(spec: ProductSpec, N: int, precision_bits: int) -> BigReal:
     """First ``N`` factors of the block-exponent product, in log space.
 
     Exponents are the block-occurrence counts of ``spec.word``; terms with
-    count 0 contribute nothing and are skipped.
+    count 0 contribute nothing and are skipped.  The counts are built per
+    chunk of at most ``COUNT_CHUNK`` indices, so memory stays bounded; the
+    chunked log-sum is an integer sum and equals the sequential one exactly.
     """
     prec = _check_precision(precision_bits)
     if N < 1:
         raise ValueError("N must be >= 1")
     F = prec + GUARD_BITS
     a_num, a_den, b_num, b_den = spec.kernel_args()
-    logsum = _kernels.logsum_word_product(
-        spec.base,
-        spec.word.digits,
-        padding_for(spec.word),
-        a_num,
-        a_den,
-        b_num,
-        b_den,
-        1,
-        N,
-        F,
-    )
+    logsum = 0
+    for lo in range(1, N + 1, COUNT_CHUNK):
+        hi = min(lo + COUNT_CHUNK - 1, N)
+        counts = block_counts(spec.word, lo, hi)
+        logsum += _kernels.logsum_word_product(
+            spec.base, counts, a_num, a_den, b_num, b_den, lo, hi, F
+        )
     return BigReal.exp_of_fixed(logsum, F, prec)
 
 

@@ -4,24 +4,34 @@ A :class:`Word` is a finite digit sequence over ``{0, ..., base-1}`` with
 leading zeros significant (``0010`` is a different word from ``10``).  The
 integer 0 has the *empty* expansion in every base.
 
-The occurrence count implemented by :func:`count_block` follows the counting
-convention used throughout this package:
+Counting rule.  For a nonempty word ``w`` of length ``L`` and value ``v(w)``
+(its digits read in base ``B``), the block count ``N_w`` is defined by the
+recurrence that the summation identity telescopes:
+
+    N_w(0) = 0,    N_w(n) = N_w(n // B) + [n mod B^L == v(w)]   (n >= 1).
+
+So ``N_w(n)`` counts the ``L``-digit windows of the zero-padded expansion of
+``n`` that end at a digit of ``n`` and read ``w``.  :func:`count_block`
+evaluates it for one ``n``; :func:`block_counts` for a whole range.
+
+Remark (agreement with substring counting).  A window that reaches into the
+padding starts with a padding zero, and if it also covers the leading digit
+of ``n`` it is not all zeros.  Hence:
 
 * words that start with a nonzero digit, and words consisting entirely of
   zeros, are counted as plain (possibly overlapping) substrings of the
   canonical expansion;
-* words that start with 0 but contain a nonzero digit are counted in the
-  expansion left-padded with zeros.  Padding with exactly ``len(w) - 1``
-  zeros is equivalent to padding with arbitrarily many: an occurrence of
-  such a word must cover a nonzero digit of the expansion, so it cannot
-  begin more than ``len(w) - 1`` positions before the expansion starts.
+* words that start with 0 but contain a nonzero digit are counted as
+  substrings of the expansion left-padded with ``len(w) - 1`` zeros.
+  Padding with exactly ``len(w) - 1`` zeros is equivalent to padding with
+  arbitrarily many: an occurrence of such a word must cover a nonzero digit
+  of the expansion, so it cannot begin more than ``len(w) - 1`` positions
+  before the expansion starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from blockprod import _kernels
 
 __all__ = [
     "Word",
@@ -33,6 +43,7 @@ __all__ = [
     "word_value",
     "classify",
     "count_block",
+    "block_counts",
     "all_words",
 ]
 
@@ -143,22 +154,72 @@ def classify(w: Word) -> WordClass:
     return WordClass(STARTS_ZERO_MIXED)
 
 
-def padding_for(w: Word) -> int:
-    """Zeros prepended to expansions when counting occurrences of ``w``."""
-    return len(w.digits) - 1 if classify(w).kind == STARTS_ZERO_MIXED else 0
-
-
 def count_block(w: Word, n: int) -> int:
-    """Number of possibly overlapping occurrences of ``w`` in the expansion of ``n``.
+    """``N_w(n)``: possibly overlapping occurrences of ``w`` in the expansion of ``n``.
 
-    Zero-leading mixed words are counted in the zero-padded expansion (see
-    module docstring); the count for ``n = 0`` is 0 for every word.
+    Evaluates the counting recurrence (module docstring) from ``n`` down to
+    0; the count for ``n = 0`` is 0 for every word.
     """
-    if w.is_empty:
-        raise ValueError("count_block needs a nonempty word")
+    # checks inlined: this is called once per integer in counting sweeps
+    digits = w.digits
+    if not digits:
+        raise ValueError("block counting needs a nonempty word")
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    return _kernels.count_word(n, w.base, w.digits, padding_for(w))
+    base = w.base
+    modulus = base ** len(digits)
+    v = word_value(w)
+    c = 0
+    while n:
+        c += n % modulus == v
+        n //= base
+    return c
+
+
+# adds 1 to every byte of a count buffer (overflow is ruled out by the caller)
+_INCREMENT = bytes(range(1, 256)) + b"\x00"
+
+
+def block_counts(w: Word, lo: int, hi: int) -> bytearray:
+    """``N_w(n)`` for every ``n`` in ``[lo, hi]``; entry ``i`` is ``N_w(lo + i)``.
+
+    Builds the counts level by level from the counting recurrence: level
+    ``k`` holds ``N_w`` on ``[lo // B^k, hi // B^k]``, and each entry is the
+    entry of its quotient by ``B`` one level up plus the indicator of
+    ``n mod B^L == v(w)``.  The result equals :func:`count_block` point by
+    point for any ``lo``.  A count never exceeds the digit count of ``n``, so
+    ``hi`` may have at most 255 base-``B`` digits.
+    """
+    if w.is_empty:
+        raise ValueError("block counting needs a nonempty word")
+    if not isinstance(lo, int) or not isinstance(hi, int) or not 0 <= lo <= hi:
+        raise ValueError(f"need integers 0 <= lo <= hi, got lo={lo!r}, hi={hi!r}")
+    base = w.base
+    modulus = base ** len(w.digits)
+    v = word_value(w)
+    bounds = []
+    a, b = lo, hi
+    while b:
+        bounds.append((a, b))
+        a, b = a // base, b // base
+    if len(bounds) > 255:
+        raise ValueError("block_counts needs hi below base**255")
+    counts = bytearray(1)  # N_w(0) at the level above the last nonzero quotient
+    parent_lo = 0
+    for a, b in reversed(bounds):
+        size = b - a + 1
+        level = bytearray(size)
+        for r in range(min(base, size)):
+            # n = a + r + t*base has quotient (a + r) // base + t
+            q = (a + r) // base - parent_lo
+            level[r::base] = counts[q : q + (size - r + base - 1) // base]
+        first = max(a, 1)
+        first += (v - first) % modulus
+        if first <= b:
+            i = first - a
+            level[i::modulus] = level[i::modulus].translate(_INCREMENT)
+        counts, parent_lo = level, a
+    return counts
 
 
 def all_words(base: int, max_len: int) -> list[Word]:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from blockprod import cli
 from blockprod.cli import main
 from blockprod.identities import ProductSpec
 
@@ -48,6 +49,18 @@ class TestCount:
         with pytest.raises(SystemExit) as exc:
             main(["count", "--word", "11", "15"])  # missing --base
         assert exc.value.code == 2
+
+
+class TestInternalError:
+    def test_unexpected_exception_exit_3(self, capsys, monkeypatch):
+        def broken(word, n):
+            raise ArithmeticError("series did not converge")
+
+        monkeypatch.setattr(cli, "count_block", broken)
+        code, out, err = run(capsys, "count", "--base", "2", "--word", "11", "15")
+        assert code == 3  # not 1, which means a check ran and did not hold
+        assert out == ""
+        assert "internal error: ArithmeticError: series did not converge" in err
 
 
 class TestClosedForm:

@@ -11,6 +11,7 @@ from helpers import assert_close, to_mpf
 from blockprod.gammafn import BalanceError, eval_gamma_expr
 from blockprod.identities import (
     FiniteSupportFn,
+    _grouping_exponents,
     ProductSpec,
     alternating_product_estimate,
     closed_form_base2,
@@ -243,6 +244,15 @@ class TestRivoalForms:
         assert rivoal_original_factors(4 * 50 + 3) == rivoal_grouped_factors(50)
         # cutting at 4K leaves the k = 4K factor unpaired (4K+2, 4K+3 are inert)
         assert rivoal_original_factors(4 * 50) != rivoal_grouped_factors(50)
+
+    def test_streamed_exponents_match_factor_maps(self):
+        """The per-integer exponents grouping_identity_holds compares are those of both maps."""
+        for K in range(1, 201):
+            exponents = list(_grouping_exponents(K))
+            original = {m: e for m, e, _ in exponents if e}
+            grouped = {m: e for m, _, e in exponents if e}
+            assert original == rivoal_original_factors(4 * K + 3)
+            assert grouped == rivoal_grouped_factors(K)
 
     def test_numeric_agreement(self):
         a = rivoal_original_partial(4 * 200 + 3, 128)

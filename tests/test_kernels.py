@@ -22,8 +22,12 @@ from blockprod.fixedpoint import (
     rshift_round,
     sqrt2pi_fixed,
 )
+from blockprod.words import Word, block_counts
 
-compiled = pytest.importorskip("blockprod._kernels_cy", reason="compiled kernels not built")
+try:
+    from blockprod import _kernels_cy as compiled
+except ImportError:
+    compiled = None
 
 F = 192
 ULPS = 512  # generous absolute error budget for the primitives, in 2**-F units
@@ -42,7 +46,7 @@ class TestFixedPointPrimitives:
         assert rshift_round(14, 2) == 4  # 3.5 ties toward +inf
         assert rshift_round(-14, 2) == -3  # -3.5 ties toward +inf
         assert fx_mul(3 << F, 5 << F, F) == 15 << F
-        assert fx_div(1 << F, 3 << F, F) == rshift_round((1 << (2 * F + 1)) // 3, F + 1) or True
+        assert fx_div(1 << F, 3 << F, F) == rshift_round((1 << (2 * F + 1)) // 3, F + 1)
         assert abs(fx_div(1 << F, 3 << F, F) - (2**F) / mpmath.mpf(3)) < 1
 
     def test_sqrt(self):
@@ -91,6 +95,7 @@ class TestFixedPointPrimitives:
             fx_sin(-1, F)
 
 
+@pytest.mark.skipif(compiled is None, reason="compiled kernels not built")
 class TestBackendEquivalence:
     """Pure and compiled kernels must return bit-identical integers."""
 
@@ -106,21 +111,24 @@ class TestBackendEquivalence:
             q = rng.randrange(1, 10**45)
             assert pure.fx_log_ratio(p, q, F) == compiled.fx_log_ratio(p, q, F)
 
-    def test_count_word(self):
+    def test_word_product_random_words(self):
         rng = random.Random(23)
-        for _ in range(1500):
+        for _ in range(40):
             base = rng.choice([2, 3, 4, 10, 36])
-            n = rng.randrange(0, 10**9)
-            length = rng.randrange(1, 7)
-            digits = tuple(rng.randrange(base) for _ in range(length))
-            pad = rng.choice([0, length - 1])
-            assert pure.count_word(n, base, digits, pad) == compiled.count_word(
-                n, base, digits, pad
-            )
+            w = Word(base, tuple(rng.randrange(base) for _ in range(rng.randrange(1, 5))))
+            lo = rng.randrange(1, 10**6)
+            hi = lo + rng.randrange(0, 200)
+            args = (base, block_counts(w, lo, hi), (1, 1), (1, 1), (0, 2), (1, 1), lo, hi, F)
+            assert pure.logsum_word_product(*args) == compiled.logsum_word_product(*args)
 
-    def test_count_word_huge_n(self):
-        n = 10**40 + 12345
-        assert pure.count_word(n, 2, (1, 0, 1), 0) == compiled.count_word(n, 2, (1, 0, 1), 0)
+    def test_word_product_huge_n(self):
+        # indices above the compiled fast-path bounds take the object loop
+        lo = 10**40 + 12345
+        hi = lo + 64
+        for base, digits in ((2, (1, 0, 1)), (3, (1, 2))):
+            counts = block_counts(Word(base, digits), lo, hi)
+            args = (base, counts, (1, 1), (1, 1), (0, 2), (1, 1), lo, hi, F)
+            assert pure.logsum_word_product(*args) == compiled.logsum_word_product(*args)
 
     @pytest.mark.parametrize(
         "name",
@@ -140,14 +148,12 @@ class TestBackendEquivalence:
         assert fn_p(lo, hi, F) == fn_c(lo, hi, F)
 
     def test_word_product(self):
-        canon = (2, (1, 0), 1, (1, 1), (1, 1), (0, 2), (1, 1))
-        assert pure.logsum_word_product(*canon, 1, 3000, F) == compiled.logsum_word_product(
-            *canon, 1, 3000, F
-        )
-        generic = (3, (0, 2), 1, (1, 1), (2, 3), (0, 7), (1, 6))
-        assert pure.logsum_word_product(*generic, 1, 1500, F) == compiled.logsum_word_product(
-            *generic, 1, 1500, F
-        )
+        counts = block_counts(Word(2, (1, 0)), 1, 3000)
+        canon = (2, counts, (1, 1), (1, 1), (0, 2), (1, 1), 1, 3000, F)
+        assert pure.logsum_word_product(*canon) == compiled.logsum_word_product(*canon)
+        counts = block_counts(Word(3, (0, 2)), 1, 1500)
+        generic = (3, counts, (1, 1), (2, 3), (0, 7), (1, 6), 1, 1500, F)
+        assert pure.logsum_word_product(*generic) == compiled.logsum_word_product(*generic)
 
     def test_ratio_product(self):
         args = ((1, 3), (2, 2), (1, 1), (1, 1))
@@ -170,3 +176,15 @@ class TestSplitting:
             fn = getattr(_kernels, name)
             whole = fn(1, 20000, F)
             assert whole == fn(1, 7777, F) + fn(7778, 20000, F)
+
+    @pytest.mark.parametrize("base,text", [(2, "011"), (3, "12"), (4, "00")])
+    def test_word_product_chunks_add_up(self, base, text):
+        """Log-sums over per-chunk block counts add up to the whole-range log-sum exactly."""
+        w = Word.parse(text, base)
+        params = ((1, 1), (1, 1), (0, 2), (1, 1))
+
+        def logsum(lo, hi):
+            return _kernels.logsum_word_product(base, block_counts(w, lo, hi), *params, lo, hi, F)
+
+        chunks = ((1, 1), (2, 1000), (1001, 1023), (1024, 4097), (4098, 6000))
+        assert logsum(1, 6000) == sum(logsum(lo, hi) for lo, hi in chunks)

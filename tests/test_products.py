@@ -12,6 +12,7 @@ from blockprod.bigreal import GUARD_BITS
 from blockprod.gammafn import eval_gamma_expr
 from blockprod.identities import ProductSpec, closed_form_baseB
 from blockprod.products import (
+    COUNT_CHUNK,
     VerifyReport,
     default_corpus,
     enumerate_words,
@@ -19,7 +20,7 @@ from blockprod.products import (
     tail_estimate,
     verify,
 )
-from blockprod.words import Word, count_block, padding_for, to_digits
+from blockprod.words import Word, block_counts, count_block, to_digits
 
 
 def mp_product(spec: ProductSpec, N: int):
@@ -192,13 +193,38 @@ class TestSplitting:
         F = 128 + GUARD_BITS
         spec = ProductSpec.canonical_base2(Word.parse("011", 2))
         a_num, a_den, b_num, b_den = spec.kernel_args()
-        args = (spec.base, spec.word.digits, padding_for(spec.word), a_num, a_den, b_num, b_den)
-        whole = _kernels.logsum_word_product(*args, 1, 5000, F)
-        parts = sum(
-            _kernels.logsum_word_product(*args, lo, hi, F)
-            for lo, hi in ((1, 1234), (1235, 2999), (3000, 5000))
-        )
+
+        def logsum(lo, hi):
+            counts = block_counts(spec.word, lo, hi)
+            return _kernels.logsum_word_product(
+                spec.base, counts, a_num, a_den, b_num, b_den, lo, hi, F
+            )
+
+        whole = logsum(1, 5000)
+        parts = sum(logsum(lo, hi) for lo, hi in ((1, 1234), (1235, 2999), (3000, 5000)))
         assert whole == parts
+
+
+class TestChunkedEvaluation:
+    # (man, exp) of eval_lhs_partial(spec, 70000, 128) from the per-index
+    # counting kernel that range counting replaced
+    PINNED = [
+        (2, "101", ("1", "1"), ("0", "2"), 172096108265096079877282546574125500697),
+        (3, "12", ("1", "1"), ("0", "2"), 171010692051314929451791053426491242590),
+        (3, "012", ("1", "1"), ("0", "2"), 170841404349786099353654764126514464346),
+        (4, "00", ("1", "1"), ("0", "2"), 170207950649409326669216602032450447697),
+        (3, "12", ("1/2", "3/2"), ("1/3", "5/3"), 170309828216921900382440098714549034341),
+    ]
+
+    @pytest.mark.parametrize("base,text,a,b,man", PINNED)
+    def test_straddling_chunk_matches_pinned(self, base, text, a, b, man):
+        N = 70000
+        assert COUNT_CHUNK < N < 2 * COUNT_CHUNK
+        spec = ProductSpec(
+            base, Word.parse(text, base), tuple(map(Fraction, a)), tuple(map(Fraction, b))
+        )
+        value = eval_lhs_partial(spec, N, 128)
+        assert (value.man, value.exp) == (man, -127)
 
 
 class TestEnumerate:

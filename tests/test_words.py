@@ -1,18 +1,21 @@
 """Expansions, word values, classification, and block counting."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockprod.products import COUNT_CHUNK, default_corpus
 from blockprod.words import (
     ALL_ZEROS,
     STARTS_NONZERO,
     STARTS_ZERO_MIXED,
     Word,
     all_words,
+    block_counts,
     classify,
     count_block,
-    padding_for,
     to_digits,
     word_value,
 )
@@ -28,13 +31,8 @@ def render(n: int, base: int) -> str:
     return s
 
 
-def naive_count(word: str, base: int, n: int) -> int:
-    """Overlapping substring scan on the (padded) rendered expansion."""
-    if n == 0:
-        return 0
-    text = render(n, base)
-    if word[0] == "0" and any(c != "0" for c in word):
-        text = "0" * (len(word) - 1) + text
+def scan(text: str, word: str) -> int:
+    """Possibly overlapping occurrences of ``word`` in ``text``."""
     count = 0
     start = 0
     while True:
@@ -43,6 +41,16 @@ def naive_count(word: str, base: int, n: int) -> int:
             return count
         count += 1
         start = i + 1
+
+
+def naive_count(word: str, base: int, n: int) -> int:
+    """Overlapping substring scan on the (padded) rendered expansion."""
+    if n == 0:
+        return 0
+    text = render(n, base)
+    if word[0] == "0" and any(c != "0" for c in word):
+        text = "0" * (len(word) - 1) + text
+    return scan(text, word)
 
 
 class TestToDigits:
@@ -183,9 +191,50 @@ class TestCountBlock:
                 assert got == want
 
     def test_padding_for(self):
-        assert padding_for(Word.parse("001", 2)) == 2
-        assert padding_for(Word.parse("00", 2)) == 0
-        assert padding_for(Word.parse("11", 2)) == 0
+        """The recurrence equals a scan padded by 2 zeros for 001 and by none for 00 and 11."""
+        for text, pad in (("001", 2), ("00", 0), ("11", 0)):
+            w = Word.parse(text, 2)
+            for n in range(1, 600):
+                assert count_block(w, n) == scan("0" * pad + render(n, 2), text)
+
+
+class TestBlockCounts:
+    def test_matches_point_counts_and_oracle(self):
+        """Range counts equal count_block and the padded scan, for every corpus word."""
+        rng = random.Random(11)
+        fixed = [(0, 0), (0, 40), (7, 7), (1, 300), (COUNT_CHUNK - 6, COUNT_CHUNK + 9)]
+        for w in default_corpus():
+            text = w.render()
+            ranges = fixed + [(lo, lo + rng.randrange(120)) for lo in (
+                rng.randrange(5000),
+                rng.randrange(2 * COUNT_CHUNK - 60, 2 * COUNT_CHUNK),
+                rng.randrange(10**12),
+            )]
+            for lo, hi in ranges:
+                got = block_counts(w, lo, hi)
+                assert len(got) == hi - lo + 1
+                for n, c in zip(range(lo, hi + 1), got):
+                    assert c == count_block(w, n) == naive_count(text, w.base, n), (text, n)
+
+    def test_huge_start(self):
+        for text, base in (("0", 2), ("101", 2), ("012", 3), ("00", 4)):
+            w = Word.parse(text, base)
+            lo = 7**60
+            assert list(block_counts(w, lo, lo + 50)) == [
+                naive_count(text, base, n) for n in range(lo, lo + 51)
+            ]
+
+    def test_rejects_bad_ranges(self):
+        w = Word.parse("1", 2)
+        with pytest.raises(ValueError):
+            block_counts(w, 5, 4)
+        with pytest.raises(ValueError):
+            block_counts(w, -1, 4)
+        with pytest.raises(ValueError):
+            block_counts(Word(2, ()), 1, 4)
+        with pytest.raises(ValueError):  # counts of 256 would not fit in a byte
+            block_counts(w, 2**255, 2**255)
+        assert list(block_counts(w, 2**255 - 1, 2**255 - 1)) == [255]
 
 
 class TestParsing:
