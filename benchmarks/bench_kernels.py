@@ -2,7 +2,9 @@
 """Benchmark the pure-Python kernels against the compiled extension.
 
 Both backends compute bit-identical integers (asserted here); only the
-throughput differs.  Run from the repository root:
+throughput differs.  The Gamma-ratio block sums of the 4/pi bit-length
+families have a single pure-Python implementation and are timed alone.
+Run from the repository root:
 
     python benchmarks/bench_kernels.py [--terms N] [--precision BITS]
 """
@@ -13,6 +15,7 @@ import argparse
 import time
 
 from blockprod import _kernels_py as pure
+from blockprod.identities import logsum_alternating, logsum_rivoal_grouped, logsum_rivoal_original
 from blockprod.words import Word, block_counts
 
 try:
@@ -27,12 +30,15 @@ def timed(fn, *args):
     return result, time.perf_counter() - t0
 
 
-def run_case(name, fn_name, args):
+def run_case(name, fn, args):
+    """Time the kernel named ``fn`` on both backends, or the callable ``fn`` alone."""
+    if callable(fn):
+        return [(name, timed(fn, *args)[1], None, None)]
     rows = []
-    value_p, t_pure = timed(getattr(pure, fn_name), *args)
+    value_p, t_pure = timed(getattr(pure, fn), *args)
     if compiled is not None:
-        value_c, t_comp = timed(getattr(compiled, fn_name), *args)
-        assert value_p == value_c, f"backend mismatch in {fn_name}"
+        value_c, t_comp = timed(getattr(compiled, fn), *args)
+        assert value_p == value_c, f"backend mismatch in {fn}"
         rows.append((name, t_pure, t_comp, t_pure / t_comp))
     else:
         rows.append((name, t_pure, None, None))
@@ -56,10 +62,10 @@ def main() -> int:
     ratio = ((1, 3), (2, 2), (1, 1), (1, 1), 0, N, F)
 
     cases = [
-        ("rivoal grouped (2*bitlen exponents)", "logsum_rivoal_grouped", (1, N, F)),
-        ("rivoal original (4-periodic)", "logsum_rivoal_original", (2, 4 * N, F)),
+        ("rivoal grouped (Gamma-ratio blocks)", logsum_rivoal_grouped, (1, N, F)),
+        ("rivoal original (Gamma-ratio blocks)", logsum_rivoal_original, (2, 4 * N, F)),
         ("companion (signed digit balance)", "logsum_companion", (1, N, F)),
-        ("alternating", "logsum_alternating", (1, N, F)),
+        ("alternating (Gamma-ratio blocks)", logsum_alternating, (1, N, F)),
         ("word product, base 2, w=101", "logsum_word_product", word_101),
         ("word product, base 3, w=12 (generic)", "logsum_word_product", word_b3),
         ("balanced ratio product (Wallis)", "logsum_ratio_product", ratio),
@@ -70,8 +76,8 @@ def main() -> int:
     header = f"{'kernel':42s} {'pure [s]':>9s} {'cython [s]':>11s} {'speedup':>8s}"
     print(header)
     print("-" * len(header))
-    for name, fn_name, fn_args in cases:
-        for label, t_pure, t_comp, speedup in run_case(name, fn_name, fn_args):
+    for name, fn, fn_args in cases:
+        for label, t_pure, t_comp, speedup in run_case(name, fn, fn_args):
             if t_comp is None:
                 print(f"{label:42s} {t_pure:9.3f} {'-':>11s} {'-':>8s}")
             else:

@@ -24,7 +24,4 @@ fx_log_ratio = _impl.fx_log_ratio
 fx_log1p_inv = _impl.fx_log1p_inv
 logsum_word_product = _impl.logsum_word_product
 logsum_ratio_product = _impl.logsum_ratio_product
-logsum_rivoal_original = _impl.logsum_rivoal_original
-logsum_rivoal_grouped = _impl.logsum_rivoal_grouped
 logsum_companion = _impl.logsum_companion
-logsum_alternating = _impl.logsum_alternating

@@ -12,7 +12,7 @@ integers for every input.  The test suite asserts this equivalence.
 BACKEND = "cython"
 
 # C fast paths are used only below these bounds (object loops otherwise):
-# (4k+3)^2 must fit in int64 for the 4/pi family, and base^2*n + base*k
+# (4k+3)^2 must fit in int64 for the companion form, and base^2*n + base*k
 # must fit for the word-product family.
 DEF FAST_K = 1 << 29
 DEF FAST_N = 1 << 40
@@ -183,56 +183,8 @@ def logsum_ratio_product(a_num, a_den, b_num, b_den, lo, hi, F):
     return total
 
 
-def logsum_rivoal_original(lo, hi, F):
-    """Log-sum of the four-periodic 4/pi form over ``[lo, hi]``."""
-    cdef long long k, k0, k1
-    cdef long long e
-    cdef int r
-    total = 0
-    if hi <= FAST_K:
-        k0 = lo if lo > 2 else 2
-        k1 = hi
-        for k in range(k0, k1 + 1):
-            r = <int> (k & 3)
-            if r > 1:
-                continue
-            e = 2 * (_bitlen_ll(k) - 2)
-            if e == 0:
-                continue
-            if r == 1:
-                e = -e
-            total += e * fx_log1p_inv(k + 1, F)
-        return total
-    for kk in range(max(lo, 2), hi + 1):
-        rr = kk & 3
-        if rr > 1:
-            continue
-        ee = 2 * (kk.bit_length() - 2)
-        if not ee:
-            continue
-        if rr == 1:
-            ee = -ee
-        total += ee * fx_log1p_inv(kk + 1, F)
-    return total
-
-
-def logsum_rivoal_grouped(lo, hi, F):
-    """Log-sum of the grouped 4/pi form (exponent = twice the digit count)."""
-    cdef long long k, k0, k1
-    total = 0
-    if hi <= FAST_K:
-        k0 = lo if lo > 1 else 1
-        k1 = hi
-        for k in range(k0, k1 + 1):
-            total += (2 * _bitlen_ll(k)) * fx_log1p_inv((4 * k + 1) * (4 * k + 3), F)
-        return total
-    for kk in range(max(lo, 1), hi + 1):
-        total += (2 * kk.bit_length()) * fx_log1p_inv((4 * kk + 1) * (4 * kk + 3), F)
-    return total
-
-
 def logsum_companion(lo, hi, F):
-    """Exponent ``2*(N_0(k) - N_1(k))`` (digit balance) on the same factors."""
+    """Exponent ``2*(N_0(k) - N_1(k))`` (digit balance) on the 4/pi factors."""
     cdef long long k, k0, k1, e
     total = 0
     if hi <= FAST_K:
@@ -247,25 +199,4 @@ def logsum_companion(lo, hi, F):
         ee = 2 * (kk.bit_length() - 2 * kk.bit_count())
         if ee:
             total += ee * fx_log1p_inv((4 * kk + 1) * (4 * kk + 3), F)
-    return total
-
-
-def logsum_alternating(lo, hi, F):
-    """Exponent ``2*(-1)^k * (N_0(k) + N_1(k))`` on the same factors."""
-    cdef long long k, k0, k1, e
-    total = 0
-    if hi <= FAST_K:
-        k0 = lo if lo > 1 else 1
-        k1 = hi
-        for k in range(k0, k1 + 1):
-            e = 2 * _bitlen_ll(k)
-            if k & 1:
-                e = -e
-            total += e * fx_log1p_inv((4 * k + 1) * (4 * k + 3), F)
-        return total
-    for kk in range(max(lo, 1), hi + 1):
-        ee = 2 * kk.bit_length()
-        if kk & 1:
-            ee = -ee
-        total += ee * fx_log1p_inv((4 * kk + 1) * (4 * kk + 3), F)
     return total

@@ -3,8 +3,8 @@
 These functions dominate the runtime of every truncated-product evaluation:
 for each index ``n`` they accumulate an integer fixed-point logarithm (scale
 ``F`` bits, see :mod:`blockprod.fixedpoint`) times an integer exponent: a
-digit-block count handed in by the caller, or a bit-length expression
-computed in place.  A Cython twin (``blockprod._kernels_cy``)
+digit-block count handed in by the caller, or the companion form's
+popcount exponent computed in place.  A Cython twin (``blockprod._kernels_cy``)
 implements the exact same integer algorithms; ``blockprod._kernels`` picks
 whichever is importable.  Both backends must return *bit-identical* integers
 — the test suite enforces this — so all arithmetic here is exact integer
@@ -13,8 +13,10 @@ code.
 
 Because the accumulated log-sums are plain integer additions, splitting a
 range ``[lo, hi]`` into disjoint chunks and adding the partial sums gives
-*exactly* the sequential result, which is the normative definition of every
-partial product in this package.
+*exactly* the sequential result, which is the normative definition of the
+partial products summed here.  The bit-length families of the 4/pi product
+(exponent constant on dyadic blocks) are not summed term by term: see the
+Gamma-ratio block sums in :mod:`blockprod.identities`.
 """
 
 from __future__ import annotations
@@ -163,54 +165,14 @@ def logsum_ratio_product(
     return total
 
 
-def logsum_rivoal_original(lo: int, hi: int, F: int) -> int:
-    """Log-sum of ``(1 + 1/(k+1))^(2*rho(k)*(bitlen(k)-2))`` for ``k`` in ``[lo, hi]``.
-
-    ``rho`` is the 4-periodic sequence 1, -1, 0, 0 and ``bitlen(k) - 2`` is
-    the exact integer value of ``floor(log2(k) - 1)`` for ``k >= 2``.
-    """
-    total = 0
-    for k in range(max(lo, 2), hi + 1):
-        r = k & 3
-        if r > 1:
-            continue
-        e = 2 * (k.bit_length() - 2)
-        if e == 0:
-            continue
-        if r == 1:
-            e = -e
-        total += e * fx_log1p_inv(k + 1, F)
-    return total
-
-
-def logsum_rivoal_grouped(lo: int, hi: int, F: int) -> int:
-    """Log-sum of ``((4k+2)^2/((4k+1)(4k+3)))^(2*bitlen(k))`` for ``k`` in ``[lo, hi]``.
-
-    ``bitlen(k)`` equals the number of binary digits of ``k``, i.e. the total
-    digit-block count ``N_0(k) + N_1(k)``.
-    """
-    total = 0
-    for k in range(max(lo, 1), hi + 1):
-        total += (2 * k.bit_length()) * fx_log1p_inv((4 * k + 1) * (4 * k + 3), F)
-    return total
-
-
 def logsum_companion(lo: int, hi: int, F: int) -> int:
-    """Same factors with exponent ``2*(N_0(k) - N_1(k)) = 2*(bitlen - 2*popcount)``."""
+    """Log-sum of ``((4k+2)^2/((4k+1)(4k+3)))^(2*(N_0(k) - N_1(k)))`` for ``k`` in ``[lo, hi]``.
+
+    The exponent is ``2*(bitlen(k) - 2*popcount(k))``, the signed digit balance.
+    """
     total = 0
     for k in range(max(lo, 1), hi + 1):
         e = 2 * (k.bit_length() - 2 * k.bit_count())
         if e:
             total += e * fx_log1p_inv((4 * k + 1) * (4 * k + 3), F)
-    return total
-
-
-def logsum_alternating(lo: int, hi: int, F: int) -> int:
-    """Same factors with exponent ``2*(-1)^k*(N_0(k) + N_1(k))``."""
-    total = 0
-    for k in range(max(lo, 1), hi + 1):
-        e = 2 * k.bit_length()
-        if k & 1:
-            e = -e
-        total += e * fx_log1p_inv((4 * k + 1) * (4 * k + 3), F)
     return total

@@ -19,8 +19,8 @@ import random
 import sys
 from fractions import Fraction
 
-from blockprod import __version__, _kernels
-from blockprod.bigreal import GUARD_BITS, BigReal
+from blockprod import __version__
+from blockprod.bigreal import GUARD_BITS, BigReal, default_decimal_digits
 from blockprod.identities import (
     FiniteSupportFn,
     ProductSpec,
@@ -28,6 +28,7 @@ from blockprod.identities import (
     closed_form_baseB,
     grouping_identity_holds,
     lemma1_residual,
+    logsum_alternating,
     rivoal_grouped_partial,
     rivoal_original_partial,
 )
@@ -37,6 +38,21 @@ from blockprod.words import Word, count_block
 DEFAULT_TERMS = 10**5
 DEFAULT_TOLERANCE = "1/1000"
 FORMATS = ("text", "json", "csv")
+
+# Input caps, so that a mistyped size is refused rather than hanging the
+# process.  Spouge coefficients cost about 5 s cold at 2048 bits and about a
+# minute at 4096.  The 4/pi bit-length families (verify rivoal, alternating)
+# sum O(log N) Gamma-ratio blocks; the companion form, word products and the
+# grouping check of rivoal-forms cost O(N), seconds per 10^6 terms.
+MAX_PRECISION = 2048
+MAX_BLOCK_SUM_TERMS = 10**30
+MAX_PER_TERM_TERMS = 10**7
+MAX_BLOCKS = 10**7
+
+
+def _check_cap(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError(f"{flag} must be at most {cap}, got {value}")
 
 
 def _default_precision() -> int:
@@ -152,6 +168,8 @@ def cmd_verify(args) -> int:
         target = tag
     else:
         target = _make_spec(args)
+    cap = MAX_BLOCK_SUM_TERMS if target == "rivoal_eq1" else MAX_PER_TERM_TERMS
+    _check_cap("--terms", args.terms, cap)
     report = verify(target, N=args.terms, precision_bits=args.precision,
                     tolerance=Fraction(args.tolerance))
     _print_report(report, args.format)
@@ -159,6 +177,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    _check_cap("--terms", args.terms, MAX_PER_TERM_TERMS)
     reports = enumerate_words(
         args.base,
         args.max_len,
@@ -231,20 +250,23 @@ def cmd_alternating(args) -> int:
     K = args.terms
     if K < 100:
         raise ValueError("--terms must be at least 100 for a Cauchy report")
+    _check_cap("--terms", K, MAX_BLOCK_SUM_TERMS)
     prec = args.precision
     F = prec + GUARD_BITS
     k0, k1 = K // 100, K // 10
-    s0 = _kernels.logsum_alternating(1, k0, F)
-    s1 = s0 + _kernels.logsum_alternating(k0 + 1, k1, F)
-    s2 = s1 + _kernels.logsum_alternating(k1 + 1, K, F)
+    s0 = logsum_alternating(1, k0, F)
+    s1 = s0 + logsum_alternating(k0 + 1, k1, F)
+    s2 = s1 + logsum_alternating(k1 + 1, K, F)
     e0 = BigReal.exp_of_fixed(s0, F, prec)
     e1 = BigReal.exp_of_fixed(s1, F, prec)
     e2 = BigReal.exp_of_fixed(s2, F, prec)
     gap1 = abs(e1 - e0)
     gap2 = abs(e2 - e1)
+    # a zero gap means every printed digit is stable
+    digits = default_decimal_digits(prec)
     stable = 0
     g = gap2.to_fraction()
-    while g and g < Fraction(1, 10 ** (stable + 1)) and stable < prec:
+    while stable < digits and g < Fraction(1, 10 ** (stable + 1)):
         stable += 1
     if args.format == "json":
         print(json.dumps({
@@ -271,6 +293,7 @@ def cmd_rivoal_forms(args) -> int:
     K = args.blocks
     if K < 1:
         raise ValueError("--blocks must be >= 1")
+    _check_cap("--blocks", K, MAX_BLOCKS)
     exact = grouping_identity_holds(K)
     original = rivoal_original_partial(4 * K + 3, args.precision)
     grouped = rivoal_grouped_partial(K, args.precision)
@@ -375,6 +398,7 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
+        _check_cap("--precision", args.precision, MAX_PRECISION)
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

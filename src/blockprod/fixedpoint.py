@@ -195,7 +195,10 @@ def exp_split(x: int, F: int) -> tuple[int, int]:
     """
     ln2 = log2_fixed(F)
     k = (2 * x + ln2) // (2 * ln2)  # nearest integer to x/log2 (floor on ties)
-    r = x - k * ln2
+    # k*log2 scales the constant's error by k, so reduce with log 2 carried
+    # bitlen(k) + 2 bits deeper
+    extra = k.bit_length() + 2
+    r = rshift_round((x << extra) - k * log2_fixed(F + extra), extra)
     return fx_exp_reduced(r, F), int(k)
 
 

@@ -120,8 +120,11 @@ def _loggamma_fixed(x: Fraction, F: int) -> int:
     if S <= 0:
         raise ArithmeticError("Spouge sum collapsed; guard bits insufficient")
     ln_s = rshift_round(fx_log(S, FS), FS - F)
-    ln_za = fx_log_frac(zp + a * zq, zq, F)
-    t1 = (2 * zp + zq) * ln_za // (2 * zq)  # (z + 1/2) log(z + a)
+    # (z + 1/2) log(z + a): the product scales the log's error by z, so the
+    # log is carried bitlen(z) + 8 bits deeper and rounded after multiplying
+    extra = (zp // zq).bit_length() + 8
+    ln_za = fx_log_frac(zp + a * zq, zq, F + extra)
+    t1 = rshift_round((2 * zp + zq) * ln_za // (2 * zq), extra)
     t2 = ((zp + a * zq) << F) // zq  # z + a
     return t1 - t2 + ln_s - reduction
 

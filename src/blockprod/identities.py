@@ -12,6 +12,8 @@ Three families live here:
 * the concrete 4/pi product family: the original four-periodic form, the
   grouped form with digit-count exponents, the companion form with signed
   digit-count exponents, and the numerically estimated alternating form.
+  The three forms whose exponent depends on ``bitlen(k)`` alone are summed
+  as Gamma-ratio blocks (:func:`logsum_rivoal_grouped` and its siblings).
 
 Floor-log exponents are always derived from integer bit length
 (``floor(log2 k - 1) = bitlen(k) - 2`` and ``floor(log2 k + 1) = bitlen(k)``
@@ -26,7 +28,7 @@ from typing import Callable, Iterator, Mapping
 
 from blockprod import _kernels
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision
-from blockprod.gammafn import BalanceError, GammaExpr
+from blockprod.gammafn import BalanceError, GammaExpr, _loggamma_fixed
 from blockprod.words import ALL_ZEROS, Word, classify, count_block, word_value
 
 __all__ = [
@@ -44,6 +46,9 @@ __all__ = [
     "rivoal_grouped_partial",
     "companion_partial",
     "alternating_product_estimate",
+    "logsum_rivoal_original",
+    "logsum_rivoal_grouped",
+    "logsum_alternating",
     "rivoal_original_factors",
     "rivoal_grouped_factors",
     "grouping_identity_holds",
@@ -344,6 +349,93 @@ def companion_closed_form() -> GammaExpr:
 
 
 # --------------------------------------------------------------------------
+# bit-length family log-sums as Gamma-ratio block sums
+# --------------------------------------------------------------------------
+#
+# Write an index as k = M*m + r.  In each family below the factor of index k
+# is prod_i (m + d_i)^c_i, so its log summed over m = a..b telescopes to
+# Phi(b + 1) - Phi(a) with Phi(x) = sum_i c_i * lgamma(x + d_i).  The
+# exponent depends on k only through r and bitlen(k), so it is constant on
+# each residue class of a dyadic block [2^(j-1), 2^j - 1], and a log-sum
+# over [lo, hi] takes O(log hi) log-Gammas.  Phi is an integer at scale F
+# that depends on x and F alone, so splitting a range adds up exactly.
+
+# A family is (M, shift, classes); classes[r] is None for residues whose
+# exponent is 0, else (sign, shape) with exponent 2 * sign * (bitlen(k) - shift)
+# and shape the pairs (c_i, d_i).
+_GROUPED = (1, 0, (
+    (1, ((2, Fraction(1, 2)), (-1, Fraction(1, 4)), (-1, Fraction(3, 4)))),
+))
+_ALTERNATING = (2, 0, (
+    (1, ((2, Fraction(1, 4)), (-1, Fraction(1, 8)), (-1, Fraction(3, 8)))),
+    (-1, ((2, Fraction(3, 4)), (-1, Fraction(5, 8)), (-1, Fraction(7, 8)))),
+))
+_ORIGINAL = (4, 2, (
+    (1, ((1, Fraction(1, 2)), (-1, Fraction(1, 4)))),
+    (-1, ((1, Fraction(3, 4)), (-1, Fraction(1, 2)))),
+    None,
+    None,
+))
+
+
+def _block_logsum(family, lo: int, hi: int, F: int) -> int:
+    """Sum of ``exponent(k) * log(factor(k))`` for ``k`` in ``[lo, hi]``, block by block."""
+    modulus, shift, classes = family
+    phi_cache: dict[tuple[int, int], int] = {}  # adjacent blocks share an edge
+
+    def phi(r: int, m: int) -> int:
+        v = phi_cache.get((r, m))
+        if v is None:
+            v = phi_cache[r, m] = sum(c * _loggamma_fixed(m + d, F) for c, d in classes[r][1])
+        return v
+
+    total = 0
+    j = lo.bit_length()
+    while lo <= hi:
+        end = min(hi, (1 << j) - 1)
+        for r, cls in enumerate(classes):
+            if cls is None:
+                continue
+            e = 2 * cls[0] * (j - shift)
+            a = -((r - lo) // modulus)  # first m with M*m + r >= lo
+            b = (end - r) // modulus  # last m with M*m + r <= end
+            if e and a <= b:
+                total += e * (phi(r, b + 1) - phi(r, a))
+        lo = end + 1
+        j += 1
+    return total
+
+
+def logsum_rivoal_original(lo: int, hi: int, F: int) -> int:
+    """Log-sum of ``(1 + 1/(k+1))^(2*rho(k)*(bitlen(k)-2))`` for ``k`` in ``[max(lo, 2), hi]``.
+
+    ``rho`` is the 4-periodic sequence 1, -1, 0, 0 and ``bitlen(k) - 2`` is
+    the exact integer value of ``floor(log2(k) - 1)`` for ``k >= 2``.  With
+    ``k = 4m + r`` the factor is ``(m + (r+2)/4) / (m + (r+1)/4)``.
+    """
+    return _block_logsum(_ORIGINAL, max(lo, 2), hi, F)
+
+
+def logsum_rivoal_grouped(lo: int, hi: int, F: int) -> int:
+    """Log-sum of ``((4k+2)^2/((4k+1)(4k+3)))^(2*bitlen(k))`` for ``k`` in ``[max(lo, 1), hi]``.
+
+    ``bitlen(k)`` equals the number of binary digits of ``k``, i.e. the total
+    digit-block count ``N_0(k) + N_1(k)``.  The factor is
+    ``(k + 1/2)^2 / ((k + 1/4)(k + 3/4))``.
+    """
+    return _block_logsum(_GROUPED, max(lo, 1), hi, F)
+
+
+def logsum_alternating(lo: int, hi: int, F: int) -> int:
+    """Same factors as the grouped form with exponent ``2*(-1)^k*bitlen(k)``.
+
+    With ``k = 2m + r`` the factor is
+    ``(m + (2r+1)/4)^2 / ((m + (4r+1)/8)(m + (4r+3)/8))``.
+    """
+    return _block_logsum(_ALTERNATING, max(lo, 1), hi, F)
+
+
+# --------------------------------------------------------------------------
 # the 4/pi product family
 # --------------------------------------------------------------------------
 
@@ -354,7 +446,7 @@ def rivoal_original_partial(K: int, precision_bits: int) -> BigReal:
     if K < 2:
         raise ValueError("K must be >= 2")
     F = prec + GUARD_BITS
-    return BigReal.exp_of_fixed(_kernels.logsum_rivoal_original(2, K, F), F, prec)
+    return BigReal.exp_of_fixed(logsum_rivoal_original(2, K, F), F, prec)
 
 
 def rivoal_grouped_partial(K: int, precision_bits: int) -> BigReal:
@@ -366,7 +458,7 @@ def rivoal_grouped_partial(K: int, precision_bits: int) -> BigReal:
     if K < 1:
         raise ValueError("K must be >= 1")
     F = prec + GUARD_BITS
-    return BigReal.exp_of_fixed(_kernels.logsum_rivoal_grouped(1, K, F), F, prec)
+    return BigReal.exp_of_fixed(logsum_rivoal_grouped(1, K, F), F, prec)
 
 
 def companion_partial(K: int, precision_bits: int) -> BigReal:
@@ -388,7 +480,7 @@ def alternating_product_estimate(K: int, precision_bits: int) -> BigReal:
     if K < 1:
         raise ValueError("K must be >= 1")
     F = prec + GUARD_BITS
-    return BigReal.exp_of_fixed(_kernels.logsum_alternating(1, K, F), F, prec)
+    return BigReal.exp_of_fixed(logsum_alternating(1, K, F), F, prec)
 
 
 # --------------------------------------------------------------------------

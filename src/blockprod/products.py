@@ -1,11 +1,15 @@
 """Truncated product evaluation, tail bounds, and verification reports.
 
-The normative value of every partial product is the sequential log-space
-sum of exact per-term fixed-point logarithms.  Because those logarithms are
-integers, summing disjoint index ranges in any order reproduces the
-sequential result exactly, so concurrent range splitting is trivially
-consistent (the documented contract allows 4 ulps; this implementation
-gives 0).
+Every partial product is the exponential of an integer fixed-point log-sum
+at scale ``F = precision + GUARD_BITS``.  Word products and the companion
+form add one fixed-point logarithm per term.  The left side of
+``rivoal_eq1`` (the grouped 4/pi form) adds one log-Gamma combination per
+dyadic block instead (:func:`blockprod.identities.logsum_rivoal_grouped`),
+within a few dozen units of ``2**-F`` of the exact log-sum, measured up to
+N = 10**30.  Each summand is an integer fixed by its own index or block edge
+and by ``F``, so summing disjoint index ranges in any order reproduces the
+whole-range result exactly (the documented contract allows 4 ulps; this
+implementation gives 0).
 
 Tail bound.  For a product with balanced parameter vectors the n-th term
 satisfies ``|log term_n| <= C(N)/n^2`` for all ``n > N`` (derivation in
@@ -33,6 +37,7 @@ from blockprod.identities import (
     ProductSpec,
     closed_form_baseB,
     companion_closed_form,
+    logsum_rivoal_grouped,
 )
 from blockprod.words import Word, all_words, block_counts
 
@@ -251,8 +256,9 @@ def verify(
     """Compare a truncated product with its closed form and report the gaps.
 
     ``target`` is a :class:`ProductSpec` or one of the named formulas
-    ``"rivoal_eq1"`` (grouped digit-count product vs ``4/pi``; the reference
-    ``pi`` comes from the arctangent series, *not* from Gamma values) and
+    ``"rivoal_eq1"`` (grouped digit-count product vs ``4/pi``; the product
+    is a Gamma-ratio block sum, while the reference ``pi`` comes from the
+    arctangent series, *not* from Gamma values) and
     ``"companion_eq2"`` (signed digit-count product vs its Gamma closed
     form).  The verdict is ``pass`` iff the relative gap is at most
     ``max(tolerance, TAIL_FACTOR * tail_estimate)``; invalid input raises
@@ -267,7 +273,7 @@ def verify(
         if target not in NAMED_FORMULAS:
             raise ValueError(f"unknown formula {target!r}; expected one of {NAMED_FORMULAS}")
         if target == "rivoal_eq1":
-            logsum = _kernels.logsum_rivoal_grouped(1, N, F)
+            logsum = logsum_rivoal_grouped(1, N, F)
             rhs = BigReal.from_int(4, prec) / pi_value(prec)
         else:
             logsum = _kernels.logsum_companion(1, N, F)

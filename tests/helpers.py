@@ -1,4 +1,6 @@
-"""Shared test helpers: conversions to the mpmath oracle and tolerance asserts."""
+"""Shared test helpers: conversions to the mpmath oracle, tolerance asserts,
+and the per-term log-sums of the 4/pi bit-length families (the oracle the
+library's Gamma-ratio block sums are checked against)."""
 
 from __future__ import annotations
 
@@ -6,13 +8,17 @@ from fractions import Fraction
 
 import mpmath
 
+from blockprod._kernels_py import fx_log1p_inv
 from blockprod.bigreal import BigReal
 
 
 def to_mpf(x: BigReal) -> mpmath.mpf:
-    """Exact conversion of a BigReal into the current mpmath context."""
-    fr = x.to_fraction()
-    return mpmath.mpf(fr.numerator) / fr.denominator
+    """Conversion of a BigReal into the current mpmath context.
+
+    Goes through ``man * 2**exp``, never an exact rational, so huge values
+    such as ``Gamma(1e12)`` convert cheaply.
+    """
+    return mpmath.ldexp(mpmath.mpf(x.man), x.exp)
 
 
 def rel_err(got: BigReal, want) -> mpmath.mpf:
@@ -28,3 +34,51 @@ def assert_close(got: BigReal, want, bound) -> None:
 
 def frac_rel_err(got: Fraction, want: Fraction) -> Fraction:
     return abs(got - want) / abs(want)
+
+
+# --------------------------------------------------------------------------
+# per-term log-sums of the 4/pi bit-length families
+# --------------------------------------------------------------------------
+
+
+def logsum_rivoal_original(lo: int, hi: int, F: int) -> int:
+    """Log-sum of ``(1 + 1/(k+1))^(2*rho(k)*(bitlen(k)-2))`` for ``k`` in ``[lo, hi]``.
+
+    ``rho`` is the 4-periodic sequence 1, -1, 0, 0 and ``bitlen(k) - 2`` is
+    the exact integer value of ``floor(log2(k) - 1)`` for ``k >= 2``.
+    """
+    total = 0
+    for k in range(max(lo, 2), hi + 1):
+        r = k & 3
+        if r > 1:
+            continue
+        e = 2 * (k.bit_length() - 2)
+        if e == 0:
+            continue
+        if r == 1:
+            e = -e
+        total += e * fx_log1p_inv(k + 1, F)
+    return total
+
+
+def logsum_rivoal_grouped(lo: int, hi: int, F: int) -> int:
+    """Log-sum of ``((4k+2)^2/((4k+1)(4k+3)))^(2*bitlen(k))`` for ``k`` in ``[lo, hi]``.
+
+    ``bitlen(k)`` equals the number of binary digits of ``k``, i.e. the total
+    digit-block count ``N_0(k) + N_1(k)``.
+    """
+    total = 0
+    for k in range(max(lo, 1), hi + 1):
+        total += (2 * k.bit_length()) * fx_log1p_inv((4 * k + 1) * (4 * k + 3), F)
+    return total
+
+
+def logsum_alternating(lo: int, hi: int, F: int) -> int:
+    """Same factors with exponent ``2*(-1)^k*(N_0(k) + N_1(k))``."""
+    total = 0
+    for k in range(max(lo, 1), hi + 1):
+        e = 2 * k.bit_length()
+        if k & 1:
+            e = -e
+        total += e * fx_log1p_inv((4 * k + 1) * (4 * k + 3), F)
+    return total

@@ -252,3 +252,46 @@ class TestDeterminismAndConfig:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+class TestInputCaps:
+    """Sizes above the caps exit 2 before any work starts; sizes at the caps run."""
+
+    def test_precision_cap(self, capsys, monkeypatch):
+        over = str(cli.MAX_PRECISION + 1)
+        code, _, err = run(capsys, "verify", "rivoal", "--terms", "200", "--precision", over)
+        assert code == 2 and "--precision must be at most" in err
+        monkeypatch.setenv("BLOCKPROD_PRECISION", over)
+        code, _, _ = run(capsys, "count", "--base", "2", "--word", "11", "15")
+        assert code == 2
+
+    def test_block_sum_terms_cap(self, capsys):
+        code, out, _ = run(capsys, "verify", "rivoal", "--terms", str(10**30))
+        assert code == 0 and f"terms_used: {10**30}" in out
+        code, _, err = run(capsys, "verify", "rivoal", "--terms", str(10**30 + 1))
+        assert code == 2 and "--terms must be at most" in err
+
+    def test_alternating_terms_cap(self, capsys):
+        code, out, _ = run(capsys, "alternating", "--terms", str(10**30))
+        assert code == 0
+        lines = dict(line.split(": ") for line in out.strip().splitlines())
+        # the estimates agree to every printed digit at 128 bits
+        assert lines["cauchy_gap_fine"] == "0" and lines["stable_digits"] == "37"
+        code, _, _ = run(capsys, "alternating", "--terms", str(10**30 + 1))
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "companion"),
+            ("verify", "--base", "2", "--word", "101"),
+            ("enumerate", "--base", "2", "--max-len", "1"),
+        ],
+    )
+    def test_per_term_terms_cap(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--terms", str(cli.MAX_PER_TERM_TERMS + 1))
+        assert code == 2 and "--terms must be at most" in err
+
+    def test_blocks_cap(self, capsys):
+        code, _, err = run(capsys, "rivoal-forms", "--blocks", str(cli.MAX_BLOCKS + 1))
+        assert code == 2 and "--blocks must be at most" in err

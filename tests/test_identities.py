@@ -4,10 +4,12 @@ import math
 import random
 from fractions import Fraction
 
+import helpers
 import mpmath
 import pytest
 from helpers import assert_close, to_mpf
 
+from blockprod.bigreal import GUARD_BITS
 from blockprod.gammafn import BalanceError, eval_gamma_expr
 from blockprod.identities import (
     FiniteSupportFn,
@@ -23,6 +25,9 @@ from blockprod.identities import (
     lemma1_residual,
     lemma1_residual_numeric,
     lemma1_rhs,
+    logsum_alternating,
+    logsum_rivoal_grouped,
+    logsum_rivoal_original,
     rho,
     rivoal_grouped_factors,
     rivoal_grouped_partial,
@@ -268,6 +273,63 @@ class TestRivoalForms:
         with mp_prec(128):
             got = rivoal_original_partial(4 * 10**5 + 3, 128)
             assert abs(to_mpf(got) - 4 / mpmath.pi) * mpmath.pi / 4 < mpmath.mpf("1e-4")
+
+
+BLOCK_SUMS = {
+    "rivoal_original": logsum_rivoal_original,
+    "rivoal_grouped": logsum_rivoal_grouped,
+    "alternating": logsum_alternating,
+}
+
+
+def mp_grouped_logsum(N: int) -> mpmath.mpf:
+    """mpmath log of the grouped partial product over ``1 <= k <= N``, block by block."""
+
+    def G(x):
+        lg = mpmath.loggamma
+        return 2 * lg(x + mpmath.mpf(1) / 2) - lg(x + mpmath.mpf(1) / 4) - lg(x + mpmath.mpf(3) / 4)
+
+    total = mpmath.mpf(0)
+    lo = 1
+    while lo <= N:
+        j = lo.bit_length()
+        end = min(N, 2**j - 1)
+        total += 2 * j * (G(mpmath.mpf(end + 1)) - G(mpmath.mpf(lo)))
+        lo = end + 1
+    return total
+
+
+class TestBlockSums:
+    """The Gamma-ratio block sums of the bit-length families."""
+
+    PREC = 128
+    F = PREC + GUARD_BITS
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 2030, 10**5])
+    @pytest.mark.parametrize("family", sorted(BLOCK_SUMS))
+    def test_matches_per_term_oracle(self, family, N):
+        """Within ``2^(8-p)`` of the per-term log-sum; at N = 1, 2, 7 a block holds a term or two."""
+        got = BLOCK_SUMS[family](1, N, self.F)
+        want = getattr(helpers, "logsum_" + family)(1, N, self.F)
+        assert abs(got - want) <= 1 << (self.F + 8 - self.PREC)
+
+    @pytest.mark.parametrize("N", [10**6, 10**30])
+    def test_grouped_partial_against_mpmath(self, N):
+        with mpmath.workprec(self.PREC + 2 * N.bit_length() + 64):
+            want = mpmath.exp(mp_grouped_logsum(N))
+            got = rivoal_grouped_partial(N, self.PREC)
+            assert_close(got, want, mpmath.mpf(2) ** (8 - self.PREC))
+
+    @pytest.mark.parametrize("family", sorted(BLOCK_SUMS))
+    def test_range_splits_exactly(self, family):
+        """Cuts inside a dyadic block, at block edges, and off multiples of 4 add up bit for bit."""
+        fn = BLOCK_SUMS[family]
+        lo, hi = 5, 20002
+        cuts = (6, 1023, 1024, 4095, 4096, 4098, 7777, 10001, 16383)
+        whole = fn(lo, hi, self.F)
+        edges = (lo - 1, *cuts, hi)
+        assert whole == sum(fn(a + 1, b, self.F) for a, b in zip(edges, edges[1:]))
+        assert fn(1, hi, self.F) == fn(1, lo - 1, self.F) + whole
 
 
 class TestCompanion:

@@ -130,15 +130,7 @@ class TestBackendEquivalence:
             args = (base, counts, (1, 1), (1, 1), (0, 2), (1, 1), lo, hi, F)
             assert pure.logsum_word_product(*args) == compiled.logsum_word_product(*args)
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "logsum_rivoal_original",
-            "logsum_rivoal_grouped",
-            "logsum_companion",
-            "logsum_alternating",
-        ],
-    )
+    @pytest.mark.parametrize("name", ["logsum_companion"])
     def test_family_logsums(self, name):
         fn_p = getattr(pure, name)
         fn_c = getattr(compiled, name)
@@ -167,15 +159,10 @@ class TestBackendEquivalence:
 
 class TestSplitting:
     def test_all_accumulators_split_exactly(self):
-        for name in (
-            "logsum_rivoal_original",
-            "logsum_rivoal_grouped",
-            "logsum_companion",
-            "logsum_alternating",
-        ):
-            fn = getattr(_kernels, name)
-            whole = fn(1, 20000, F)
-            assert whole == fn(1, 7777, F) + fn(7778, 20000, F)
+        """The per-term family kernel; the block sums are split in ``TestBlockSums``."""
+        fn = _kernels.logsum_companion
+        whole = fn(1, 20000, F)
+        assert whole == fn(1, 7777, F) + fn(7778, 20000, F)
 
     @pytest.mark.parametrize("base,text", [(2, "011"), (3, "12"), (4, "00")])
     def test_word_product_chunks_add_up(self, base, text):
