@@ -25,8 +25,6 @@ __all__ = ["BigReal", "GUARD_BITS", "MIN_PRECISION", "default_decimal_digits", "
 GUARD_BITS = 32
 MIN_PRECISION = 64
 
-Rational = Fraction  # exact rational carrier used throughout the package
-
 
 def _check_precision(prec: int) -> int:
     if not isinstance(prec, int) or prec < MIN_PRECISION:
@@ -128,11 +126,6 @@ class BigReal:
         if self.exp >= 0:
             return Fraction(self.man << self.exp)
         return Fraction(self.man, 1 << (-self.exp))
-
-    def to_fixed(self, scale: int) -> int:
-        """Value as an integer at fixed-point ``scale`` (rounded to nearest)."""
-        sh = self.exp + scale
-        return self.man << sh if sh >= 0 else rshift_round(self.man, -sh)
 
     def __float__(self) -> float:
         m = self.man

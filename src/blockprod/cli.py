@@ -43,11 +43,13 @@ FORMATS = ("text", "json", "csv")
 # process.  Spouge coefficients cost about 5 s cold at 2048 bits and about a
 # minute at 4096.  The 4/pi bit-length families (verify rivoal, alternating)
 # sum O(log N) Gamma-ratio blocks; the companion form, word products and the
-# grouping check of rivoal-forms cost O(N), seconds per 10^6 terms.
+# grouping check of rivoal-forms cost O(N), seconds per 10^6 terms.  One
+# lemma1-fuzz trial costs about 0.35 ms, so 10^5 trials take about 35 s.
 MAX_PRECISION = 2048
 MAX_BLOCK_SUM_TERMS = 10**30
 MAX_PER_TERM_TERMS = 10**7
 MAX_BLOCKS = 10**7
+MAX_TRIALS = 10**5
 
 
 def _check_cap(flag: str, value: int, cap: int) -> None:
@@ -202,6 +204,9 @@ def cmd_lemma1_fuzz(args) -> int:
     for b in bases:
         if b < 2:
             raise ValueError(f"bases must be >= 2, got {b}")
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    _check_cap("--trials", args.trials, MAX_TRIALS)
     rng = random.Random(args.seed)
     exact = 0
     counterexample = None

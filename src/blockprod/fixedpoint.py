@@ -7,17 +7,32 @@ integer arithmetic makes results bit-for-bit reproducible across platforms
 and across the pure-Python / compiled kernel backends; there is no libm and
 no platform float rounding anywhere in the evaluation path.
 
-Accuracy contract: each function returns its mathematical value with an
-absolute error of a few hundred units in the last place at scale ``F``.
-Callers that need ``p`` good bits therefore evaluate at ``F = p + GUARD``
-(see :mod:`blockprod.bigreal`) and round once at the end.
+Accuracy contract: ``fx_log`` and ``fx_exp_reduced`` return their
+mathematical value within one unit in the last place at scale ``F`` (the
+largest error measured against mpmath at ``F`` in {160, 288, 1056, 1900}
+is 0.5 units, and Tier-1 holds them to 1; ``fx_log`` of ``a >= 2**(F+2**14)``
+may add ``log2(a) * 2**-17`` units through its ``log 2`` constant), and
+``fx_exp`` is within two units relative to its result (1.1 measured).  The
+other functions err by at most a few hundred units.  Callers that need ``p`` good bits therefore evaluate at
+``F = p + GUARD`` (see :mod:`blockprod.bigreal`) and round once at the end.
 
 Series used (all with exact rational term generation):
 
-* ``log``: ``log m = 2*atanh((m-1)/(m+1))`` after normalising ``m`` to
-  ``[1, 2)``, plus the cached ``log 2`` correction.
-* ``exp``: argument reduction ``x = k*log 2 + r`` with ``|r| <= log(2)/2``,
-  then the Taylor series of ``exp(r)``.
+* ``log`` and ``exp`` share one cached ladder per scale, the constants
+  ``L_i = log(1 + 2**-i)`` for ``i = 0..R`` (``L_0 = log 2``), each from the
+  small-integer series ``2*atanh(1/(2**(i+1) + 1))``; ``R = max(24, W // 16)``
+  at working scale ``W``.  Both functions work at ``W = F + 16`` and round
+  once, so the ladder's ``R`` truncated shifts cost far less than a unit.
+* ``log``: normalise ``m`` to ``[1, 2]``; for ``i = 1..R`` multiply ``m`` by
+  ``1 + 2**-i`` (a shift and an add) wherever the product stays ``<= 2`` and
+  subtract ``L_i``.  Then ``2/(1 + 2**-R) < m <= 2``, and
+  ``log(m/2) = 2*atanh((m-2)/(m+2))`` runs on ``|t| < 2**-(R+1)``, so each
+  term gains ``2R + 2`` bits.
+* ``exp``: whole ``log 2`` steps bring ``r`` into ``[0, log 2)`` and become a
+  final shift; subtracting each ``L_i`` that fits leaves less than
+  ``L_R < 2**-R`` for the Taylor series, whose sum is multiplied back by
+  each ``1 + 2**-i`` as ``acc += acc >> i``.  ``fx_exp`` first reduces
+  ``x = k*log 2 + r`` with ``|r| <= log(2)/2``.
 * ``pi``: Machin's formula ``pi = 16*atan(1/5) - 4*atan(1/239)`` with exact
   integer arctangent series.  This is the library's only source of ``pi``
   and is independent of the Gamma machinery.
@@ -83,6 +98,29 @@ def fx_sqrt(a: int, F: int) -> int:
 _LOG2_CACHE: dict[int, int] = {}
 _PI_CACHE: dict[int, int] = {}
 _SQRT2PI_CACHE: dict[int, int] = {}
+_LADDER_CACHE: dict[int, list[int]] = {}
+
+_WORK_GUARD = 16  # extra bits of the working scale of fx_log / fx_exp_reduced
+
+
+def _log1p_pow2(i: int, F: int) -> int:
+    """``log(1 + 2**-i)`` at scale ``F`` for an integer ``i >= 0``.
+
+    Exact small-integer series ``2*atanh(1/c) = 2*sum c**-(2j+1)/(2j+1)``
+    with ``c = 2**(i+1) + 1``, run 16 guard bits deep and rounded once, so
+    the result is within one unit in the last place.
+    """
+    w = F + 16
+    c = (2 << i) + 1
+    c2 = c * c
+    u = (2 << w) // c
+    s = 0
+    k = 1
+    while u:
+        s += u // k
+        u //= c2
+        k += 2
+    return rshift_round(s, 16)
 
 
 def log2_fixed(F: int) -> int:
@@ -94,16 +132,24 @@ def log2_fixed(F: int) -> int:
     """
     v = _LOG2_CACHE.get(F)
     if v is None:
-        w = F + 16
-        u = (2 << w) // 3
-        s = 0
-        k = 1
-        while u:
-            s += u // k
-            u //= 9
-            k += 2
-        v = _LOG2_CACHE[F] = rshift_round(s, 16)
+        v = _LOG2_CACHE[F] = _log1p_pow2(0, F)
     return v
+
+
+def _ladder(F: int) -> list[int]:
+    """``[log(1 + 2**-i) for i in 0..R]`` at scale ``F`` (entry 0 is ``log 2``).
+
+    ``R = max(24, F // 16)``: each rung is one shift-and-add, each series
+    term one full-width product, and the series needs about ``F / R`` terms
+    after the ladder, so the best ``R`` grows with ``F``.
+    """
+    table = _LADDER_CACHE.get(F)
+    if table is None:
+        depth = max(24, F // 16)
+        table = _LADDER_CACHE[F] = [log2_fixed(F)] + [
+            _log1p_pow2(i, F) for i in range(1, depth + 1)
+        ]
+    return table
 
 
 def fx_atan_inv(c: int, F: int) -> int:
@@ -149,20 +195,31 @@ def fx_log(a: int, F: int) -> int:
     """Natural log of a positive fixed-point value, any magnitude."""
     if a <= 0:
         raise ValueError("fx_log of nonpositive value")
+    W = F + _WORK_GUARD
+    table = _ladder(W)
     e = a.bit_length() - 1 - F
-    m = rshift_round(a, e) if e >= 0 else a << (-e)
-    # m is a/2**e scaled into [2**F, 2**(F+1)); rounding may push it to the
-    # boundary 2**(F+1), which the atanh series tolerates (t <= 1/3).
-    t = fx_div(m - (1 << F), m + (1 << F), F)
-    t2 = rshift_round(t * t, F)
+    # m is a/2**e scaled into [2**W, 2**(W+1)]; rounding may reach the top
+    m = rshift_round(a, e - _WORK_GUARD)
+    # climb towards 2 by factors 1 + 2**-i: a shift and an add per rung,
+    # where dividing m by them would cost a division per rung
+    two = 2 << W
+    s = (e + 1) * table[0]
+    for i in range(1, len(table)):
+        n = m + (m >> i)
+        if n <= two:
+            m = n
+            s -= table[i]
+    # now 2/(1 + 2**-R) < m <= 2, so |t| < 2**-(R+1)
+    t = fx_div(m - two, m + two, W)
+    t2 = rshift_round(t * t, W)
     u = t
-    s = 0
     k = 1
+    series = 0
     while u:
-        s += u // k
-        u = rshift_round(u * t2, F)
+        series += u // k
+        u = rshift_round(u * t2, W)
         k += 2
-    return 2 * s + e * log2_fixed(F)
+    return rshift_round(s + 2 * series, _WORK_GUARD)
 
 
 def fx_log_frac(p: int, q: int, F: int) -> int:
@@ -175,15 +232,27 @@ def fx_log_frac(p: int, q: int, F: int) -> int:
 
 
 def fx_exp_reduced(r: int, F: int) -> int:
-    """``exp(r)`` for ``|r| <= log(2)/2 + 1`` at scale ``F`` (Taylor series)."""
-    acc = 1 << F
-    term = 1 << F
+    """``exp(r)`` for ``|r| <= log(2)/2 + 1`` at scale ``F``."""
+    W = F + _WORK_GUARD
+    table = _ladder(W)
+    x = r << _WORK_GUARD
+    k = x // table[0]  # whole log 2 steps, undone by the final shift
+    x -= k * table[0]
+    rungs = []
+    for i in range(1, len(table)):
+        if x >= table[i]:
+            x -= table[i]
+            rungs.append(i)
+    # now 0 <= x < log(1 + 2**-R), so each Taylor term gains about R bits
+    acc = term = 1 << W
     j = 1
     while term:
-        term = rshift_round(term * r, F) // j
+        term = rshift_round(term * x, W) // j
         acc += term
         j += 1
-    return acc
+    for i in rungs:
+        acc += acc >> i
+    return rshift_round(acc, _WORK_GUARD - k)
 
 
 def exp_split(x: int, F: int) -> tuple[int, int]:

@@ -256,16 +256,6 @@ class ProductSpec:
                 t *= (x + bi) / (x + ai)
         return t
 
-    def induced_f(self, n: int) -> Fraction:
-        """The rational ``prod_i (Bn+a_i)/(Bn+b_i)`` whose log drives the identity."""
-        if n < 1:
-            raise ValueError("defined for n >= 1")
-        B = self.base
-        t = Fraction(1)
-        for ai, bi in zip(self.a, self.b):
-            t *= (B * n + ai) / (B * n + bi)
-        return t
-
     def to_json_dict(self) -> dict:
         return {
             "base": self.base,

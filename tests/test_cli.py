@@ -295,3 +295,10 @@ class TestInputCaps:
     def test_blocks_cap(self, capsys):
         code, _, err = run(capsys, "rivoal-forms", "--blocks", str(cli.MAX_BLOCKS + 1))
         assert code == 2 and "--blocks must be at most" in err
+
+    def test_trials_cap(self, capsys):
+        code, _, err = run(capsys, "lemma1-fuzz", "--trials", str(cli.MAX_TRIALS + 1))
+        assert code == 2 and "--trials must be at most" in err
+        # a negative count is a usage error, not a verified failure (exit 1)
+        code, _, err = run(capsys, "lemma1-fuzz", "--trials", "-5")
+        assert code == 2 and "--trials must be >= 0" in err

@@ -18,6 +18,8 @@ from blockprod.gammafn import (
     log_gamma,
     sin_pi,
 )
+from blockprod.identities import ProductSpec, closed_form_baseB
+from blockprod.words import Word
 
 
 def contract(prec: int) -> mpmath.mpf:
@@ -67,6 +69,16 @@ class TestGammaValues:
             # failure report would build integers of that size
             err = abs(to_mpf(gamma(x, prec)) - want) / want
             assert err <= contract(prec)
+
+    @pytest.mark.parametrize(
+        "x", [Fraction(1, 64), Fraction(5, 8), Fraction(7, 4), Fraction(3_000_001, 3)]
+    )
+    def test_1024_bits(self, x, mp_prec):
+        """The contract at 1024 bits, as run by ``--precision 1024``."""
+        with mp_prec(1024):
+            want = mpmath.gamma(mpmath.mpf(x.numerator) / x.denominator)
+            err = abs(to_mpf(gamma(x, 1024)) - want) / want
+            assert err <= contract(1024)
 
     def test_oracle_sweep(self, mp_prec):
         rng = random.Random(7)
@@ -170,6 +182,18 @@ class TestGammaExpr:
             assert_close(eval_gamma_expr(e, 128), want, contract(128))
             wallis = GammaExpr(1, num=(Fraction(1, 2), Fraction(3, 2)))
             assert_close(eval_gamma_expr(wallis, 128), mpmath.pi / 2, contract(128))
+
+    def test_eval_closed_form_1024_bits(self, mp_prec):
+        """The closed form of base 3, word 12 (G(5/9) G(17/27) / G(16/27)^2) at 1024 bits."""
+        spec = ProductSpec(3, Word.parse("12", 3), (1, 1), (0, 2))
+        expr = closed_form_baseB(spec)
+        with mp_prec(1024):
+            want = mpmath.mpf(1)
+            for arg in expr.num:
+                want *= mpmath.gamma(mpmath.mpf(arg.numerator) / arg.denominator)
+            for arg in expr.den:
+                want /= mpmath.gamma(mpmath.mpf(arg.numerator) / arg.denominator)
+            assert_close(eval_gamma_expr(expr, 1024), want, contract(1024))
 
 
 class TestRatioProduct:

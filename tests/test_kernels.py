@@ -12,6 +12,7 @@ from blockprod.fixedpoint import (
     fx_atan_inv,
     fx_div,
     fx_exp,
+    fx_exp_reduced,
     fx_log,
     fx_log_frac,
     fx_mul,
@@ -93,6 +94,77 @@ class TestFixedPointPrimitives:
             fx_sqrt(-1, F)
         with pytest.raises(ValueError):
             fx_sin(-1, F)
+
+
+# working scales of Gamma: F = precision + 32 at 128, 256 and 1024 bits, and
+# the Spouge coefficient scale at 1024 bits
+GAMMA_SCALES = [160, 288, 1056, 1900]
+LOG_EXP_ULPS = 1  # fx_log, fx_exp_reduced: absolute error, in units of 2**-F
+FX_EXP_ULPS = 2  # fx_exp: error relative to max(result, 1), in units of 2**-F
+
+
+@pytest.mark.parametrize("F", GAMMA_SCALES)
+class TestLogExpAtGammaScales:
+    """``fx_log``/``fx_exp`` against mpmath at the scales the Gamma code runs at."""
+
+    @staticmethod
+    def log_err(a, F):
+        scale = mpmath.mpf(2) ** F
+        return abs(fx_log(a, F) - mpmath.log(mpmath.mpf(a) / scale) * scale)
+
+    def test_log_random_and_integer_arguments(self, F, mp_prec):
+        rng = random.Random(F)
+        args = [rng.getrandbits(F + 1) | (1 << F) for _ in range(30)]  # mantissas in [1, 2)
+        args += [rng.getrandbits(rng.randrange(1, 3 * F)) | 1 for _ in range(30)]
+        args += [n << F for n in (2, 3, 10, 12345, 10**6, 2**61 - 1, 10**30, 3**200)]
+        with mp_prec(F):
+            for a in args:
+                assert self.log_err(a, F) <= LOG_EXP_ULPS, a
+
+    def test_log_near_ladder_thresholds(self, F, mp_prec):
+        one = 1 << F
+        args = []
+        for i in range(1, F // 8):
+            # 1 + 2**-i, and 2 / (1 + 2**-i), where a rung of the ladder starts to apply
+            for c in (one + (one >> i), (2 * one << i) // ((1 << i) + 1)):
+                args += [c - 1, c, c + 1]
+        for d in (1, 2, 1 << (F // 2)):
+            args += [one - d, one + d, 2 * one - d, 2 * one + d]
+        with mp_prec(F):
+            for a in args:
+                assert self.log_err(a, F) <= LOG_EXP_ULPS, a
+
+    def test_exp_reduced_whole_domain(self, F, mp_prec):
+        rng = random.Random(-F)
+        ln2 = log2_fixed(F)
+        lim = ln2 // 2 + (1 << F)  # |r| <= log(2)/2 + 1
+        args = [rng.randrange(-lim, lim + 1) for _ in range(30)] + [-lim, lim, 0, -1, 1]
+        for k in (-1, 1):  # near the multiples of log 2 inside the domain
+            args += [k * ln2 + d for d in (-2, -1, 0, 1, 2)]
+        scale = mpmath.mpf(2) ** F
+        with mp_prec(F):
+            for r in args:
+                want = mpmath.exp(mpmath.mpf(r) / scale) * scale
+                assert abs(fx_exp_reduced(r, F) - want) <= LOG_EXP_ULPS, r
+
+    def test_exp(self, F, mp_prec):
+        rng = random.Random(F + 1)
+        args = [rng.randrange(-60 << F, 60 << F) for _ in range(30)]
+        args += [-(1000 << F), -(1 << F), 0, 1 << F, 1000 << F]
+        scale = mpmath.mpf(2) ** F
+        with mp_prec(F):
+            for x in args:
+                want = mpmath.exp(mpmath.mpf(x) / scale) * scale
+                err = abs(fx_exp(x, F) - want) / max(want / scale, 1)
+                assert err <= FX_EXP_ULPS, x
+
+    def test_round_trips(self, F):
+        rng = random.Random(F + 2)
+        for _ in range(20):
+            x = rng.randrange(0, 20 << F)  # exp(x) >= 1: its error is relative
+            assert abs(fx_log(fx_exp(x, F), F) - x) <= LOG_EXP_ULPS + FX_EXP_ULPS
+            a = rng.getrandbits(F + 8) | (1 << F)
+            assert abs(fx_exp(fx_log(a, F), F) - a) <= (LOG_EXP_ULPS + FX_EXP_ULPS) * (a >> F)
 
 
 @pytest.mark.skipif(compiled is None, reason="compiled kernels not built")
