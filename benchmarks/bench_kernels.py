@@ -3,7 +3,9 @@
 
 Both backends compute bit-identical integers (asserted here); only the
 throughput differs.  The Gamma-ratio block sums of the 4/pi bit-length
-families have a single pure-Python implementation and are timed alone.
+families have a single pure-Python implementation and are timed alone.  The
+companion form is timed at N = 10^6 twice: per-term on each backend, and as
+the library sums it (per-term below 2^17, Gamma ratios above).
 Run from the repository root:
 
     python benchmarks/bench_kernels.py [--terms N] [--precision BITS]
@@ -15,7 +17,12 @@ import argparse
 import time
 
 from blockprod import _kernels_py as pure
-from blockprod.identities import logsum_alternating, logsum_rivoal_grouped, logsum_rivoal_original
+from blockprod.identities import (
+    logsum_alternating,
+    logsum_companion,
+    logsum_rivoal_grouped,
+    logsum_rivoal_original,
+)
 from blockprod.words import Word, block_counts
 
 try:
@@ -60,11 +67,13 @@ def main() -> int:
     word_101 = (2, counts_101, (1, 1), (1, 1), (0, 2), (1, 1), 1, N, F)
     word_b3 = (3, counts_b3, (1, 1), (1, 1), (0, 2), (1, 1), 1, n_b3, F)
     ratio = ((1, 3), (2, 2), (1, 1), (1, 1), 0, N, F)
+    companion = (1, 10**6, F)
 
     cases = [
         ("rivoal grouped (Gamma-ratio blocks)", logsum_rivoal_grouped, (1, N, F)),
         ("rivoal original (Gamma-ratio blocks)", logsum_rivoal_original, (2, 4 * N, F)),
-        ("companion (signed digit balance)", "logsum_companion", (1, N, F)),
+        ("companion per-term, N=1e6", "logsum_companion", companion),
+        ("companion Gamma ratios above 2^17, N=1e6", logsum_companion, companion),
         ("alternating (Gamma-ratio blocks)", logsum_alternating, (1, N, F)),
         ("word product, base 2, w=101", "logsum_word_product", word_101),
         ("word product, base 3, w=12 (generic)", "logsum_word_product", word_b3),

@@ -13,10 +13,10 @@ code.
 
 Because the accumulated log-sums are plain integer additions, splitting a
 range ``[lo, hi]`` into disjoint chunks and adding the partial sums gives
-*exactly* the sequential result, which is the normative definition of the
-partial products summed here.  The bit-length families of the 4/pi product
-(exponent constant on dyadic blocks) are not summed term by term: see the
-Gamma-ratio block sums in :mod:`blockprod.identities`.
+*exactly* the whole-range result.  The bit-length families of the 4/pi
+product (exponent constant on dyadic blocks) are not summed term by term,
+and the companion form only below ``2**17``: see the Gamma-ratio sums in
+:mod:`blockprod.identities`.
 """
 
 from __future__ import annotations

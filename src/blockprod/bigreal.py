@@ -20,10 +20,20 @@ from fractions import Fraction
 
 from blockprod.fixedpoint import exp_split, pi_fixed, rshift_round
 
-__all__ = ["BigReal", "GUARD_BITS", "MIN_PRECISION", "default_decimal_digits", "pi_value"]
+__all__ = [
+    "BigReal",
+    "GUARD_BITS",
+    "MIN_PRECISION",
+    "MAX_DECIMAL_EXP",
+    "default_decimal_digits",
+    "pi_value",
+]
 
 GUARD_BITS = 32
 MIN_PRECISION = 64
+# Largest |exp| that to_decimal renders: its exact integers grow with the
+# value's magnitude (about 0.06 s at 2**20, 0.5 s at 2**22, 1.4 s at 2**23).
+MAX_DECIMAL_EXP = 1 << 22
 
 
 def _check_precision(prec: int) -> int:
@@ -302,10 +312,15 @@ class BigReal:
 
         Defaults to :func:`default_decimal_digits` of the value's precision.
         Exact integer arithmetic end to end; round half up on the last digit.
+        Raises ``ValueError`` when ``|exp| > MAX_DECIMAL_EXP``, since the
+        exact integers involved are as large as the value itself (or its
+        reciprocal).
         """
         sig = default_decimal_digits(self.prec) if sig_digits is None else sig_digits
         if sig < 1:
             raise ValueError("sig_digits must be >= 1")
+        if abs(self.exp) > MAX_DECIMAL_EXP:
+            raise ValueError(f"|exp| must be at most {MAX_DECIMAL_EXP} to render, got {self.exp}")
         if self.man == 0:
             return "0"
         v = abs(self.man)
@@ -341,6 +356,8 @@ class BigReal:
         return sign + body
 
     def __repr__(self) -> str:
+        if abs(self.exp) > MAX_DECIMAL_EXP:  # beyond to_decimal: the exact dyadic form
+            return f"BigReal(man={self.man}, exp={self.exp}, prec={self.prec})"
         return f"BigReal({self.to_decimal(min(24, default_decimal_digits(self.prec)))!r}, prec={self.prec})"
 
     # ---- spec-named accessors ----

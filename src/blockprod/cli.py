@@ -42,14 +42,19 @@ FORMATS = ("text", "json", "csv")
 # Input caps, so that a mistyped size is refused rather than hanging the
 # process.  Spouge coefficients cost about 5 s cold at 2048 bits and about a
 # minute at 4096.  The 4/pi bit-length families (verify rivoal, alternating)
-# sum O(log N) Gamma-ratio blocks; the companion form, word products and the
+# sum O(log N) Gamma-ratio blocks.  The companion form sums O(sqrt N) Gamma
+# ratios above 2^17 (about 3 s at 10^7 terms); word products and the
 # grouping check of rivoal-forms cost O(N), seconds per 10^6 terms.  One
-# lemma1-fuzz trial costs about 0.35 ms, so 10^5 trials take about 35 s.
+# lemma1-fuzz trial at the default sizes costs about 0.35 ms, so 10^5 trials
+# take about 35 s.  Its support points are drawn from [1, 400), so more than
+# 400 draws add no new point; at both size caps a trial takes about 5 ms.
 MAX_PRECISION = 2048
 MAX_BLOCK_SUM_TERMS = 10**30
 MAX_PER_TERM_TERMS = 10**7
 MAX_BLOCKS = 10**7
 MAX_TRIALS = 10**5
+MAX_SUPPORT = 400
+MAX_WORD_LEN = 64
 
 
 def _check_cap(flag: str, value: int, cap: int) -> None:
@@ -207,6 +212,11 @@ def cmd_lemma1_fuzz(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
     _check_cap("--trials", args.trials, MAX_TRIALS)
+    for flag, value, cap in (("--max-support", args.max_support, MAX_SUPPORT),
+                             ("--max-word-len", args.max_word_len, MAX_WORD_LEN)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
+        _check_cap(flag, value, cap)
     rng = random.Random(args.seed)
     exact = 0
     counterexample = None

@@ -13,7 +13,10 @@ Three families live here:
   grouped form with digit-count exponents, the companion form with signed
   digit-count exponents, and the numerically estimated alternating form.
   The three forms whose exponent depends on ``bitlen(k)`` alone are summed
-  as Gamma-ratio blocks (:func:`logsum_rivoal_grouped` and its siblings).
+  as Gamma-ratio blocks (:func:`logsum_rivoal_grouped` and its siblings);
+  the companion form, whose exponent also depends on ``popcount(k)``, as
+  Gamma ratios over aligned blocks and residue classes above ``2**17``
+  (:func:`logsum_companion`).
 
 Floor-log exponents are always derived from integer bit length
 (``floor(log2 k - 1) = bitlen(k) - 2`` and ``floor(log2 k + 1) = bitlen(k)``
@@ -28,6 +31,7 @@ from typing import Callable, Iterator, Mapping
 
 from blockprod import _kernels
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision
+from blockprod.fixedpoint import log2_fixed, rshift_round
 from blockprod.gammafn import BalanceError, GammaExpr, _loggamma_fixed
 from blockprod.words import ALL_ZEROS, Word, classify, count_block, word_value
 
@@ -49,6 +53,7 @@ __all__ = [
     "logsum_rivoal_original",
     "logsum_rivoal_grouped",
     "logsum_alternating",
+    "logsum_companion",
     "rivoal_original_factors",
     "rivoal_grouped_factors",
     "grouping_identity_holds",
@@ -426,6 +431,94 @@ def logsum_alternating(lo: int, hi: int, F: int) -> int:
 
 
 # --------------------------------------------------------------------------
+# the companion form as block and residue-class Gamma ratios
+# --------------------------------------------------------------------------
+#
+# The companion exponent e(k) = 2*bitlen(k) - 4*popcount(k) is not constant
+# on dyadic blocks.  Above _COMPANION_K0 write k = X*M + r with M = 2^H and
+# 0 <= r < M; then e(k) = E(X) - 4*popcount(r), E(X) = 2*(bitlen(X) + H) -
+# 4*popcount(X), and the log-sum splits into
+#   (A) E(X) times the grouped factor's log-sum over the aligned block
+#       [X*M, X*M + M - 1], one Gamma ratio per block, and
+#   (B) -4*popcount(r) times the log-sum over the residue class r mod M,
+#       whose factor (X + (2r+1)/(2M))^2 / ((X + (4r+1)/(4M))(X + (4r+3)/(4M)))
+#       telescopes over X to one Gamma ratio per class.
+# That is about 2(N - K0)/M + 6M log-Gammas in place of N series; H = 9
+# suits N near 10^6.  Below K0 the per-term kernel runs, so every N < K0
+# gives its integers exactly.  Both Phi functions are integers at scale F
+# fixed by their argument and F, so range splitting stays exact.
+_COMPANION_H = 9
+_COMPANION_M = 1 << _COMPANION_H
+_COMPANION_K0 = 1 << 17  # a multiple of M
+
+
+def _phi_grouped(x: int, F: int) -> int:
+    """``2 lgG(x + 1/2) - lgG(x + 1/4) - lgG(x + 3/4)`` at scale ``F``, up to a constant.
+
+    By the duplication formula ``G(x + 1/4) G(x + 3/4) = 2^(1/2 - 2x)
+    sqrt(pi) G(2x + 1/2)`` it equals ``2 lgG(x + 1/2) - lgG(2x + 1/2) +
+    2x log 2 - (log 2 + log pi) / 2``; the constant cancels in every
+    difference and is left out.  ``2x log 2`` uses ``log 2`` carried
+    ``bitlen(x) + 3`` bits deeper, so it is within a unit.
+    """
+    extra = x.bit_length() + 3
+    return (
+        2 * _loggamma_fixed(Fraction(2 * x + 1, 2), F)
+        - _loggamma_fixed(Fraction(4 * x + 1, 2), F)
+        + rshift_round(2 * x * log2_fixed(F + extra), extra)
+    )
+
+
+def _phi_class(r: int, t: int, F: int) -> int:
+    """``2 lgG(t + (2r+1)/(2M)) - lgG(t + (4r+1)/(4M)) - lgG(t + (4r+3)/(4M))`` at scale ``F``."""
+    q = 4 * _COMPANION_M
+    base = q * t + 4 * r
+    return (
+        2 * _loggamma_fixed(Fraction(base + 2, q), F)
+        - _loggamma_fixed(Fraction(base + 1, q), F)
+        - _loggamma_fixed(Fraction(base + 3, q), F)
+    )
+
+
+def logsum_companion(lo: int, hi: int, F: int) -> int:
+    """Log-sum of ``((4k+2)^2/((4k+1)(4k+3)))^(2*(N_0(k) - N_1(k)))`` for ``k`` in ``[max(lo, 1), hi]``.
+
+    The exponent is ``2*(bitlen(k) - 2*popcount(k))``, the signed digit
+    balance.  Indices below ``2^17`` are summed term by term
+    (:func:`blockprod._kernels.logsum_companion`); above it, aligned blocks
+    of ``2^9`` indices and the ``2^9 - 1`` nonzero residue classes modulo
+    ``2^9`` each add one Gamma ratio, so ``[1, N]`` costs ``O(sqrt N)``
+    log-Gammas.
+    """
+    H, M, K0 = _COMPANION_H, _COMPANION_M, _COMPANION_K0
+    lo = max(lo, 1)
+    total = 0
+    if lo < K0:
+        total = _kernels.logsum_companion(lo, min(hi, K0 - 1), F)
+        lo = K0
+    if lo > hi:
+        return total
+    phi_cache: dict[int, int] = {}  # adjacent blocks share an edge
+
+    def phi(x: int) -> int:
+        v = phi_cache.get(x)
+        if v is None:
+            v = phi_cache[x] = _phi_grouped(x, F)
+        return v
+
+    for X in range(lo >> H, (hi >> H) + 1):  # (A) aligned blocks
+        e = 2 * (X.bit_length() + H) - 4 * X.bit_count()
+        if e:
+            total += e * (phi(min(hi, (X << H) + M - 1) + 1) - phi(max(lo, X << H)))
+    for r in range(1, M):  # (B) residue classes
+        a = -((r - lo) >> H)  # first t with t*M + r >= lo
+        b = (hi - r) >> H  # last t with t*M + r <= hi
+        if a <= b:
+            total -= 4 * r.bit_count() * (_phi_class(r, b + 1, F) - _phi_class(r, a, F))
+    return total
+
+
+# --------------------------------------------------------------------------
 # the 4/pi product family
 # --------------------------------------------------------------------------
 
@@ -457,7 +550,7 @@ def companion_partial(K: int, precision_bits: int) -> BigReal:
     if K < 1:
         raise ValueError("K must be >= 1")
     F = prec + GUARD_BITS
-    return BigReal.exp_of_fixed(_kernels.logsum_companion(1, K, F), F, prec)
+    return BigReal.exp_of_fixed(logsum_companion(1, K, F), F, prec)
 
 
 def alternating_product_estimate(K: int, precision_bits: int) -> BigReal:

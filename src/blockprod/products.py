@@ -1,15 +1,18 @@
 """Truncated product evaluation, tail bounds, and verification reports.
 
 Every partial product is the exponential of an integer fixed-point log-sum
-at scale ``F = precision + GUARD_BITS``.  Word products and the companion
-form add one fixed-point logarithm per term.  The left side of
-``rivoal_eq1`` (the grouped 4/pi form) adds one log-Gamma combination per
-dyadic block instead (:func:`blockprod.identities.logsum_rivoal_grouped`),
-within a few dozen units of ``2**-F`` of the exact log-sum, measured up to
-N = 10**30.  Each summand is an integer fixed by its own index or block edge
-and by ``F``, so summing disjoint index ranges in any order reproduces the
-whole-range result exactly (the documented contract allows 4 ulps; this
-implementation gives 0).
+at scale ``F = precision + GUARD_BITS``.  Word products add one fixed-point
+logarithm per term.  The left side of ``rivoal_eq1`` (the grouped 4/pi
+form) adds one log-Gamma combination per dyadic block instead
+(:func:`blockprod.identities.logsum_rivoal_grouped`), within a few dozen
+units of ``2**-F`` of the exact log-sum, measured up to N = 10**30.  The
+left side of ``companion_eq2`` adds one logarithm per term below ``2**17``
+and one Gamma ratio per aligned block and per residue class above
+(:func:`blockprod.identities.logsum_companion`).  Each summand is an
+integer fixed by its own index or block edge and by ``F``, so summing
+disjoint index ranges in any order reproduces the whole-range result
+exactly (the documented contract allows 4 ulps; this implementation gives
+0).
 
 Tail bound.  For a product with balanced parameter vectors the n-th term
 satisfies ``|log term_n| <= C(N)/n^2`` for all ``n > N`` (derivation in
@@ -37,6 +40,7 @@ from blockprod.identities import (
     ProductSpec,
     closed_form_baseB,
     companion_closed_form,
+    logsum_companion,
     logsum_rivoal_grouped,
 )
 from blockprod.words import Word, all_words, block_counts
@@ -276,7 +280,7 @@ def verify(
             logsum = logsum_rivoal_grouped(1, N, F)
             rhs = BigReal.from_int(4, prec) / pi_value(prec)
         else:
-            logsum = _kernels.logsum_companion(1, N, F)
+            logsum = logsum_companion(1, N, F)
             rhs = eval_gamma_expr(companion_closed_form(), prec)
         lhs = BigReal.exp_of_fixed(logsum, F, prec)
         tail = _tail_fraction_bitlen_form(N)

@@ -1,12 +1,14 @@
 """BigReal arithmetic, precision semantics, and decimal rendering."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blockprod.bigreal import BigReal, default_decimal_digits, pi_value
+from blockprod.bigreal import MAX_DECIMAL_EXP, BigReal, default_decimal_digits, pi_value
+from blockprod.gammafn import gamma
 
 fractions_st = st.fractions(
     min_value=Fraction(-(10**12)), max_value=Fraction(10**12), max_denominator=10**9
@@ -135,6 +137,25 @@ class TestDecimalRendering:
     def test_pi_digits(self):
         s = pi_value(256).to_decimal(50)
         assert s.startswith("3.1415926535897932384626433832795028841971693993751")
+
+    def test_exponent_cap(self):
+        # the largest and smallest renderable exponents, digits as mpmath prints them
+        assert BigReal((1 << 63) + 1, MAX_DECIMAL_EXP, 64).to_decimal(5) == "1.9047e+1262630"
+        assert BigReal((1 << 63) + 1, -MAX_DECIMAL_EXP, 64).to_decimal(5) == "4.4664e-1262593"
+        for exp in (MAX_DECIMAL_EXP + 1, -MAX_DECIMAL_EXP - 1):
+            x = BigReal((1 << 63) + 1, exp, 64)
+            with pytest.raises(ValueError, match="must be at most"):
+                x.to_decimal()
+            assert repr(x) == f"BigReal(man={(1 << 63) + 1}, exp={exp}, prec=64)"
+
+    def test_repr_of_huge_gamma_value_is_prompt(self):
+        """``Gamma(1.1e12 + 1/3)`` is about ``2**(4.2e13)``; its decimal form would take hours."""
+        g = gamma(Fraction(3_300_000_000_001, 3), 128)
+        start = time.perf_counter()
+        text = repr(g)
+        assert time.perf_counter() - start < 1.0
+        assert text == f"BigReal(man={g.man}, exp={g.exp}, prec=128)"
+        assert g.exp > MAX_DECIMAL_EXP
 
     @given(nonzero_fractions_st, st.integers(2, 40))
     def test_round_trip_through_decimal(self, fr, sig):

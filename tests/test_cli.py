@@ -302,3 +302,16 @@ class TestInputCaps:
         # a negative count is a usage error, not a verified failure (exit 1)
         code, _, err = run(capsys, "lemma1-fuzz", "--trials", "-5")
         assert code == 2 and "--trials must be >= 0" in err
+
+    @pytest.mark.parametrize(
+        "flag, cap", [("--max-support", cli.MAX_SUPPORT), ("--max-word-len", cli.MAX_WORD_LEN)]
+    )
+    def test_fuzz_size_caps(self, capsys, flag, cap):
+        code, out, _ = run(capsys, "lemma1-fuzz", "--trials", "3", flag, str(cap))
+        assert code == 0 and "3/3 exact" in out
+        code, _, err = run(capsys, "lemma1-fuzz", "--trials", "3", flag, str(cap + 1))
+        assert code == 2 and f"{flag} must be at most {cap}" in err
+        # zero used to fail inside random.randrange with a message naming no flag
+        for value in ("0", "-1"):
+            code, _, err = run(capsys, "lemma1-fuzz", "--trials", "3", flag, value)
+            assert code == 2 and f"{flag} must be >= 1" in err

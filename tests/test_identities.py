@@ -9,7 +9,8 @@ import mpmath
 import pytest
 from helpers import assert_close, to_mpf
 
-from blockprod.bigreal import GUARD_BITS
+from blockprod import _kernels
+from blockprod.bigreal import GUARD_BITS, BigReal
 from blockprod.gammafn import BalanceError, eval_gamma_expr
 from blockprod.identities import (
     FiniteSupportFn,
@@ -26,6 +27,7 @@ from blockprod.identities import (
     lemma1_residual_numeric,
     lemma1_rhs,
     logsum_alternating,
+    logsum_companion,
     logsum_rivoal_grouped,
     logsum_rivoal_original,
     rho,
@@ -330,6 +332,99 @@ class TestBlockSums:
         edges = (lo - 1, *cuts, hi)
         assert whole == sum(fn(a + 1, b, self.F) for a, b in zip(edges, edges[1:]))
         assert fn(1, hi, self.F) == fn(1, lo - 1, self.F) + whole
+
+
+def mp_companion_logsum(lo: int, hi: int, H: int = 10) -> mpmath.mpf:
+    """mpmath log of the companion partial product over ``lo <= k <= hi``.
+
+    Indices below ``M = 2^H`` are summed term by term.  Above, ``k = X*M + r``
+    has exponent ``E(X) - 4 popcount(r)`` with ``E(X) = 2(bitlen(X) + H) -
+    4 popcount(X)``: ``E(X)`` weighs the aligned block ``[X*M, X*M + M - 1]``
+    and ``-4 popcount(r)`` the residue class of ``r``, each summed as one
+    log-Gamma ratio.  The identity holds for every ``H``, and this oracle uses
+    its own.
+    """
+    lg = mpmath.loggamma
+    M = 2**H
+    total = mpmath.fsum(
+        e * mpmath.log(mpmath.mpf((4 * k + 2) ** 2) / ((4 * k + 1) * (4 * k + 3)))
+        for k in range(max(lo, 1), min(hi, M - 1) + 1)
+        if (e := 2 * k.bit_length() - 4 * bin(k).count("1"))
+    )
+    lo = max(lo, M)
+
+    def ratio(d2, d1, d3, a, b):
+        """log of prod_{t=a..b} (t + d2)^2 / ((t + d1)(t + d3))."""
+        def G(x):
+            return 2 * lg(x + d2) - lg(x + d1) - lg(x + d3)
+
+        return G(mpmath.mpf(b + 1)) - G(mpmath.mpf(a))
+
+    quarter = mpmath.mpf(1) / 4
+    for X in range(lo // M, hi // M + 1):
+        e = 2 * (X.bit_length() + H) - 4 * bin(X).count("1")
+        a, b = max(lo, X * M), min(hi, X * M + M - 1)
+        if e and a <= b:
+            total += e * ratio(2 * quarter, quarter, 3 * quarter, a, b)
+    for r in range(1, M):
+        a, b = -((r - lo) // M), (hi - r) // M
+        if a <= b:
+            d = [mpmath.mpf(4 * r + i) / (4 * M) for i in (2, 1, 3)]
+            total -= 4 * bin(r).count("1") * ratio(*d, a, b)
+    return total
+
+
+class TestCompanionSum:
+    """The companion log-sum: per-term below ``2^17``, Gamma ratios above."""
+
+    PREC = 128
+    F = PREC + GUARD_BITS
+    K0 = 2**17
+    M = 2**9
+
+    def test_bit_identical_below_k0(self):
+        for lo, hi in ((1, 1), (1, 7), (1, 10**4), (3, 10**5), (1000, self.K0 - 1)):
+            assert logsum_companion(lo, hi, self.F) == _kernels.logsum_companion(lo, hi, self.F)
+        assert companion_partial(10**4, 128) == BigReal.exp_of_fixed(
+            _kernels.logsum_companion(1, 10**4, self.F), self.F, 128
+        )
+
+    def test_range_splits_exactly(self):
+        """Cuts at K0 - 1, K0, K0 + 1, at block edges, inside blocks and off multiples of M."""
+        K0, M = self.K0, self.M
+        lo, hi = K0 - 300, K0 + 6 * M + 77
+        cuts = (K0 - 2, K0 - 1, K0, K0 + 1, K0 + M - 1, K0 + M, K0 + 2 * M + 5, K0 + 4 * M - 3)
+        whole = logsum_companion(lo, hi, self.F)
+        edges = (lo - 1, *cuts, hi)
+        assert whole == sum(logsum_companion(a + 1, b, self.F) for a, b in zip(edges, edges[1:]))
+        assert logsum_companion(1, hi, self.F) == logsum_companion(1, lo - 1, self.F) + whole
+
+    @pytest.mark.parametrize("N", [2**17 + 2**9 + 7, 2 * 10**5])
+    def test_matches_per_term_oracle(self, N):
+        got = logsum_companion(1, N, self.F)
+        want = _kernels.logsum_companion(1, N, self.F)
+        assert abs(got - want) <= 1 << (self.F + 8 - self.PREC)
+
+    @pytest.mark.parametrize("lo, hi", [(1, 3000), (2**17 - 100, 2**17 + 2**11 + 7)])
+    def test_mpmath_split_matches_per_term(self, lo, hi):
+        """The oracle's block and class split against plain per-term mpmath."""
+        with mpmath.workprec(self.PREC + 2 * hi.bit_length() + 64):
+            per_term = mpmath.fsum(
+                (2 * k.bit_length() - 4 * bin(k).count("1"))
+                * mpmath.log(mpmath.mpf((4 * k + 2) ** 2) / ((4 * k + 1) * (4 * k + 3)))
+                for k in range(lo, hi + 1)
+            )
+            assert abs(mp_companion_logsum(lo, hi) - per_term) <= mpmath.mpf(2) ** -(self.PREC + 32)
+
+    def test_partial_against_mpmath(self):
+        """At N = 10^6 the product meets ``2^(8-p)``; the Gamma-ratio part is within 2^12 units."""
+        N, K0 = 10**6, self.K0
+        with mpmath.workprec(self.PREC + 2 * N.bit_length() + 64):
+            below, above = mp_companion_logsum(1, K0 - 1), mp_companion_logsum(K0, N)
+            assert_close(companion_partial(N, self.PREC), mpmath.exp(below + above),
+                         mpmath.mpf(2) ** (8 - self.PREC))
+            # measured: 286 units of 2^-F
+            assert abs(logsum_companion(K0, N, self.F) - mpmath.ldexp(above, self.F)) <= 2**12
 
 
 class TestCompanion:
