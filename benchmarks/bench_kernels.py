@@ -1,96 +1,111 @@
 #!/usr/bin/env python3
-"""Benchmark the pure-Python kernels against the compiled extension.
+"""Measure where the telescoped word-product engine overtakes the direct sum.
 
-Both backends compute bit-identical integers (asserted here); only the
-throughput differs.  The Gamma-ratio block sums of the 4/pi bit-length
-families have a single pure-Python implementation and are timed alone.  The
-companion form is timed at N = 10^6 twice: per-term on each backend, and as
-the library sums it (per-term below 2^17, Gamma ratios above).
+``eval_lhs_partial`` takes a word product's log-sum by whichever of two
+paths ``blockprod.products.path_costs`` prices cheaper: the Gamma-ratio
+engine ``identities.logsum_word`` or the direct per-term sum
+``_kernels_py.logsum_word_product``.  For each (base, word, d, precision)
+this script times both paths on a geometric grid of N and prints the
+measured break-even N (the first N from which the engine stays faster)
+next to the N where the pricing rule switches, which is the evidence for
+the rule's constants.  The engine is timed with a cold coefficient cache
+(the rule prices it cold) after one Spouge warm-up at that precision.
 Run from the repository root:
 
-    python benchmarks/bench_kernels.py [--terms N] [--precision BITS]
+    PYTHONPATH=src python benchmarks/bench_kernels.py [--precision 128 1024] [--max-terms N]
 """
 
 from __future__ import annotations
 
 import argparse
 import time
+from fractions import Fraction
 
-from blockprod import _kernels_py as pure
-from blockprod.identities import (
-    logsum_alternating,
-    logsum_companion,
-    logsum_rivoal_grouped,
-    logsum_rivoal_original,
-)
+from blockprod import _kernels_py, gammafn
+from blockprod.bigreal import GUARD_BITS
+from blockprod.identities import ProductSpec, logsum_word
+from blockprod.products import path_costs
 from blockprod.words import Word, block_counts
 
-try:
-    from blockprod import _kernels_cy as compiled
-except ImportError:
-    compiled = None
+# (base, word, a, b): d = len(a)
+CASES = [
+    (2, "101", (1, 1), (0, 2)),
+    (3, "12", (1, 1), (0, 2)),
+    (4, "00", (1, 1), (0, 2)),
+    (10, "7", (1, 1), (0, 2)),
+    (3, "12", (1, 1, 1), (0, 0, 3)),
+]
 
 
-def timed(fn, *args):
+def timed(fn, *args) -> float:
     t0 = time.perf_counter()
-    result = fn(*args)
-    return result, time.perf_counter() - t0
+    fn(*args)
+    return time.perf_counter() - t0
 
 
-def run_case(name, fn, args):
-    """Time the kernel named ``fn`` on both backends, or the callable ``fn`` alone."""
-    if callable(fn):
-        return [(name, timed(fn, *args)[1], None, None)]
-    rows = []
-    value_p, t_pure = timed(getattr(pure, fn), *args)
-    if compiled is not None:
-        value_c, t_comp = timed(getattr(compiled, fn), *args)
-        assert value_p == value_c, f"backend mismatch in {fn}"
-        rows.append((name, t_pure, t_comp, t_pure / t_comp))
-    else:
-        rows.append((name, t_pure, None, None))
-    return rows
+def engine_time(spec: ProductSpec, N: int, F: int) -> float:
+    gammafn._series.cache_clear()
+    gammafn._bernoulli.cache_clear()
+    return timed(logsum_word, spec, N, F)
+
+
+def direct_time(spec: ProductSpec, N: int, F: int) -> float:
+    args = spec.kernel_args()
+    return timed(lambda: _kernels_py.logsum_word_product(
+        spec.base, block_counts(spec.word, 1, N), *args, 1, N, F))
+
+
+def grid(max_terms: int) -> list[int]:
+    out, N = [], 64
+    while N <= max_terms:
+        out.append(N)
+        N = N * 5 // 4
+    return out
+
+
+def rule_switch(spec: ProductSpec, F: int, ns: list[int]) -> int | None:
+    """First N of the grid from which the rule keeps choosing the engine."""
+    picks = []
+    for N in ns:
+        engine, direct = path_costs(spec, N, F)
+        picks.append(engine < direct)
+    for i in range(len(ns)):
+        if all(picks[i:]):
+            return ns[i]
+    return None
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--terms", type=int, default=200_000)
-    parser.add_argument("--precision", type=int, default=128)
+    parser.add_argument("--precision", type=int, nargs="+", default=[128, 1024])
+    parser.add_argument("--max-terms", type=int, default=60_000)
     args = parser.parse_args()
 
-    N = args.terms
-    F = args.precision + 32
-    # block counts are built once, outside the timed kernel calls
-    n_b3 = max(N // 4, 1)
-    counts_101 = block_counts(Word(2, (1, 0, 1)), 1, N)
-    counts_b3 = block_counts(Word(3, (1, 2)), 1, n_b3)
-    word_101 = (2, counts_101, (1, 1), (1, 1), (0, 2), (1, 1), 1, N, F)
-    word_b3 = (3, counts_b3, (1, 1), (1, 1), (0, 2), (1, 1), 1, n_b3, F)
-    ratio = ((1, 3), (2, 2), (1, 1), (1, 1), 0, N, F)
-    companion = (1, 10**6, F)
-
-    cases = [
-        ("rivoal grouped (Gamma-ratio blocks)", logsum_rivoal_grouped, (1, N, F)),
-        ("rivoal original (Gamma-ratio blocks)", logsum_rivoal_original, (2, 4 * N, F)),
-        ("companion per-term, N=1e6", "logsum_companion", companion),
-        ("companion Gamma ratios above 2^17, N=1e6", logsum_companion, companion),
-        ("alternating (Gamma-ratio blocks)", logsum_alternating, (1, N, F)),
-        ("word product, base 2, w=101", "logsum_word_product", word_101),
-        ("word product, base 3, w=12 (generic)", "logsum_word_product", word_b3),
-        ("balanced ratio product (Wallis)", "logsum_ratio_product", ratio),
-    ]
-
-    if compiled is None:
-        print("compiled extension not available; timing the pure backend only\n")
-    header = f"{'kernel':42s} {'pure [s]':>9s} {'cython [s]':>11s} {'speedup':>8s}"
+    ns = grid(args.max_terms)
+    header = (f"{'base':>4s} {'word':>5s} {'d':>2s} {'bits':>5s} {'measured N*':>12s} "
+              f"{'rule N*':>8s} {'engine [s]':>11s} {'direct [s]':>11s}")
     print(header)
     print("-" * len(header))
-    for name, fn, fn_args in cases:
-        for label, t_pure, t_comp, speedup in run_case(name, fn, fn_args):
-            if t_comp is None:
-                print(f"{label:42s} {t_pure:9.3f} {'-':>11s} {'-':>8s}")
-            else:
-                print(f"{label:42s} {t_pure:9.3f} {t_comp:11.3f} {speedup:7.1f}x")
+    for prec in args.precision:
+        F = prec + GUARD_BITS
+        gammafn._loggamma_fixed(Fraction(7, 3), F)  # Spouge coefficients and log ladder
+        for base, text, a, b in CASES:
+            spec = ProductSpec(base, Word.parse(text, base),
+                               tuple(map(Fraction, a)), tuple(map(Fraction, b)))
+            measured, streak, te, td = None, 0, 0.0, 0.0
+            for N in ns:
+                te, td = engine_time(spec, N, F), direct_time(spec, N, F)
+                if te < td:
+                    streak += 1
+                    measured = measured or N
+                    if streak == 3:
+                        break
+                else:
+                    measured, streak = None, 0
+            found = f"{measured}" if streak == 3 else f">{ns[-1]}"
+            switch = rule_switch(spec, F, ns)
+            print(f"{base:4d} {text:>5s} {len(a):2d} {prec:5d} {found:>12s} {str(switch):>8s} "
+                  f"{te:11.4f} {td:11.4f}")
     return 0
 
 

@@ -5,13 +5,10 @@ builds the symbolic Gamma closed forms of the associated infinite products,
 evaluates both sides at arbitrary precision, and verifies the identities
 (including the 4/pi product) exactly and numerically.
 
-Hot per-term loops run on a compiled Cython core when available, with a
-bit-identical pure-Python fallback selected at import time
-(``blockprod.kernel_backend()`` reports which one is active; set
-``BLOCKPROD_PURE=1`` to force the fallback).
+Everything runs in pure Python with exact integer arithmetic;
+``blockprod.kernel_backend()`` names that one backend.
 """
 
-from blockprod._kernels import BACKEND as _KERNEL_BACKEND
 from blockprod.bigreal import BigReal, default_decimal_digits, pi_value
 from blockprod.gammafn import (
     BalanceError,
@@ -111,5 +108,5 @@ __all__ = [
 
 
 def kernel_backend() -> str:
-    """Name of the active kernel backend: ``"cython"`` or ``"python"``."""
-    return _KERNEL_BACKEND
+    """Name of the kernel backend; always ``"python"``."""
+    return "python"

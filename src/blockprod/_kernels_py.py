@@ -1,28 +1,20 @@
-"""Pure-Python reference kernels for the hot per-term product loops.
+"""Per-term log-sum loops in exact integer fixed point.
 
-These functions dominate the runtime of every truncated-product evaluation:
-for each index ``n`` they accumulate an integer fixed-point logarithm (scale
-``F`` bits, see :mod:`blockprod.fixedpoint`) times an integer exponent: a
-digit-block count handed in by the caller, or the companion form's
-popcount exponent computed in place.  A Cython twin (``blockprod._kernels_cy``)
-implements the exact same integer algorithms; ``blockprod._kernels`` picks
-whichever is importable.  Both backends must return *bit-identical* integers
-— the test suite enforces this — so all arithmetic here is exact integer
-arithmetic with floor/round conventions that translate 1:1 to the compiled
-code.
-
-Because the accumulated log-sums are plain integer additions, splitting a
-range ``[lo, hi]`` into disjoint chunks and adding the partial sums gives
-*exactly* the whole-range result.  The bit-length families of the 4/pi
-product (exponent constant on dyadic blocks) are not summed term by term,
-and the companion form only below ``2**17``: see the Gamma-ratio sums in
-:mod:`blockprod.identities`.
+For each index ``n`` these loops add an integer fixed-point logarithm
+(scale ``F`` bits, see :mod:`blockprod.fixedpoint`) times an integer
+exponent: a digit-block count handed in by the caller, or the companion
+form's popcount exponent computed in place.  They serve where one series
+per term is cheaper than Gamma ratios: the direct word-product sum, which
+``products.eval_lhs_partial`` takes for small ``N`` at high precision
+(larger ``N`` go to the telescoped sum
+:func:`blockprod.identities.logsum_word`), and the companion form below
+``2**17``.  The accumulated log-sums are plain integer additions, so
+splitting a range ``[lo, hi]`` into disjoint chunks and adding the partial
+sums gives *exactly* the whole-range result.  Each term's log is floored,
+so a sum drifts from the exact value by a few units of ``2**-F`` per term.
 """
 
 from __future__ import annotations
-
-BACKEND = "python"
-
 
 # --------------------------------------------------------------------------
 # fixed-point logs of rationals near 1
@@ -79,6 +71,10 @@ def fx_log1p_inv(q: int, F: int) -> int:
 # log-sum accumulators
 # --------------------------------------------------------------------------
 
+# (base, a_num, a_den, b_num, b_den) of the canonical base-2 parameters
+# a = (1, 1), b = (0, 2), which logsum_word_product sums by a fast path
+FAST_PATH_ARGS = (2, (1, 1), (1, 1), (0, 2), (1, 1))
+
 
 def logsum_word_product(
     base: int,
@@ -97,24 +93,14 @@ def logsum_word_product(
     :func:`blockprod.words.block_counts`).
     ``term_n = prod_i (Bn+a_i)/(Bn+b_i) * prod_{k<B} (B^2 n+Bk+b_i)/(B^2 n+Bk+a_i)``
     with rational parameters ``a_i = a_num[i]/a_den[i]`` etc.  For the
-    canonical base-2 parameters ``a = (1,1)``, ``b = (0,2)`` the term
-    telescopes to ``((4n+2)^2 / ((4n+1)(4n+3)))^2`` and a fast path is used;
-    both backends implement the identical fast path so results stay
-    bit-identical.
+    canonical base-2 parameters ``a = (1,1)``, ``b = (0,2)``
+    (:data:`FAST_PATH_ARGS`) the term telescopes to
+    ``((4n+2)^2 / ((4n+1)(4n+3)))^2`` and a fast path is used.
     """
     if len(counts) != hi - lo + 1:
         raise ValueError("counts must hold one entry per index in [lo, hi]")
-    d = len(a_num)
-    canonical = (
-        base == 2
-        and d == 2
-        and a_num == (1, 1)
-        and b_num == (0, 2)
-        and a_den == (1, 1)
-        and b_den == (1, 1)
-    )
     total = 0
-    if canonical:
+    if (base, a_num, a_den, b_num, b_den) == FAST_PATH_ARGS:
         for n, c in enumerate(counts, lo):
             if c:
                 total += (2 * c) * fx_log1p_inv((4 * n + 1) * (4 * n + 3), F)
@@ -126,7 +112,7 @@ def logsum_word_product(
         b2n = base * bn
         p = 1
         q = 1
-        for i in range(d):
+        for i in range(len(a_num)):
             p *= bn * a_den[i] + a_num[i]
             q *= a_den[i]
             q *= bn * b_den[i] + b_num[i]
@@ -138,30 +124,6 @@ def logsum_word_product(
                 q *= x * a_den[i] + a_num[i]
                 p *= a_den[i]
         total += c * fx_log_ratio(p, q, F)
-    return total
-
-
-def logsum_ratio_product(
-    a_num: tuple,
-    a_den: tuple,
-    b_num: tuple,
-    b_den: tuple,
-    lo: int,
-    hi: int,
-    F: int,
-) -> int:
-    """Sum of ``log(prod_i (n+a_i)/(n+b_i))`` for ``n`` in ``[lo, hi]``."""
-    d = len(a_num)
-    total = 0
-    for n in range(lo, hi + 1):
-        p = 1
-        q = 1
-        for i in range(d):
-            p *= n * a_den[i] + a_num[i]
-            q *= a_den[i]
-            q *= n * b_den[i] + b_num[i]
-            p *= b_den[i]
-        total += fx_log_ratio(p, q, F)
     return total
 
 

@@ -31,8 +31,8 @@ __all__ = [
 
 GUARD_BITS = 32
 MIN_PRECISION = 64
-# Largest |exp| that to_decimal renders: its exact integers grow with the
-# value's magnitude (about 0.06 s at 2**20, 0.5 s at 2**22, 1.4 s at 2**23).
+# Largest |exp| that to_decimal renders and to_fraction converts: their
+# exact integers grow with the value's magnitude (about 0.06 s at 2**20, 0.5 s at 2**22, 1.4 s at 2**23).
 MAX_DECIMAL_EXP = 1 << 22
 
 
@@ -133,6 +133,14 @@ class BigReal:
     # ---- conversions ----
 
     def to_fraction(self) -> Fraction:
+        """The exact value ``man * 2**exp`` as a Fraction.
+
+        Raises ``ValueError`` when ``|exp| > MAX_DECIMAL_EXP``, as
+        :meth:`to_decimal` does: the integer built would be as large as the
+        value itself (or its reciprocal).
+        """
+        if abs(self.exp) > MAX_DECIMAL_EXP:
+            raise ValueError(f"|exp| must be at most {MAX_DECIMAL_EXP} to convert, got {self.exp}")
         if self.exp >= 0:
             return Fraction(self.man << self.exp)
         return Fraction(self.man, 1 << (-self.exp))

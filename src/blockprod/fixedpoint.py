@@ -3,9 +3,9 @@
 Every routine here works on plain Python integers interpreted as fixed-point
 reals: the integer ``v`` stands for the real number ``v / 2**F`` where ``F``
 (the *scale*, in bits) is passed alongside.  Keeping everything in exact
-integer arithmetic makes results bit-for-bit reproducible across platforms
-and across the pure-Python / compiled kernel backends; there is no libm and
-no platform float rounding anywhere in the evaluation path.
+integer arithmetic makes results bit-for-bit reproducible across platforms;
+there is no libm and no platform float rounding anywhere in the evaluation
+path.
 
 Accuracy contract: ``fx_log`` and ``fx_exp_reduced`` return their
 mathematical value within one unit in the last place at scale ``F`` (the

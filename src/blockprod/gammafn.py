@@ -16,14 +16,21 @@ platforms).  The coefficient sum suffers cancellation that grows with ``a``
 so coefficients and the sum are carried at ``2a + 32`` extra fraction bits
 on top of the usual working scale; the public error contract is a relative
 error of at most ``2**(8 - precision_bits)``.
+
+Balanced sums of log-Gammas, whose shifts add up to the same total on both
+sides, have a Stirling series with exact rational coefficients and no
+``log`` term; :func:`_balanced_lgamma` sums it at large arguments and falls
+back to Spouge below.  The word-product log-sums and
+:func:`gamma_ratio_product` are differences of such sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
-from blockprod import _kernels
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision
 from blockprod.fixedpoint import (
     fx_div,
@@ -129,11 +136,139 @@ def _loggamma_fixed(x: Fraction, F: int) -> int:
     return t1 - t2 + ln_s - reduction
 
 
+# --------------------------------------------------------------------------
+# balanced log-Gamma sums by an exact-coefficient Stirling series
+# --------------------------------------------------------------------------
+#
+# For integer shifts A, T with sum(A) == sum(T) and len(A) == len(T) let
+#
+#     G(u) = sum_i lgG((u + A_i)/W) - lgG((u + T_i)/W).
+#
+# In Stirling's expansion of lgG(z + x) in z = u/W the (z + x - 1/2) log z,
+# -z and log(2 pi)/2 terms cancel between the two sides, leaving
+#
+#     G(u) ~ sum_{k>=1} c_k / z^k,
+#     c_k = (-1)^(k+1) / (k(k+1)) * sum_i [B_{k+1}(A_i/W) - B_{k+1}(T_i/W)],
+#
+# with B_n(x) the Bernoulli polynomial.  Expanding B_n(x) = sum_j C(n,j) B_j
+# x^(n-j) writes the bracket through the power sums p_m = sum A_i^m -
+# sum T_i^m (p_0 = p_1 = 0) as sum_j C(n,j) B_j p_(n-j) / W^(n-j), so every
+# c_k is an exact rational.  Term bound: |B_n(x)| <= 2 zeta(n) n!/(2 pi)^n on
+# [0, 1], and B_n(x + 1) = B_n(x) + n x^(n-1) adds n floor(x) x^(n-1) above.
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    """``T_1..T_n`` with ``tan x = sum T_k x^(2k-1)/(2k-1)!`` (integer-only, O(n^2))."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
+@lru_cache(maxsize=8)
+def _bernoulli(n: int) -> tuple[Fraction, ...]:
+    """``B_0..B_n`` (``B_1 = -1/2``); ``B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))``."""
+    out = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (n - 1)
+    for k, tk in enumerate(_tangent_numbers(n // 2), 1):
+        q = 4**k
+        out[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * tk, q * (q - 1))
+    return tuple(out[: n + 1])
+
+
+_SERIES_GUARD = 16  # extra fraction bits of the series coefficients and Horner sum
+
+
+def _series_threshold(F: int) -> int:
+    """Smallest ``z = u/W`` at which :func:`_balanced_lgamma` sums its series at scale ``F``.
+
+    Shifts above 1 raise it to four times their size (see :func:`_series_terms`).
+    """
+    return F // 2
+
+
+def _series_terms(F: int, X0: int, d: int, big: int = 0) -> int:
+    """Terms of the balanced series for ``z >= X0``: the first omitted term is below ``2**-(F + _SERIES_GUARD + 4)``.
+
+    ``d`` shifts on each side.  Bounds the omitted ``c_k/z^k`` by
+    ``8d (k-1)!/(6^(k+1) X0^k)`` for shifts in ``[0, 1]`` plus
+    ``2d big^(k+1)/(k X0^k)`` when the largest shift rounds up to ``big > 1``
+    (a conservative rendering of the term bound above); integer comparisons
+    only.
+    """
+    lim = 1 << (F + _SERIES_GUARD + 4)
+    k = 1
+    fact = 1  # (k - 1)!
+    while True:
+        k += 1  # test the term after k - 1 kept terms
+        fact *= k - 1
+        den = X0**k
+        if 8 * d * fact * lim < 6 ** (k + 1) * den and 2 * d * big ** (k + 1) * lim < k * den:
+            return k - 1
+
+
+@lru_cache(maxsize=64)
+def _series(A: tuple[int, ...], T: tuple[int, ...], W: int, F: int) -> tuple[int, tuple[int, ...]]:
+    """``(X0, coefficients)``: ``c_1..c_K`` of ``G`` at scale ``F + _SERIES_GUARD``, from power sums."""
+    big = -(-max(A + T) // W)  # the largest shift, rounded up
+    if big <= 1:
+        big = 0  # every shift in [0, 1]
+    X0 = max(_series_threshold(F), 4 * big)
+    K = _series_terms(F, X0, len(A), big)
+    n_max = K + 1
+    bern = _bernoulli(n_max)
+    lam = lcm(*(b.denominator for b in bern))
+    bern_int = [b.numerator * (lam // b.denominator) for b in bern]
+    p = [sum(a**m for a in A) - sum(t**m for t in T) for m in range(n_max + 1)]
+    S = F + _SERIES_GUARD
+    coeffs = []
+    row = [1, 2, 1]  # binomials C(n, j) for n = k + 1
+    w_n = W * W
+    for k in range(1, K + 1):
+        n = k + 1
+        # W^n lam * sum_i [B_n(A_i/W) - B_n(T_i/W)] by Horner in W over j;
+        # B_j = 0 for odd j > 1
+        y = 0
+        for j in range(n - 2, -1, -1):
+            y *= W
+            if j < 2 or not j & 1:
+                y += row[j] * bern_int[j] * p[n - j]
+        if k & 1 == 0:
+            y = -y
+        coeffs.append((y << S) // (k * n * lam * w_n))
+        row = [1, *map(sum, zip(row, row[1:])), 1]
+        w_n *= W
+    return X0, tuple(coeffs)
+
+
+def _balanced_lgamma(A: tuple[int, ...], T: tuple[int, ...], W: int, u: int, F: int) -> int:
+    """``sum_i lgG((u + A_i)/W) - lgG((u + T_i)/W)`` at fixed-point scale ``F``.
+
+    ``A`` and ``T`` are integer shifts of equal length and equal sum, and
+    every argument must be positive.  At ``u/W >= X0`` (see
+    :func:`_series_threshold`) the Stirling series above is summed by
+    integer Horner in ``W/u``; below, each log-Gamma is evaluated with
+    Spouge's formula.  The value is an integer fixed by ``(A, T, W, u, F)``
+    alone, within a few units of ``2**-F`` of the exact sum.
+    """
+    X0, coeffs = _series(A, T, W, F)
+    if u >= X0 * W:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = c + acc * W // u
+        return rshift_round(acc * W // u, _SERIES_GUARD)
+    return (sum(_loggamma_fixed(Fraction(u + a, W), F) for a in A)
+            - sum(_loggamma_fixed(Fraction(u + t, W), F) for t in T))
+
+
 def gamma(x, precision_bits: int) -> BigReal:
     """``Gamma(x)`` for a positive rational (or BigReal) ``x``.
 
     Relative error at most ``2**(8 - precision_bits)``; poles and
-    nonpositive arguments raise.
+    nonpositive arguments raise, as does a BigReal argument beyond the
+    ``to_fraction`` cap (``|exp| > MAX_DECIMAL_EXP``).
     """
     prec = _check_precision(precision_bits)
     fr = _check_gamma_arg(_as_rational(x))
@@ -265,26 +400,29 @@ def eval_gamma_expr(expr: GammaExpr, precision_bits: int) -> BigReal:
 # --------------------------------------------------------------------------
 
 
-def _ratio_params(args) -> tuple[tuple[Fraction, ...], tuple[int, ...], tuple[int, ...]]:
+def _ratio_params(args) -> tuple[Fraction, ...]:
     frs = tuple(Fraction(x) for x in args)
     for fr in frs:
         if fr <= 0:
             raise PoleError(f"product parameters must be positive rationals, got {fr}")
-    return frs, tuple(f.numerator for f in frs), tuple(f.denominator for f in frs)
+    return frs
 
 
 def gamma_ratio_product(a, b, N: int, precision_bits: int) -> tuple[BigReal, BigReal]:
     """Partial and closed value of ``prod_{n>=0} (n+a_1)...(n+a_d)/((n+b_1)...(n+b_d))``.
 
     Returns ``(partial, closed)`` where ``partial`` is the product over
-    ``n = 0..N`` (accumulated in log space) and ``closed`` is
-    ``Gamma(b_1)...Gamma(b_d) / (Gamma(a_1)...Gamma(a_d))``, the limit when
-    the parameter sums balance.  The balance check is exact rational
-    arithmetic; mismatched sums raise :class:`BalanceError`.
+    ``n = 0..N`` and ``closed`` is ``Gamma(b_1)...Gamma(b_d) /
+    (Gamma(a_1)...Gamma(a_d))``, the limit when the parameter sums balance.
+    The partial's log is ``G(N+1) - G(0)`` with ``G(x) = sum_i lgG(x + a_i)
+    - lgG(x + b_i)`` (:func:`_balanced_lgamma`), so it shares its Gamma code
+    with ``closed``: ``G(0)`` is the same log-Gamma sum that ``closed``
+    exponentiates.  The balance check is exact rational arithmetic;
+    mismatched sums raise :class:`BalanceError`.
     """
     prec = _check_precision(precision_bits)
-    a_fr, a_num, a_den = _ratio_params(a)
-    b_fr, b_num, b_den = _ratio_params(b)
+    a_fr = _ratio_params(a)
+    b_fr = _ratio_params(b)
     if len(a_fr) != len(b_fr) or not a_fr:
         raise ValueError("parameter vectors must have equal nonzero length")
     if sum(a_fr) != sum(b_fr):
@@ -292,7 +430,10 @@ def gamma_ratio_product(a, b, N: int, precision_bits: int) -> tuple[BigReal, Big
     if N < 0:
         raise ValueError("N must be >= 0")
     F = prec + GUARD_BITS
-    logsum = _kernels.logsum_ratio_product(a_num, a_den, b_num, b_den, 0, N, F)
+    D = lcm(*(x.denominator for x in a_fr + b_fr))
+    A = tuple(sorted(int(x * D) for x in a_fr))
+    T = tuple(sorted(int(x * D) for x in b_fr))
+    logsum = _balanced_lgamma(A, T, D, D * (N + 1), F) - _balanced_lgamma(A, T, D, 0, F)
     partial = BigReal.exp_of_fixed(logsum, F, prec)
     closed = eval_gamma_expr(GammaExpr(1, num=b_fr, den=a_fr), prec)
     return partial, closed

@@ -1,6 +1,6 @@
 """The paper-level identities as executable objects.
 
-Three families live here:
+Four families live here:
 
 * the exact summation identity relating block counts to a shifted sum
   (:func:`lemma1_lhs` / :func:`lemma1_rhs` / :func:`lemma1_residual`),
@@ -9,6 +9,9 @@ Three families live here:
 * the closed-form constructors for block-exponent products
   (:func:`closed_form_base2` for the canonical base-2 family and
   :func:`closed_form_baseB` for general base and parameter vectors);
+* the truncated log-sum of a general block-exponent product, telescoped by
+  the same identity into ``O(sqrt N)`` balanced Gamma ratios
+  (:func:`logsum_word`);
 * the concrete 4/pi product family: the original four-periodic form, the
   grouped form with digit-count exponents, the companion form with signed
   digit-count exponents, and the numerically estimated alternating form.
@@ -27,12 +30,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator, Mapping
 
-from blockprod import _kernels
+from blockprod import _kernels_py
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision
 from blockprod.fixedpoint import log2_fixed, rshift_round
-from blockprod.gammafn import BalanceError, GammaExpr, _loggamma_fixed
+from blockprod.gammafn import (
+    BalanceError,
+    GammaExpr,
+    _balanced_lgamma,
+    _loggamma_fixed,
+    _series_threshold,
+)
 from blockprod.words import ALL_ZEROS, Word, classify, count_block, word_value
 
 __all__ = [
@@ -54,6 +64,8 @@ __all__ = [
     "logsum_rivoal_grouped",
     "logsum_alternating",
     "logsum_companion",
+    "logsum_word",
+    "word_edge_plan",
     "rivoal_original_factors",
     "rivoal_grouped_factors",
     "grouping_identity_holds",
@@ -485,7 +497,7 @@ def logsum_companion(lo: int, hi: int, F: int) -> int:
 
     The exponent is ``2*(bitlen(k) - 2*popcount(k))``, the signed digit
     balance.  Indices below ``2^17`` are summed term by term
-    (:func:`blockprod._kernels.logsum_companion`); above it, aligned blocks
+    (:func:`blockprod._kernels_py.logsum_companion`); above it, aligned blocks
     of ``2^9`` indices and the ``2^9 - 1`` nonzero residue classes modulo
     ``2^9`` each add one Gamma ratio, so ``[1, N]`` costs ``O(sqrt N)``
     log-Gammas.
@@ -494,7 +506,7 @@ def logsum_companion(lo: int, hi: int, F: int) -> int:
     lo = max(lo, 1)
     total = 0
     if lo < K0:
-        total = _kernels.logsum_companion(lo, min(hi, K0 - 1), F)
+        total = _kernels_py.logsum_companion(lo, min(hi, K0 - 1), F)
         lo = K0
     if lo > hi:
         return total
@@ -515,6 +527,106 @@ def logsum_companion(lo: int, hi: int, F: int) -> int:
         b = (hi - r) >> H  # last t with t*M + r <= hi
         if a <= b:
             total -= 4 * r.bit_count() * (_phi_class(r, b + 1, F) - _phi_class(r, a, F))
+    return total
+
+
+# --------------------------------------------------------------------------
+# word products by the telescoping lemma
+# --------------------------------------------------------------------------
+#
+# With f(m) = sum_i log((Bm + a_i)/(Bm + b_i)) the n-th term's log is
+# f(n) - sum_{k<B} f(Bn + k), and the recurrence N_w(m) - N_w(m // B) =
+# [m mod B^L = v] telescopes the truncated log-sum (Allouche-Shallit) into
+#
+#   S(N) = sum_{1<=m<=N, m = v mod B^L} f(m)
+#          - sum_{m=N+1}^{BN+B-1} N_w(m // B) f(m).
+#
+# The weight N_w(m // B) counts the levels j >= 1 with m // B^j = v mod B^L
+# and m // B^j >= 1: at level j those m form blocks of B^j consecutive
+# indices, one block per B^(j+L), and equally B^j residue classes modulo
+# B^(j+L).  Each block, each class and the first sum's progression adds up
+# f over an arithmetic progression m = first, first + Q, ... < end, which is
+# G_Q(end) - G_Q(first) with G_Q(m) = sum_i lgG((m + a_i/B)/Q) -
+# lgG((m + b_i/B)/Q), a balanced log-Gamma sum (gammafn._balanced_lgamma).
+
+
+# A below-threshold edge costs 2d Spouge log-Gammas, 16d to 22d times one
+# Horner sum of the series at the precisions measured (160 to 2080 bits).
+_FALLBACK_EDGE_COST = 16
+
+
+def word_edge_plan(
+    base: int, length: int, v: int, d: int, N: int, F: int
+) -> Iterator[tuple[int, int, int, int]]:
+    """Pieces ``(sign, Q, first, end)`` of ``S(N)`` for a word of value ``v`` and length ``length``.
+
+    ``S(N)`` is the sum of ``sign * (G_Q(end) - G_Q(first))`` over the
+    pieces.  At each level the plan takes the cheaper of one piece per
+    block (``Q = 1``) and one per residue class (``Q = B^(j+L)``), pricing an
+    edge below the series threshold of ``gammafn._balanced_lgamma`` at
+    ``16d`` edges above it: about ``2 sqrt((B-1) N / B^L)`` pieces in all.
+    The plan depends on its six arguments alone.
+    """
+    B = base
+    X0 = _series_threshold(F)
+    slow = _FALLBACK_EDGE_COST * d
+
+    def cost(m: int, Q: int) -> int:
+        return 1 if m >= Q * X0 else slow
+
+    QL = B**length
+    first = v or QL
+    if first <= N:
+        yield 1, QL, first, first + QL * ((N - first) // QL + 1)
+    lo, hi = N + 1, B * N + B - 1
+    Bj = B
+    while Bj <= hi:
+        a = max(lo, Bj)  # m // B^j >= 1
+        Q = Bj * QL
+        t0 = a // Bj
+        t0 += (v - t0) % QL  # first block index = v (mod B^L)
+        t1 = hi // Bj
+        blocks = (t1 - t0) // QL + 1 if t0 <= t1 else 0
+        classes = min(Bj, hi - a + 1)
+        if 2 * blocks * cost(a, 1) <= classes * (cost(a, Q) + cost(hi + 1, Q)):
+            for t in range(t0, t1 + 1, QL):
+                yield -1, 1, max(a, t * Bj), min(hi, t * Bj + Bj - 1) + 1
+        else:
+            for r in range(v * Bj, v * Bj + Bj):
+                m0 = a + (r - a) % Q
+                if m0 <= hi:
+                    yield -1, Q, m0, hi - (hi - r) % Q + Q
+        Bj *= B
+
+
+def logsum_word(spec: ProductSpec, N: int, F: int) -> int:
+    """``S(N) = sum_{n=1}^N N_w(n) * log(term_n)`` at scale ``F``, in ``O(sqrt N)`` Gamma ratios.
+
+    Sums the pieces of :func:`word_edge_plan`, each a difference of
+    ``G_Q = gammafn._balanced_lgamma`` values; an edge shared by two pieces
+    is evaluated once.  Every value is an integer fixed by the spec, ``Q``,
+    the edge and ``F``, so ``S(hi) - S(lo - 1)`` is the exact log-sum of any
+    range ``[lo, hi]`` and chunked evaluation adds up to the bit.
+    """
+    if N < 1:
+        return 0
+    B = spec.base
+    D = lcm(*(x.denominator for x in spec.a + spec.b))
+    A = tuple(sorted(int(x * D) for x in spec.a))
+    T = tuple(sorted(int(x * D) for x in spec.b))
+    DB = D * B
+    memo: dict[tuple[int, int], int] = {}
+
+    def G(Q: int, m: int) -> int:
+        v = memo.get((Q, m))
+        if v is None:
+            v = memo[Q, m] = _balanced_lgamma(A, T, DB * Q, DB * m, F)
+        return v
+
+    total = 0
+    shape = (B, len(spec.word.digits), word_value(spec.word), len(A))
+    for sign, Q, first, end in word_edge_plan(*shape, N, F):
+        total += sign * (G(Q, end) - G(Q, first))
     return total
 
 

@@ -1,6 +1,6 @@
 """Shared test helpers: conversions to the mpmath oracle, tolerance asserts,
-and the per-term log-sums of the 4/pi bit-length families (the oracle the
-library's Gamma-ratio block sums are checked against)."""
+and the per-term log-sums that the library's Gamma-ratio sums are checked
+against (the 4/pi bit-length families and the balanced ratio product)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import mpmath
 
-from blockprod._kernels_py import fx_log1p_inv
+from blockprod._kernels_py import fx_log1p_inv, fx_log_ratio
 from blockprod.bigreal import BigReal
 
 
@@ -81,4 +81,17 @@ def logsum_alternating(lo: int, hi: int, F: int) -> int:
         if k & 1:
             e = -e
         total += e * fx_log1p_inv((4 * k + 1) * (4 * k + 3), F)
+    return total
+
+
+def logsum_ratio_product(a: tuple, b: tuple, lo: int, hi: int, F: int) -> int:
+    """Sum of ``log(prod_i (n+a_i)/(n+b_i))`` for ``n`` in ``[lo, hi]``, one series per term."""
+    total = 0
+    for n in range(lo, hi + 1):
+        p = q = Fraction(1)
+        for ai, bi in zip(a, b):
+            p *= n + ai
+            q *= n + bi
+        r = p / q
+        total += fx_log_ratio(r.numerator, r.denominator, F)
     return total

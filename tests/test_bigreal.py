@@ -157,6 +157,17 @@ class TestDecimalRendering:
         assert text == f"BigReal(man={g.man}, exp={g.exp}, prec=128)"
         assert g.exp > MAX_DECIMAL_EXP
 
+    def test_to_fraction_of_huge_gamma_value_raises_at_once(self):
+        """``to_fraction`` is capped like ``to_decimal``: no 2**(4.2e13) integer is built."""
+        g = gamma(Fraction(3_300_000_000_001, 3), 128)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="MAX_DECIMAL_EXP|at most"):
+            g.to_fraction()
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(ValueError):
+            BigReal(1 << 63, -MAX_DECIMAL_EXP - 1, 64).to_fraction()
+        assert BigReal(1 << 63, -MAX_DECIMAL_EXP, 64).to_fraction() == Fraction(2**63, 2**MAX_DECIMAL_EXP)
+
     @given(nonzero_fractions_st, st.integers(2, 40))
     def test_round_trip_through_decimal(self, fr, sig):
         x = BigReal.from_fraction(fr, 192)

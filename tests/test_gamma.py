@@ -3,15 +3,19 @@
 import random
 from fractions import Fraction
 
+import helpers
 import mpmath
 import pytest
 from helpers import assert_close, to_mpf
 
-from blockprod.bigreal import BigReal, pi_value
+from blockprod.bigreal import GUARD_BITS, BigReal, pi_value
 from blockprod.gammafn import (
     BalanceError,
     GammaExpr,
     PoleError,
+    _balanced_lgamma,
+    _loggamma_fixed,
+    _series,
     eval_gamma_expr,
     gamma,
     gamma_ratio_product,
@@ -229,6 +233,29 @@ class TestRatioProduct:
         with pytest.raises(PoleError):
             gamma_ratio_product((Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(1)), 10, 128)
 
+    @pytest.mark.parametrize("a,b", [
+        ((Fraction(1, 2), Fraction(3, 2)), (Fraction(1), Fraction(1))),
+        ((Fraction(1, 3), Fraction(2), Fraction(7, 6)), (Fraction(1, 2), Fraction(1), Fraction(2))),
+    ])
+    @pytest.mark.parametrize("N", [0, 5, 3000])
+    def test_partial_against_oracles(self, a, b, N, mp_prec):
+        """``G(N+1) - G(0)`` against the per-term loop and against mpmath log-Gammas."""
+        prec = 128
+        F = prec + GUARD_BITS
+        partial, _ = gamma_ratio_product(a, b, N, prec)
+        per_term = helpers.logsum_ratio_product(a, b, 0, N, F)
+        assert abs(partial.to_fraction() / BigReal.exp_of_fixed(per_term, F, prec).to_fraction() - 1) \
+            <= Fraction(2) ** (8 - prec)
+        with mp_prec(prec):
+            want = mpmath.exp(mpmath.fsum(
+                mpmath.loggamma(N + 1 + mpmath.mpf(x.numerator) / x.denominator)
+                - mpmath.loggamma(mpmath.mpf(x.numerator) / x.denominator) for x in a
+            ) - mpmath.fsum(
+                mpmath.loggamma(N + 1 + mpmath.mpf(x.numerator) / x.denominator)
+                - mpmath.loggamma(mpmath.mpf(x.numerator) / x.denominator) for x in b
+            ))
+            assert_close(partial, want, contract(prec))
+
     def test_convergence_slope(self, mp_prec):
         """The relative gap between partial and closed shrinks like C/N."""
         a = (Fraction(1, 2), Fraction(3, 2))
@@ -239,6 +266,46 @@ class TestRatioProduct:
             gaps[N] = abs(partial.to_fraction() / closed.to_fraction() - 1)
         assert Fraction(4) <= gaps[10**3] / gaps[10**4] <= Fraction(25)
         assert Fraction(4) <= gaps[10**4] / gaps[10**5] <= Fraction(25)
+
+
+class TestBalancedSeries:
+    """The exact-coefficient Stirling series of balanced log-Gamma sums at its threshold."""
+
+    # (A, T, W): canonical base-2 blocks and classes, the non-integer base-3
+    # spec, three shifts per side, and shifts above 1
+    SHIFTS = [
+        ((1, 1), (0, 2), 2),
+        ((1, 1), (0, 2), 2 * 27),
+        ((3, 9), (2, 10), 18 * 9),
+        ((1, 1, 1), (0, 0, 3), 3 * 7),
+        ((80, 2), (0, 82), 2),
+    ]
+
+    @pytest.mark.parametrize("prec", [128, 1024, 2048])
+    def test_series_at_threshold_matches_spouge(self, prec):
+        """At ``u/W = X0``, the worst case of the series, it agrees with Spouge log-Gammas."""
+        F = prec + GUARD_BITS
+        shifts = self.SHIFTS if prec < 2048 else self.SHIFTS[1:3]
+        for A, T, W in shifts:
+            X0, coeffs = _series(A, T, W, F)
+            for u in (X0 * W, X0 * W + 1):
+                spouge = (sum(_loggamma_fixed(Fraction(u + x, W), F) for x in A)
+                          - sum(_loggamma_fixed(Fraction(u + x, W), F) for x in T))
+                assert abs(_balanced_lgamma(A, T, W, u, F) - spouge) <= 16, (A, T, W, u)
+
+    def test_series_against_mpmath(self, mp_prec):
+        F = 160
+        A, T, W = (3, 9), (2, 10), 18
+        X0, _ = _series(A, T, W, F)
+        with mp_prec(F):
+            for u in (X0 * W, 10**6 + 7, 10**15 + 3):
+                want = mpmath.fsum(mpmath.loggamma(mpmath.mpf(u + x) / W) for x in A) \
+                    - mpmath.fsum(mpmath.loggamma(mpmath.mpf(u + x) / W) for x in T)
+                assert abs(_balanced_lgamma(A, T, W, u, F) - want * 2**F) <= 2
+
+    def test_equal_shifts_give_zero(self):
+        assert _balanced_lgamma((1, 2), (2, 1), 3, 10**6, 160) == 0
+        assert _balanced_lgamma((1, 2), (2, 1), 3, 5, 160) == 0
 
 
 class TestSinPi:

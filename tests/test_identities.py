@@ -9,7 +9,7 @@ import mpmath
 import pytest
 from helpers import assert_close, to_mpf
 
-from blockprod import _kernels
+from blockprod import _kernels_py
 from blockprod.bigreal import GUARD_BITS, BigReal
 from blockprod.gammafn import BalanceError, eval_gamma_expr
 from blockprod.identities import (
@@ -384,9 +384,9 @@ class TestCompanionSum:
 
     def test_bit_identical_below_k0(self):
         for lo, hi in ((1, 1), (1, 7), (1, 10**4), (3, 10**5), (1000, self.K0 - 1)):
-            assert logsum_companion(lo, hi, self.F) == _kernels.logsum_companion(lo, hi, self.F)
+            assert logsum_companion(lo, hi, self.F) == _kernels_py.logsum_companion(lo, hi, self.F)
         assert companion_partial(10**4, 128) == BigReal.exp_of_fixed(
-            _kernels.logsum_companion(1, 10**4, self.F), self.F, 128
+            _kernels_py.logsum_companion(1, 10**4, self.F), self.F, 128
         )
 
     def test_range_splits_exactly(self):
@@ -402,7 +402,7 @@ class TestCompanionSum:
     @pytest.mark.parametrize("N", [2**17 + 2**9 + 7, 2 * 10**5])
     def test_matches_per_term_oracle(self, N):
         got = logsum_companion(1, N, self.F)
-        want = _kernels.logsum_companion(1, N, self.F)
+        want = _kernels_py.logsum_companion(1, N, self.F)
         assert abs(got - want) <= 1 << (self.F + 8 - self.PREC)
 
     @pytest.mark.parametrize("lo, hi", [(1, 3000), (2**17 - 100, 2**17 + 2**11 + 7)])

@@ -1,4 +1,4 @@
-"""Backend equivalence (pure vs compiled) and fixed-point primitive accuracy."""
+"""Fixed-point primitive accuracy and exact splitting of the per-term kernels."""
 
 import random
 from fractions import Fraction
@@ -6,8 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from blockprod import _kernels
-from blockprod import _kernels_py as pure
+from blockprod import _kernels_py
 from blockprod.fixedpoint import (
     fx_atan_inv,
     fx_div,
@@ -24,11 +23,6 @@ from blockprod.fixedpoint import (
     sqrt2pi_fixed,
 )
 from blockprod.words import Word, block_counts
-
-try:
-    from blockprod import _kernels_cy as compiled
-except ImportError:
-    compiled = None
 
 F = 192
 ULPS = 512  # generous absolute error budget for the primitives, in 2**-F units
@@ -167,83 +161,21 @@ class TestLogExpAtGammaScales:
             assert abs(fx_exp(fx_log(a, F), F) - a) <= (LOG_EXP_ULPS + FX_EXP_ULPS) * (a >> F)
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled kernels not built")
-class TestBackendEquivalence:
-    """Pure and compiled kernels must return bit-identical integers."""
-
-    def test_log_primitives(self):
-        rng = random.Random(17)
-        for _ in range(300):
-            p = rng.randrange(1, 10**12)
-            q = rng.randrange(1, 10**12)
-            assert pure.fx_log_ratio(p, q, F) == compiled.fx_log_ratio(p, q, F)
-            assert pure.fx_log1p_inv(q, F) == compiled.fx_log1p_inv(q, F)
-        for _ in range(30):
-            p = rng.randrange(1, 10**45)
-            q = rng.randrange(1, 10**45)
-            assert pure.fx_log_ratio(p, q, F) == compiled.fx_log_ratio(p, q, F)
-
-    def test_word_product_random_words(self):
-        rng = random.Random(23)
-        for _ in range(40):
-            base = rng.choice([2, 3, 4, 10, 36])
-            w = Word(base, tuple(rng.randrange(base) for _ in range(rng.randrange(1, 5))))
-            lo = rng.randrange(1, 10**6)
-            hi = lo + rng.randrange(0, 200)
-            args = (base, block_counts(w, lo, hi), (1, 1), (1, 1), (0, 2), (1, 1), lo, hi, F)
-            assert pure.logsum_word_product(*args) == compiled.logsum_word_product(*args)
-
-    def test_word_product_huge_n(self):
-        # indices above the compiled fast-path bounds take the object loop
-        lo = 10**40 + 12345
-        hi = lo + 64
-        for base, digits in ((2, (1, 0, 1)), (3, (1, 2))):
-            counts = block_counts(Word(base, digits), lo, hi)
-            args = (base, counts, (1, 1), (1, 1), (0, 2), (1, 1), lo, hi, F)
-            assert pure.logsum_word_product(*args) == compiled.logsum_word_product(*args)
-
-    @pytest.mark.parametrize("name", ["logsum_companion"])
-    def test_family_logsums(self, name):
-        fn_p = getattr(pure, name)
-        fn_c = getattr(compiled, name)
-        assert fn_p(1, 2500, F) == fn_c(1, 2500, F)
-        # straddle the compiled fast-path boundary
-        lo, hi = (1 << 29) - 40, (1 << 29) + 40
-        assert fn_p(lo, hi, F) == fn_c(lo, hi, F)
-
-    def test_word_product(self):
-        counts = block_counts(Word(2, (1, 0)), 1, 3000)
-        canon = (2, counts, (1, 1), (1, 1), (0, 2), (1, 1), 1, 3000, F)
-        assert pure.logsum_word_product(*canon) == compiled.logsum_word_product(*canon)
-        counts = block_counts(Word(3, (0, 2)), 1, 1500)
-        generic = (3, counts, (1, 1), (2, 3), (0, 7), (1, 6), 1, 1500, F)
-        assert pure.logsum_word_product(*generic) == compiled.logsum_word_product(*generic)
-
-    def test_ratio_product(self):
-        args = ((1, 3), (2, 2), (1, 1), (1, 1))
-        assert pure.logsum_ratio_product(*args, 0, 1500, F) == compiled.logsum_ratio_product(
-            *args, 0, 1500, F
-        )
-
-    def test_active_backend_reported(self):
-        assert _kernels.BACKEND in ("python", "cython")
-
-
 class TestSplitting:
     def test_all_accumulators_split_exactly(self):
         """The per-term family kernel; the block sums are split in ``TestBlockSums``."""
-        fn = _kernels.logsum_companion
+        fn = _kernels_py.logsum_companion
         whole = fn(1, 20000, F)
         assert whole == fn(1, 7777, F) + fn(7778, 20000, F)
 
     @pytest.mark.parametrize("base,text", [(2, "011"), (3, "12"), (4, "00")])
     def test_word_product_chunks_add_up(self, base, text):
-        """Log-sums over per-chunk block counts add up to the whole-range log-sum exactly."""
+        """Direct-sum log-sums over per-chunk block counts add up to the whole-range log-sum exactly."""
         w = Word.parse(text, base)
         params = ((1, 1), (1, 1), (0, 2), (1, 1))
 
         def logsum(lo, hi):
-            return _kernels.logsum_word_product(base, block_counts(w, lo, hi), *params, lo, hi, F)
+            return _kernels_py.logsum_word_product(base, block_counts(w, lo, hi), *params, lo, hi, F)
 
         chunks = ((1, 1), (2, 1000), (1001, 1023), (1024, 4097), (4098, 6000))
         assert logsum(1, 6000) == sum(logsum(lo, hi) for lo, hi in chunks)
