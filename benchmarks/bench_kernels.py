@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Measure where the telescoped word-product engine overtakes the direct sum.
 
-``eval_lhs_partial`` takes a word product's log-sum by whichever of two
-paths ``blockprod.products.path_costs`` prices cheaper: the Gamma-ratio
-engine ``identities.logsum_word`` or the direct per-term sum
-``_kernels_py.logsum_word_product``.  For each (base, word, d, precision)
+``eval_lhs_partial`` and the companion form take a word product's log-sum
+by whichever of two paths ``blockprod.products.path_costs`` prices cheaper:
+the Gamma-ratio engine ``identities.logsum_word`` or the direct per-term
+sum ``identities.logsum_word_direct``.  For each (base, word, d, precision)
 this script times both paths on a geometric grid of N and prints the
 measured break-even N (the first N from which the engine stays faster)
 next to the N where the pricing rule switches, which is the evidence for
@@ -21,14 +21,15 @@ import argparse
 import time
 from fractions import Fraction
 
-from blockprod import _kernels_py, gammafn
+from blockprod import gammafn
 from blockprod.bigreal import GUARD_BITS
-from blockprod.identities import ProductSpec, logsum_word
+from blockprod.identities import ProductSpec, logsum_word, logsum_word_direct
 from blockprod.products import path_costs
-from blockprod.words import Word, block_counts
+from blockprod.words import Word
 
-# (base, word, a, b): d = len(a)
+# (base, word, a, b): d = len(a); base 2 word 1 is the companion form's
 CASES = [
+    (2, "1", (1, 1), (0, 2)),
     (2, "101", (1, 1), (0, 2)),
     (3, "12", (1, 1), (0, 2)),
     (4, "00", (1, 1), (0, 2)),
@@ -45,14 +46,13 @@ def timed(fn, *args) -> float:
 
 def engine_time(spec: ProductSpec, N: int, F: int) -> float:
     gammafn._series.cache_clear()
+    gammafn._series_numerators.cache_clear()
     gammafn._bernoulli.cache_clear()
     return timed(logsum_word, spec, N, F)
 
 
 def direct_time(spec: ProductSpec, N: int, F: int) -> float:
-    args = spec.kernel_args()
-    return timed(lambda: _kernels_py.logsum_word_product(
-        spec.base, block_counts(spec.word, 1, N), *args, 1, N, F))
+    return timed(logsum_word_direct, spec, N, F)
 
 
 def grid(max_terms: int) -> list[int]:

@@ -1,17 +1,17 @@
-"""Per-term log-sum loops in exact integer fixed point.
+"""Per-term log-sum loop in exact integer fixed point.
 
-For each index ``n`` these loops add an integer fixed-point logarithm
-(scale ``F`` bits, see :mod:`blockprod.fixedpoint`) times an integer
-exponent: a digit-block count handed in by the caller, or the companion
-form's popcount exponent computed in place.  They serve where one series
-per term is cheaper than Gamma ratios: the direct word-product sum, which
-``products.eval_lhs_partial`` takes for small ``N`` at high precision
+For each index ``n`` the loop adds an integer fixed-point logarithm (scale
+``F`` bits, see :mod:`blockprod.fixedpoint`) times a digit-block count
+handed in by the caller.  It is the direct word-product sum, which
+``identities.logsum_word_direct`` runs for small ``N`` at high precision
 (larger ``N`` go to the telescoped sum
-:func:`blockprod.identities.logsum_word`), and the companion form below
-``2**17``.  The accumulated log-sums are plain integer additions, so
-splitting a range ``[lo, hi]`` into disjoint chunks and adding the partial
-sums gives *exactly* the whole-range result.  Each term's log is floored,
-so a sum drifts from the exact value by a few units of ``2**-F`` per term.
+:func:`blockprod.identities.logsum_word`); the companion form reaches it
+through the word ``1`` in base 2.  The accumulated log-sum is a plain
+integer addition, so splitting a range ``[lo, hi]`` into disjoint chunks
+and adding the partial sums gives *exactly* the whole-range result.  Each
+term's log is floored, so a sum drifts from the exact value by a few units
+of ``2**-F`` per term; ``logsum_word_direct`` runs it with guard bits and
+rounds once.
 """
 
 from __future__ import annotations
@@ -126,15 +126,3 @@ def logsum_word_product(
         total += c * fx_log_ratio(p, q, F)
     return total
 
-
-def logsum_companion(lo: int, hi: int, F: int) -> int:
-    """Log-sum of ``((4k+2)^2/((4k+1)(4k+3)))^(2*(N_0(k) - N_1(k)))`` for ``k`` in ``[lo, hi]``.
-
-    The exponent is ``2*(bitlen(k) - 2*popcount(k))``, the signed digit balance.
-    """
-    total = 0
-    for k in range(max(lo, 1), hi + 1):
-        e = 2 * (k.bit_length() - 2 * k.bit_count())
-        if e:
-            total += e * fx_log1p_inv((4 * k + 1) * (4 * k + 3), F)
-    return total

@@ -40,14 +40,14 @@ DEFAULT_TOLERANCE = "1/1000"
 FORMATS = ("text", "json", "csv")
 
 # Input caps, so that a mistyped size is refused rather than hanging the
-# process.  Spouge coefficients cost about 5 s cold at 2048 bits and about a
-# minute at 4096.  The 4/pi bit-length families (verify rivoal, alternating)
-# sum O(log N) Gamma-ratio blocks.  The companion form sums O(sqrt N) Gamma
-# ratios above 2^17 (about 3 s at 10^7 terms); word products and the
-# grouping check of rivoal-forms cost O(N), seconds per 10^6 terms.  One
-# lemma1-fuzz trial at the default sizes costs about 0.35 ms, so 10^5 trials
-# take about 35 s.  Its support points are drawn from [1, 400), so more than
-# 400 draws add no new point; at both size caps a trial takes about 5 ms.
+# process.  Spouge coefficients cost about 0.3 s cold at 2048 bits and 2 s at
+# 4096.  The 4/pi bit-length families sum O(log N) Gamma-ratio blocks, word
+# products and the companion form O(sqrt N) Gamma ratios (verify companion:
+# 0.4 s at 10^7 terms, 6 s at 2048 bits); the grouping check of rivoal-forms
+# costs O(N), seconds per 10^6 blocks.  One lemma1-fuzz trial at the default
+# sizes costs about 0.35 ms, so 10^5 trials take about 35 s.  Its support
+# points are drawn from [1, 400), so more than 400 draws add no new point; at
+# both size caps a trial takes about 5 ms.
 MAX_PRECISION = 2048
 MAX_BLOCK_SUM_TERMS = 10**30
 MAX_PER_TERM_TERMS = 10**7

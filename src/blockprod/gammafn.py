@@ -209,6 +209,30 @@ def _series_terms(F: int, X0: int, d: int, big: int = 0) -> int:
             return k - 1
 
 
+@lru_cache(maxsize=8)
+def _series_numerators(
+    A: tuple[int, ...], T: tuple[int, ...], K: int
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(lam, rows)``: row ``n - 2`` holds ``C(n, j) lam B_j p_(n-j)`` for ``j = n-2..0``, ``n = 2..K+1``.
+
+    ``lam`` clears the denominators of ``B_0..B_(K+1)`` (``B_j = 0`` for odd
+    ``j > 1``); Horner in ``W`` over a row gives ``W^n lam sum_i [B_n(A_i/W)
+    - B_n(T_i/W)]`` for any modulus ``W``.
+    """
+    n_max = K + 1
+    bern = _bernoulli(n_max)
+    lam = lcm(*(b.denominator for b in bern))
+    bern_int = [b.numerator * (lam // b.denominator) for b in bern]
+    p = [sum(a**m for a in A) - sum(t**m for t in T) for m in range(n_max + 1)]
+    rows = []
+    binom = [1, 2, 1]  # C(n, j) for n = 2
+    for n in range(2, n_max + 1):
+        rows.append(tuple(binom[j] * bern_int[j] * p[n - j] if j < 2 or not j & 1 else 0
+                          for j in range(n - 2, -1, -1)))
+        binom = [1, *map(sum, zip(binom, binom[1:])), 1]
+    return lam, tuple(rows)
+
+
 @lru_cache(maxsize=64)
 def _series(A: tuple[int, ...], T: tuple[int, ...], W: int, F: int) -> tuple[int, tuple[int, ...]]:
     """``(X0, coefficients)``: ``c_1..c_K`` of ``G`` at scale ``F + _SERIES_GUARD``, from power sums."""
@@ -217,28 +241,17 @@ def _series(A: tuple[int, ...], T: tuple[int, ...], W: int, F: int) -> tuple[int
         big = 0  # every shift in [0, 1]
     X0 = max(_series_threshold(F), 4 * big)
     K = _series_terms(F, X0, len(A), big)
-    n_max = K + 1
-    bern = _bernoulli(n_max)
-    lam = lcm(*(b.denominator for b in bern))
-    bern_int = [b.numerator * (lam // b.denominator) for b in bern]
-    p = [sum(a**m for a in A) - sum(t**m for t in T) for m in range(n_max + 1)]
+    lam, rows = _series_numerators(A, T, K)
     S = F + _SERIES_GUARD
     coeffs = []
-    row = [1, 2, 1]  # binomials C(n, j) for n = k + 1
     w_n = W * W
-    for k in range(1, K + 1):
-        n = k + 1
-        # W^n lam * sum_i [B_n(A_i/W) - B_n(T_i/W)] by Horner in W over j;
-        # B_j = 0 for odd j > 1
+    for k, row in enumerate(rows, 1):
         y = 0
-        for j in range(n - 2, -1, -1):
-            y *= W
-            if j < 2 or not j & 1:
-                y += row[j] * bern_int[j] * p[n - j]
+        for c in row:
+            y = y * W + c
         if k & 1 == 0:
             y = -y
-        coeffs.append((y << S) // (k * n * lam * w_n))
-        row = [1, *map(sum, zip(row, row[1:])), 1]
+        coeffs.append((y << S) // (k * (k + 1) * lam * w_n))
         w_n *= W
     return X0, tuple(coeffs)
 

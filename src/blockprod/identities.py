@@ -11,15 +11,16 @@ Four families live here:
   :func:`closed_form_baseB` for general base and parameter vectors);
 * the truncated log-sum of a general block-exponent product, telescoped by
   the same identity into ``O(sqrt N)`` balanced Gamma ratios
-  (:func:`logsum_word`);
+  (:func:`logsum_word`), or summed term by term where that is priced
+  cheaper (:func:`logsum_word_priced`);
 * the concrete 4/pi product family: the original four-periodic form, the
   grouped form with digit-count exponents, the companion form with signed
   digit-count exponents, and the numerically estimated alternating form.
   The three forms whose exponent depends on ``bitlen(k)`` alone are summed
   as Gamma-ratio blocks (:func:`logsum_rivoal_grouped` and its siblings);
   the companion form, whose exponent also depends on ``popcount(k)``, as
-  Gamma ratios over aligned blocks and residue classes above ``2**17``
-  (:func:`logsum_companion`).
+  the grouped log-sum minus twice the word product of the base-2 word
+  ``1`` (:func:`logsum_companion`).
 
 Floor-log exponents are always derived from integer bit length
 (``floor(log2 k - 1) = bitlen(k) - 2`` and ``floor(log2 k + 1) = bitlen(k)``
@@ -35,15 +36,24 @@ from typing import Callable, Iterator, Mapping
 
 from blockprod import _kernels_py
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision
-from blockprod.fixedpoint import log2_fixed, rshift_round
+from blockprod.fixedpoint import rshift_round
 from blockprod.gammafn import (
     BalanceError,
     GammaExpr,
     _balanced_lgamma,
     _loggamma_fixed,
+    _series_terms,
     _series_threshold,
 )
-from blockprod.words import ALL_ZEROS, Word, classify, count_block, word_value
+from blockprod.words import (
+    ALL_ZEROS,
+    Word,
+    block_counts,
+    classify,
+    count_block,
+    to_digits,
+    word_value,
+)
 
 __all__ = [
     "rho",
@@ -65,6 +75,9 @@ __all__ = [
     "logsum_alternating",
     "logsum_companion",
     "logsum_word",
+    "logsum_word_direct",
+    "logsum_word_priced",
+    "path_costs",
     "word_edge_plan",
     "rivoal_original_factors",
     "rivoal_grouped_factors",
@@ -443,94 +456,6 @@ def logsum_alternating(lo: int, hi: int, F: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# the companion form as block and residue-class Gamma ratios
-# --------------------------------------------------------------------------
-#
-# The companion exponent e(k) = 2*bitlen(k) - 4*popcount(k) is not constant
-# on dyadic blocks.  Above _COMPANION_K0 write k = X*M + r with M = 2^H and
-# 0 <= r < M; then e(k) = E(X) - 4*popcount(r), E(X) = 2*(bitlen(X) + H) -
-# 4*popcount(X), and the log-sum splits into
-#   (A) E(X) times the grouped factor's log-sum over the aligned block
-#       [X*M, X*M + M - 1], one Gamma ratio per block, and
-#   (B) -4*popcount(r) times the log-sum over the residue class r mod M,
-#       whose factor (X + (2r+1)/(2M))^2 / ((X + (4r+1)/(4M))(X + (4r+3)/(4M)))
-#       telescopes over X to one Gamma ratio per class.
-# That is about 2(N - K0)/M + 6M log-Gammas in place of N series; H = 9
-# suits N near 10^6.  Below K0 the per-term kernel runs, so every N < K0
-# gives its integers exactly.  Both Phi functions are integers at scale F
-# fixed by their argument and F, so range splitting stays exact.
-_COMPANION_H = 9
-_COMPANION_M = 1 << _COMPANION_H
-_COMPANION_K0 = 1 << 17  # a multiple of M
-
-
-def _phi_grouped(x: int, F: int) -> int:
-    """``2 lgG(x + 1/2) - lgG(x + 1/4) - lgG(x + 3/4)`` at scale ``F``, up to a constant.
-
-    By the duplication formula ``G(x + 1/4) G(x + 3/4) = 2^(1/2 - 2x)
-    sqrt(pi) G(2x + 1/2)`` it equals ``2 lgG(x + 1/2) - lgG(2x + 1/2) +
-    2x log 2 - (log 2 + log pi) / 2``; the constant cancels in every
-    difference and is left out.  ``2x log 2`` uses ``log 2`` carried
-    ``bitlen(x) + 3`` bits deeper, so it is within a unit.
-    """
-    extra = x.bit_length() + 3
-    return (
-        2 * _loggamma_fixed(Fraction(2 * x + 1, 2), F)
-        - _loggamma_fixed(Fraction(4 * x + 1, 2), F)
-        + rshift_round(2 * x * log2_fixed(F + extra), extra)
-    )
-
-
-def _phi_class(r: int, t: int, F: int) -> int:
-    """``2 lgG(t + (2r+1)/(2M)) - lgG(t + (4r+1)/(4M)) - lgG(t + (4r+3)/(4M))`` at scale ``F``."""
-    q = 4 * _COMPANION_M
-    base = q * t + 4 * r
-    return (
-        2 * _loggamma_fixed(Fraction(base + 2, q), F)
-        - _loggamma_fixed(Fraction(base + 1, q), F)
-        - _loggamma_fixed(Fraction(base + 3, q), F)
-    )
-
-
-def logsum_companion(lo: int, hi: int, F: int) -> int:
-    """Log-sum of ``((4k+2)^2/((4k+1)(4k+3)))^(2*(N_0(k) - N_1(k)))`` for ``k`` in ``[max(lo, 1), hi]``.
-
-    The exponent is ``2*(bitlen(k) - 2*popcount(k))``, the signed digit
-    balance.  Indices below ``2^17`` are summed term by term
-    (:func:`blockprod._kernels_py.logsum_companion`); above it, aligned blocks
-    of ``2^9`` indices and the ``2^9 - 1`` nonzero residue classes modulo
-    ``2^9`` each add one Gamma ratio, so ``[1, N]`` costs ``O(sqrt N)``
-    log-Gammas.
-    """
-    H, M, K0 = _COMPANION_H, _COMPANION_M, _COMPANION_K0
-    lo = max(lo, 1)
-    total = 0
-    if lo < K0:
-        total = _kernels_py.logsum_companion(lo, min(hi, K0 - 1), F)
-        lo = K0
-    if lo > hi:
-        return total
-    phi_cache: dict[int, int] = {}  # adjacent blocks share an edge
-
-    def phi(x: int) -> int:
-        v = phi_cache.get(x)
-        if v is None:
-            v = phi_cache[x] = _phi_grouped(x, F)
-        return v
-
-    for X in range(lo >> H, (hi >> H) + 1):  # (A) aligned blocks
-        e = 2 * (X.bit_length() + H) - 4 * X.bit_count()
-        if e:
-            total += e * (phi(min(hi, (X << H) + M - 1) + 1) - phi(max(lo, X << H)))
-    for r in range(1, M):  # (B) residue classes
-        a = -((r - lo) >> H)  # first t with t*M + r >= lo
-        b = (hi - r) >> H  # last t with t*M + r <= hi
-        if a <= b:
-            total -= 4 * r.bit_count() * (_phi_class(r, b + 1, F) - _phi_class(r, a, F))
-    return total
-
-
-# --------------------------------------------------------------------------
 # word products by the telescoping lemma
 # --------------------------------------------------------------------------
 #
@@ -628,6 +553,129 @@ def logsum_word(spec: ProductSpec, N: int, F: int) -> int:
     for sign, Q, first, end in word_edge_plan(*shape, N, F):
         total += sign * (G(Q, end) - G(Q, first))
     return total
+
+
+# The direct sum adds one floored fixed-point log per term with nonzero
+# count, over block counts built per chunk of COUNT_CHUNK indices.  It runs
+# at scale S = F + g and rounds once.  A floored term log is low by less
+# than S/8 units of 2**-S (measured: at most S/11 at S = 160, 1056 and 2080)
+# and weighs at most 2 bitlen(N).  With g = bitlen(N) + bitlen(F) + 4, so
+# that 2**g > 16 N F, the N terms drift by less than
+# N * 2 bitlen(N) * S/8 / 2**g < bitlen(N) (1 + g/F) / 64 units of 2**-F.
+COUNT_CHUNK = 1 << 16
+
+
+def _direct_guard_bits(N: int, F: int) -> int:
+    return N.bit_length() + F.bit_length() + 4
+
+
+def path_costs(spec: ProductSpec, N: int, F: int) -> tuple[float, float]:
+    """Estimated seconds of ``(telescoped engine, direct sum)`` for ``S(N)`` at scale ``F``.
+
+    The engine is priced from its exact edge plan (:func:`word_edge_plan`),
+    counted without evaluating anything: each distinct edge at or above the
+    series threshold costs ``K`` Horner steps, each edge below it ``2d``
+    Spouge log-Gammas, and each series modulus ``Q`` one cold coefficient
+    build of ``K^2`` steps, on top of one build of the products that every
+    modulus shares.  The direct sum costs one log ratio per term whose
+    block count is nonzero (share estimated as ``1 - (1 - B^-L)^windows``)
+    at its working scale, cheaper on the base-2 parameters of its fast
+    path.  The per-step times are fits to ``benchmarks/bench_kernels.py``
+    (pure Python, Python 3.11, one core of a 2-core x86-64 machine).
+    """
+    B, length, d = spec.base, len(spec.word.digits), len(spec.a)
+    X0 = _series_threshold(F)
+    K = _series_terms(F, X0, d)
+    series, fallback, moduli = set(), set(), set()
+    for _, Q, first, end in word_edge_plan(B, length, word_value(spec.word), d, N, F):
+        for m in (first, end):
+            if m >= Q * X0:
+                series.add((Q, m))
+                moduli.add(Q)
+            else:
+                fallback.add((Q, m))
+    step = 0.25 + F / 2000  # one Horner step, us
+    shared_step = 0.2 + F / 14000  # one step of the modulus-free products, us
+    build_step = 0.08 + F / 20000  # one coefficient-build step, us
+    lgamma = 100 + F * F / 1000  # one Spouge log-Gamma, us
+    engine = len(series) * K * step + len(fallback) * 2 * d * lgamma
+    if moduli:
+        engine += K * K * (shared_step + len(moduli) * build_step)
+    windows = max(0, len(to_digits(N, B)) - length + 1)
+    share = float(1 - Fraction(B**length - 1, B**length) ** windows)  # exact, then rounded once
+    S = F + _direct_guard_bits(N, F)  # the direct sum's working scale
+    if (B, *spec.kernel_args()) == _kernels_py.FAST_PATH_ARGS:
+        per_term = 1 + S * S / 85000
+    else:
+        per_term = 0.55 * d * (B + 1) + d * S * S * (1 + S / 2048) / 102000
+    return engine * 1e-6, N * share * per_term * 1e-6
+
+
+def logsum_word_direct(spec: ProductSpec, N: int, F: int) -> int:
+    """``S(N)`` at scale ``F`` as the direct sum of one fixed-point log per term, rounded once.
+
+    Sums :func:`blockprod._kernels_py.logsum_word_product` over chunks of at
+    most ``COUNT_CHUNK`` indices at scale ``F + g`` and rounds the total to
+    scale ``F`` (the guard bits ``g`` are fixed by ``(N, F)``; see the
+    comment above :data:`COUNT_CHUNK`).
+    """
+    g = _direct_guard_bits(N, F)
+    args = spec.kernel_args()
+    total = 0
+    for lo in range(1, N + 1, COUNT_CHUNK):
+        hi = min(lo + COUNT_CHUNK - 1, N)
+        counts = block_counts(spec.word, lo, hi)
+        total += _kernels_py.logsum_word_product(spec.base, counts, *args, lo, hi, F + g)
+    return rshift_round(total, g)
+
+
+def logsum_word_priced(spec: ProductSpec, N: int, F: int) -> int:
+    """``S(N)`` at scale ``F`` by whichever path :func:`path_costs` prices cheaper.
+
+    The telescoped engine :func:`logsum_word` (``O(sqrt N)`` Gamma ratios,
+    the larger ``N``) or the direct sum :func:`logsum_word_direct` (small
+    ``N``, high precision).  The choice reads the spec's shape and ``(N, F)``
+    alone, never cache state, so ``S(N)`` is an integer fixed by its
+    arguments.
+    """
+    if N < 1:
+        return 0
+    engine, direct = path_costs(spec, N, F)
+    if engine < direct:
+        return logsum_word(spec, N, F)
+    return logsum_word_direct(spec, N, F)
+
+
+# --------------------------------------------------------------------------
+# the companion form through the word-product log-sum
+# --------------------------------------------------------------------------
+#
+# The companion exponent 2(N_0(k) - N_1(k)) = 2 bitlen(k) - 4 N_1(k) splits
+# the log-sum into the grouped form's (exponent 2 bitlen(k), O(log N)
+# Gamma-ratio blocks) minus twice that of the canonical base-2 product for
+# the word 1, whose term ((4k+2)^2/((4k+1)(4k+3)))^2 carries exponent
+# N_1(k).  Both are prefix sums fixed by (N, F), so a range is a difference
+# of prefixes and splits exactly.
+_WORD_ONE = ProductSpec.canonical_base2(Word.parse("1", 2))
+
+
+def _companion_prefix(N: int, F: int) -> int:
+    return logsum_rivoal_grouped(1, N, F) - 2 * logsum_word_priced(_WORD_ONE, N, F)
+
+
+def logsum_companion(lo: int, hi: int, F: int) -> int:
+    """Log-sum of ``((4k+2)^2/((4k+1)(4k+3)))^(2*(N_0(k) - N_1(k)))`` for ``k`` in ``[max(lo, 1), hi]``.
+
+    The exponent is ``2*(bitlen(k) - 2*popcount(k))``, the signed digit
+    balance.  The log-sum is ``P(hi) - P(lo - 1)`` with ``P(N)`` the grouped
+    form's log-sum minus twice the word-``1`` log-sum
+    (:func:`logsum_word_priced`): ``O(log N)`` plus ``O(sqrt N)`` log-Gammas
+    for large ``N``, one series per term for small ``N``.
+    """
+    lo = max(lo, 1)
+    if lo > hi:
+        return 0
+    return _companion_prefix(hi, F) - _companion_prefix(lo - 1, F)
 
 
 # --------------------------------------------------------------------------

@@ -5,17 +5,17 @@ at scale ``F = precision + GUARD_BITS``.  Word products take the
 telescoped sum of the paper's lemma, ``O(sqrt N)`` balanced Gamma ratios
 (:func:`blockprod.identities.logsum_word`), or, where :func:`path_costs`
 prices it cheaper (small ``N``, high precision), the direct sum of one
-fixed-point logarithm per term.  The left side of ``rivoal_eq1`` (the
-grouped 4/pi form) adds one log-Gamma combination per dyadic block
-(:func:`blockprod.identities.logsum_rivoal_grouped`), within a few dozen
-units of ``2**-F`` of the exact log-sum, measured up to N = 10**30.  The
-left side of ``companion_eq2`` adds one logarithm per term below ``2**17``
-and one Gamma ratio per aligned block and per residue class above
-(:func:`blockprod.identities.logsum_companion`).  Each summand is an
-integer fixed by its own index or edge and by ``F``, so a range taken as a
-difference of prefixes, or disjoint ranges summed in any order, reproduce
-the whole-range result exactly (the documented contract allows 4 ulps;
-this implementation gives 0).
+fixed-point logarithm per term, rounded once.  The left side of
+``rivoal_eq1`` (the grouped 4/pi form) adds one log-Gamma combination per
+dyadic block (:func:`blockprod.identities.logsum_rivoal_grouped`), within a
+few dozen units of ``2**-F`` of the exact log-sum, measured up to N =
+10**30.  The left side of ``companion_eq2`` is that grouped log-sum minus
+twice the word product of the base-2 word ``1``, taken by the same choice
+of path (:func:`blockprod.identities.logsum_companion`).  Each log-sum is
+built from integers fixed by their own index, edge or prefix length and by
+``F``, so a range taken as a difference of prefixes, or disjoint ranges
+summed in any order, reproduce the whole-range result exactly (the
+documented contract allows 4 ulps; this implementation gives 0).
 
 Tail bound.  For a product with balanced parameter vectors the n-th term
 satisfies ``|log term_n| <= C(N)/n^2`` for all ``n > N`` (derivation in
@@ -35,20 +35,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from blockprod import _kernels_py
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision, pi_value
 from blockprod.fixedpoint import fx_div, fx_log, log2_fixed
-from blockprod.gammafn import _series_terms, _series_threshold, eval_gamma_expr
+from blockprod.gammafn import eval_gamma_expr
+# COUNT_CHUNK and path_costs stay importable from this module
 from blockprod.identities import (
+    COUNT_CHUNK,
     ProductSpec,
     closed_form_baseB,
     companion_closed_form,
     logsum_companion,
     logsum_rivoal_grouped,
-    logsum_word,
-    word_edge_plan,
+    logsum_word_priced,
+    path_costs,
 )
-from blockprod.words import Word, all_words, block_counts, to_digits, word_value
+from blockprod.words import Word, all_words
 
 __all__ = [
     "VerifyReport",
@@ -63,9 +64,6 @@ __all__ = [
 
 NAMED_FORMULAS = ("rivoal_eq1", "companion_eq2")
 
-# indices per block_counts buffer in eval_lhs_partial
-COUNT_CHUNK = 1 << 16
-
 # verdict threshold is max(tolerance, TAIL_FACTOR * tail_estimate): a partial
 # product cannot be expected to sit closer to the limit than its own tail.
 TAIL_FACTOR = 2
@@ -76,70 +74,21 @@ TAIL_FACTOR = 2
 # --------------------------------------------------------------------------
 
 
-def path_costs(spec: ProductSpec, N: int, F: int) -> tuple[float, float]:
-    """Estimated seconds of ``(telescoped engine, direct sum)`` for ``S(N)`` at scale ``F``.
-
-    The engine is priced from its exact edge plan (:func:`word_edge_plan`),
-    counted without evaluating anything: each distinct edge at or above the
-    series threshold costs ``K`` Horner steps, each edge below it ``2d``
-    Spouge log-Gammas, and each series modulus ``Q`` one cold coefficient
-    build of ``K^2`` steps.  The direct sum costs one log ratio per term
-    whose block count is nonzero (share estimated as ``1 - (1 -
-    B^-L)^windows``), cheaper on the base-2 parameters of its fast path.
-    The per-step times are fits to ``benchmarks/bench_kernels.py`` (pure
-    Python, Python 3.11, one core of a 2-core x86-64 machine).
-    """
-    B, length, d = spec.base, len(spec.word.digits), len(spec.a)
-    X0 = _series_threshold(F)
-    K = _series_terms(F, X0, d)
-    series, fallback, moduli = set(), set(), set()
-    for _, Q, first, end in word_edge_plan(B, length, word_value(spec.word), d, N, F):
-        for m in (first, end):
-            if m >= Q * X0:
-                series.add((Q, m))
-                moduli.add(Q)
-            else:
-                fallback.add((Q, m))
-    step = 0.25 + F / 2000  # one Horner step, us
-    build_step = 0.45  # one coefficient-build step, us
-    lgamma = 100 + F * F / 1000  # one Spouge log-Gamma, us
-    engine = len(series) * K * step + len(fallback) * 2 * d * lgamma + len(moduli) * K * K * build_step
-    windows = max(0, len(to_digits(N, B)) - length + 1)
-    share = float(1 - Fraction(B**length - 1, B**length) ** windows)  # exact, then rounded once
-    if (B, *spec.kernel_args()) == _kernels_py.FAST_PATH_ARGS:
-        per_term = 1 + F * F / 85000
-    else:
-        per_term = 0.55 * d * (B + 1) + d * F * F * (1 + F / 2048) / 102000
-    return engine * 1e-6, N * share * per_term * 1e-6
-
-
 def eval_lhs_partial(spec: ProductSpec, N: int, precision_bits: int) -> BigReal:
     """First ``N`` factors of the block-exponent product, in log space.
 
     Exponents are the block-occurrence counts of ``spec.word``.  The log-sum
-    is taken by whichever of two paths :func:`path_costs` prices cheaper
-    from the spec's shape and ``(N, F)`` alone: the telescoped Gamma-ratio
-    engine :func:`blockprod.identities.logsum_word` (``O(sqrt N)`` pieces,
-    the larger ``N``), or the direct sum of one fixed-point log per term
-    with nonzero count, over block counts built per chunk of at most
-    ``COUNT_CHUNK`` indices (small ``N``, high precision).
+    is :func:`blockprod.identities.logsum_word_priced`: the telescoped
+    Gamma-ratio engine (``O(sqrt N)`` pieces, the larger ``N``) or the
+    direct sum of one fixed-point log per term (small ``N``, high
+    precision), whichever :func:`path_costs` prices cheaper from the spec's
+    shape and ``(N, F)`` alone.
     """
     prec = _check_precision(precision_bits)
     if N < 1:
         raise ValueError("N must be >= 1")
     F = prec + GUARD_BITS
-    engine, direct = path_costs(spec, N, F)
-    if engine < direct:
-        return BigReal.exp_of_fixed(logsum_word(spec, N, F), F, prec)
-    a_num, a_den, b_num, b_den = spec.kernel_args()
-    logsum = 0
-    for lo in range(1, N + 1, COUNT_CHUNK):
-        hi = min(lo + COUNT_CHUNK - 1, N)
-        counts = block_counts(spec.word, lo, hi)
-        logsum += _kernels_py.logsum_word_product(
-            spec.base, counts, a_num, a_den, b_num, b_den, lo, hi, F
-        )
-    return BigReal.exp_of_fixed(logsum, F, prec)
+    return BigReal.exp_of_fixed(logsum_word_priced(spec, N, F), F, prec)
 
 
 # --------------------------------------------------------------------------

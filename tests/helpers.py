@@ -1,6 +1,6 @@
 """Shared test helpers: conversions to the mpmath oracle, tolerance asserts,
 and the per-term log-sums that the library's Gamma-ratio sums are checked
-against (the 4/pi bit-length families and the balanced ratio product)."""
+against (the 4/pi family and the balanced ratio product)."""
 
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ def frac_rel_err(got: Fraction, want: Fraction) -> Fraction:
 
 
 # --------------------------------------------------------------------------
-# per-term log-sums of the 4/pi bit-length families
+# per-term log-sums of the 4/pi family
 # --------------------------------------------------------------------------
 
 
@@ -81,6 +81,19 @@ def logsum_alternating(lo: int, hi: int, F: int) -> int:
         if k & 1:
             e = -e
         total += e * fx_log1p_inv((4 * k + 1) * (4 * k + 3), F)
+    return total
+
+
+def logsum_companion(lo: int, hi: int, F: int) -> int:
+    """Log-sum of ``((4k+2)^2/((4k+1)(4k+3)))^(2*(N_0(k) - N_1(k)))`` for ``k`` in ``[lo, hi]``.
+
+    The exponent is ``2*(bitlen(k) - 2*popcount(k))``, the signed digit balance.
+    """
+    total = 0
+    for k in range(max(lo, 1), hi + 1):
+        e = 2 * (k.bit_length() - 2 * k.bit_count())
+        if e:
+            total += e * fx_log1p_inv((4 * k + 1) * (4 * k + 3), F)
     return total
 
 

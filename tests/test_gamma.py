@@ -1,5 +1,6 @@
 """Gamma evaluation quality, closed-form expressions, and ratio products."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,10 +13,14 @@ from blockprod.bigreal import GUARD_BITS, BigReal, pi_value
 from blockprod.gammafn import (
     BalanceError,
     GammaExpr,
+    _SERIES_GUARD,
     PoleError,
     _balanced_lgamma,
+    _bernoulli,
     _loggamma_fixed,
     _series,
+    _series_terms,
+    _series_threshold,
     eval_gamma_expr,
     gamma,
     gamma_ratio_product,
@@ -268,6 +273,31 @@ class TestRatioProduct:
         assert Fraction(4) <= gaps[10**4] / gaps[10**5] <= Fraction(25)
 
 
+def per_modulus_series(A, T, W, F):
+    """``gammafn._series`` with every ``C(n, j) B_j p_(n-j)`` formed inside the Horner sum in ``W``."""
+    big = -(-max(A + T) // W)
+    if big <= 1:
+        big = 0
+    X0 = max(_series_threshold(F), 4 * big)
+    K = _series_terms(F, X0, len(A), big)
+    bern = _bernoulli(K + 1)
+    lam = math.lcm(*(b.denominator for b in bern))
+    bern_int = [b.numerator * (lam // b.denominator) for b in bern]
+    p = [sum(a**m for a in A) - sum(t**m for t in T) for m in range(K + 2)]
+    coeffs = []
+    for k in range(1, K + 1):
+        n = k + 1
+        y = 0
+        for j in range(n - 2, -1, -1):
+            y *= W
+            if j < 2 or not j & 1:
+                y += math.comb(n, j) * bern_int[j] * p[n - j]
+        if k & 1 == 0:
+            y = -y
+        coeffs.append((y << (F + _SERIES_GUARD)) // (k * n * lam * W**n))
+    return X0, tuple(coeffs)
+
+
 class TestBalancedSeries:
     """The exact-coefficient Stirling series of balanced log-Gamma sums at its threshold."""
 
@@ -302,6 +332,14 @@ class TestBalancedSeries:
                 want = mpmath.fsum(mpmath.loggamma(mpmath.mpf(u + x) / W) for x in A) \
                     - mpmath.fsum(mpmath.loggamma(mpmath.mpf(u + x) / W) for x in T)
                 assert abs(_balanced_lgamma(A, T, W, u, F) - want * 2**F) <= 2
+
+    @pytest.mark.parametrize("prec", [128, 1024])
+    def test_coefficients_equal_per_modulus_build(self, prec):
+        """The coefficients, built from products shared by every modulus, are the integers
+        of a build that forms each product afresh for each ``W``."""
+        F = prec + GUARD_BITS
+        for A, T, W in self.SHIFTS + [((1, 1), (0, 2), 2 * 2**j) for j in range(1, 12, 5)]:
+            assert _series(A, T, W, F) == per_modulus_series(A, T, W, F), (A, T, W)
 
     def test_equal_shifts_give_zero(self):
         assert _balanced_lgamma((1, 2), (2, 1), 3, 10**6, 160) == 0

@@ -9,10 +9,10 @@ import mpmath
 import pytest
 from helpers import assert_close, to_mpf
 
-from blockprod import _kernels_py
-from blockprod.bigreal import GUARD_BITS, BigReal
+from blockprod.bigreal import GUARD_BITS
 from blockprod.gammafn import BalanceError, eval_gamma_expr
 from blockprod.identities import (
+    _WORD_ONE,
     FiniteSupportFn,
     _grouping_exponents,
     ProductSpec,
@@ -30,6 +30,7 @@ from blockprod.identities import (
     logsum_companion,
     logsum_rivoal_grouped,
     logsum_rivoal_original,
+    path_costs,
     rho,
     rivoal_grouped_factors,
     rivoal_grouped_partial,
@@ -375,35 +376,45 @@ def mp_companion_logsum(lo: int, hi: int, H: int = 10) -> mpmath.mpf:
 
 
 class TestCompanionSum:
-    """The companion log-sum: per-term below ``2^17``, Gamma ratios above."""
+    """The companion log-sum: the grouped log-sum minus twice the word-``1`` log-sum."""
 
     PREC = 128
     F = PREC + GUARD_BITS
-    K0 = 2**17
-    M = 2**9
 
-    def test_bit_identical_below_k0(self):
-        for lo, hi in ((1, 1), (1, 7), (1, 10**4), (3, 10**5), (1000, self.K0 - 1)):
-            assert logsum_companion(lo, hi, self.F) == _kernels_py.logsum_companion(lo, hi, self.F)
-        assert companion_partial(10**4, 128) == BigReal.exp_of_fixed(
-            _kernels_py.logsum_companion(1, 10**4, self.F), self.F, 128
-        )
+    @pytest.mark.parametrize(
+        "prec, N", [(128, 7), (128, 3000), (128, 10**5), (128, 10**6), (256, 10**6), (1024, 10**4)]
+    )
+    def test_logsum_against_mpmath(self, prec, N):
+        """Within ``2^8`` units of ``2^-F`` of mpmath (measured: +7, +9, -31, -58, +47, -25).
+
+        The word-``1`` part takes the direct sum at N = 7, 3000 and at 1024 bits, the
+        engine at the other three points."""
+        F = prec + GUARD_BITS
+        with mpmath.workprec(F + 2 * N.bit_length() + 64):
+            want = mpmath.ldexp(mp_companion_logsum(1, N), F)
+        assert abs(logsum_companion(1, N, F) - want) <= 2**8
 
     def test_range_splits_exactly(self):
-        """Cuts at K0 - 1, K0, K0 + 1, at block edges, inside blocks and off multiples of M."""
-        K0, M = self.K0, self.M
-        lo, hi = K0 - 300, K0 + 6 * M + 77
-        cuts = (K0 - 2, K0 - 1, K0, K0 + 1, K0 + M - 1, K0 + M, K0 + 2 * M + 5, K0 + 4 * M - 3)
-        whole = logsum_companion(lo, hi, self.F)
-        edges = (lo - 1, *cuts, hi)
-        assert whole == sum(logsum_companion(a + 1, b, self.F) for a, b in zip(edges, edges[1:]))
-        assert logsum_companion(1, hi, self.F) == logsum_companion(1, lo - 1, self.F) + whole
+        """Cuts on both sides of each N where the word-``1`` sum changes path, and where a
+        block of the telescoped plan starts at the first index ``N + 1`` it sums."""
+        F = self.F
 
-    @pytest.mark.parametrize("N", [2**17 + 2**9 + 7, 2 * 10**5])
-    def test_matches_per_term_oracle(self, N):
-        got = logsum_companion(1, N, self.F)
-        want = _kernels_py.logsum_companion(1, N, self.F)
-        assert abs(got - want) <= 1 << (self.F + 8 - self.PREC)
+        def engine_taken(N):
+            engine, direct = path_costs(_WORD_ONE, N, F)
+            return engine < direct
+
+        switches = [N for N in range(2200, 2400) if engine_taken(N) != engine_taken(N - 1)]
+        assert switches
+        # word 1: level-j blocks start at (2t + 1) 2^j, so the plan for N = 3071
+        # starts a block at m = 3 * 2^10; likewise 2047, 3583 and 5119
+        cuts = sorted({2047, 2048, 3071, 3072, 3583, 5119, *switches, *(N - 1 for N in switches)})
+        lo, hi = 1800, 5200
+        whole = logsum_companion(lo, hi, F)
+        edges = (lo - 1, *cuts, hi)
+        assert whole == sum(logsum_companion(a + 1, b, F) for a, b in zip(edges, edges[1:]))
+        assert logsum_companion(1, hi, F) == logsum_companion(1, lo - 1, F) + whole
+        per_term = helpers.logsum_companion(lo, hi, F)
+        assert abs(whole - per_term) <= 1 << (F + 8 - self.PREC)
 
     @pytest.mark.parametrize("lo, hi", [(1, 3000), (2**17 - 100, 2**17 + 2**11 + 7)])
     def test_mpmath_split_matches_per_term(self, lo, hi):
@@ -417,14 +428,11 @@ class TestCompanionSum:
             assert abs(mp_companion_logsum(lo, hi) - per_term) <= mpmath.mpf(2) ** -(self.PREC + 32)
 
     def test_partial_against_mpmath(self):
-        """At N = 10^6 the product meets ``2^(8-p)``; the Gamma-ratio part is within 2^12 units."""
-        N, K0 = 10**6, self.K0
+        """At N = 10^6 the product meets ``2^(8-p)``."""
+        N = 10**6
         with mpmath.workprec(self.PREC + 2 * N.bit_length() + 64):
-            below, above = mp_companion_logsum(1, K0 - 1), mp_companion_logsum(K0, N)
-            assert_close(companion_partial(N, self.PREC), mpmath.exp(below + above),
+            assert_close(companion_partial(N, self.PREC), mpmath.exp(mp_companion_logsum(1, N)),
                          mpmath.mpf(2) ** (8 - self.PREC))
-            # measured: 286 units of 2^-F
-            assert abs(logsum_companion(K0, N, self.F) - mpmath.ldexp(above, self.F)) <= 2**12
 
 
 class TestCompanion:

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import helpers
 import mpmath
 import pytest
 
@@ -163,8 +164,8 @@ class TestLogExpAtGammaScales:
 
 class TestSplitting:
     def test_all_accumulators_split_exactly(self):
-        """The per-term family kernel; the block sums are split in ``TestBlockSums``."""
-        fn = _kernels_py.logsum_companion
+        """The per-term companion oracle; the library's sums are split in ``TestBlockSums`` and ``TestCompanionSum``."""
+        fn = helpers.logsum_companion
         whole = fn(1, 20000, F)
         assert whole == fn(1, 7777, F) + fn(7778, 20000, F)
 

@@ -10,7 +10,7 @@ from helpers import to_mpf
 from blockprod import _kernels_py
 from blockprod.bigreal import GUARD_BITS, BigReal
 from blockprod.gammafn import eval_gamma_expr
-from blockprod.identities import ProductSpec, closed_form_baseB, logsum_word
+from blockprod.identities import ProductSpec, closed_form_baseB, logsum_word, logsum_word_direct
 from blockprod.products import (
     COUNT_CHUNK,
     VerifyReport,
@@ -304,10 +304,27 @@ class TestWordEngine:
         assert any(N > 100 for N in switches)
         for n in {n for N in switches for n in (N - 1, N)}:
             engine = logsum_word(spec, n, self.F)
-            direct = direct_logsum(spec, 1, n, self.F)
+            direct = logsum_word_direct(spec, n, self.F)
             assert abs(engine - direct) <= 1 << (self.F + 8 - self.PREC), n
             chosen = engine if taken[n - 1] else direct
             assert eval_lhs_partial(spec, n, self.PREC) == BigReal.exp_of_fixed(chosen, self.F, self.PREC)
+
+    @pytest.mark.parametrize("prec, base, text, a, b", [
+        (128, 2, "101", ("1", "1"), ("0", "2")),
+        (128, 10, "7", ("1", "1"), ("0", "2")),
+        (128, 3, "12", ("1/2", "3/2"), ("1/3", "5/3")),
+        (1024, 3, "12", ("1", "1"), ("0", "2")),
+        (2048, 2, "1", ("1", "1"), ("0", "2")),
+    ])
+    def test_direct_sum_rounds_once(self, prec, base, text, a, b):
+        """At N = 2000 the direct sum, run with guard bits and rounded once, is within one
+        unit of ``2^-F`` of mpmath (measured: 0.5); floored per term at scale ``F`` it is
+        off by 10^3 to 5·10^5 units."""
+        spec = make_spec(base, text, a, b)
+        N, F = 2000, prec + GUARD_BITS
+        with mpmath.workprec(F + 32):
+            want = mpmath.ldexp(mp_logsum(spec, N), F)
+        assert abs(logsum_word_direct(spec, N, F) - want) <= 1
 
     def test_high_precision_small_n_stays_direct(self):
         """At 1024 bits and N = 2000 the direct sum is priced cheaper, and is taken."""
@@ -316,7 +333,7 @@ class TestWordEngine:
         engine, direct = path_costs(spec, 2000, F)
         assert direct < engine
         assert eval_lhs_partial(spec, 2000, 1024) == BigReal.exp_of_fixed(
-            direct_logsum(spec, 1, 2000, F), F, 1024
+            logsum_word_direct(spec, 2000, F), F, 1024
         )
 
 
