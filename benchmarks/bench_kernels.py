@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Measure where the telescoped word-product engine overtakes the direct sum.
 
-``eval_lhs_partial`` and the companion form take a word product's log-sum
-by whichever of two paths ``blockprod.products.path_costs`` prices cheaper:
+``identities.logsum_word_priced`` takes a word product's log-sum (for
+``eval_lhs_partial`` and the companion form) by whichever of two paths
+``identities.path_costs`` prices cheaper:
 the Gamma-ratio engine ``identities.logsum_word`` or the direct per-term
 sum ``identities.logsum_word_direct``.  For each (base, word, d, precision)
 this script times both paths on a geometric grid of N and prints the
@@ -23,8 +24,7 @@ from fractions import Fraction
 
 from blockprod import gammafn
 from blockprod.bigreal import GUARD_BITS
-from blockprod.identities import ProductSpec, logsum_word, logsum_word_direct
-from blockprod.products import path_costs
+from blockprod.identities import ProductSpec, logsum_word, logsum_word_direct, path_costs
 from blockprod.words import Word
 
 # (base, word, a, b): d = len(a); base 2 word 1 is the companion form's

@@ -14,6 +14,19 @@ So ``N_w(n)`` counts the ``L``-digit windows of the zero-padded expansion of
 ``n`` that end at a digit of ``n`` and read ``w``.  :func:`count_block`
 evaluates it for one ``n``; :func:`block_counts` for a whole range.
 
+Chunked evaluation.  :func:`count_block` applies the recurrence ``c`` digits
+per step, where ``c`` is the largest integer with ``B^(c+L-1) <= 2^10``:
+
+    N_w(n) = N_w(n // B^c) + full_w[n mod B^(c+L-1)]    (n >= B^c),
+    N_w(n) = top_w[n]                                     (n <  B^c),
+
+with ``full_w[r] = sum_{i<c} [(r // B^i) mod B^L == v(w)]`` and
+``top_w = block_counts(w, 0, B^c - 1)``.  The first line holds because every
+window ending at one of the low ``c`` digits of ``n >= B^c`` lies inside
+``n``.  Both tables are built on a word's first count and kept on it; each
+has at most ``2^10`` one-byte entries.  Words with ``B^L > 2^10`` have no
+tables and are counted one digit per step.
+
 Remark (agreement with substring counting).  A window that reaches into the
 padding starts with a padding zero, and if it also covers the leading digit
 of ``n`` it is not all zeros.  Hence:
@@ -32,6 +45,7 @@ of ``n`` it is not all zeros.  Hence:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "Word",
@@ -104,6 +118,19 @@ class Word:
     def value(self) -> int:
         return word_value(self)
 
+    @cached_property
+    def _counter(self) -> tuple:
+        """The constants of :func:`count_block` for this word, built on first use.
+
+        ``(B^c, B^(c+L-1), full_w, top_w)``, or ``(B, B^L, v(w), None)`` when
+        ``B^L`` exceeds the table cap (see the module docstring).
+        """
+        return _build_counter(self)
+
+    def __getstate__(self):
+        # pickle the fields alone, never the tables cached by count_block
+        return {"base": self.base, "digits": self.digits}
+
 
 @dataclass(frozen=True)
 class WordClass:
@@ -157,23 +184,27 @@ def classify(w: Word) -> WordClass:
 def count_block(w: Word, n: int) -> int:
     """``N_w(n)``: possibly overlapping occurrences of ``w`` in the expansion of ``n``.
 
-    Evaluates the counting recurrence (module docstring) from ``n`` down to
-    0; the count for ``n = 0`` is 0 for every word.
+    Evaluates the counting recurrence ``c`` digits per step with one table
+    lookup each, and one lookup in all for ``n < B^c`` (module docstring,
+    "Chunked evaluation"); words with ``B^L > 2^10`` take one digit per
+    step.  The count for ``n = 0`` is 0 for every word.
     """
     # checks inlined: this is called once per integer in counting sweeps
-    digits = w.digits
-    if not digits:
+    if not w.digits:
         raise ValueError("block counting needs a nonempty word")
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    base = w.base
-    modulus = base ** len(digits)
-    v = word_value(w)
+    step, window, full, top = w._counter
     c = 0
-    while n:
-        c += n % modulus == v
-        n //= base
-    return c
+    if top is None:  # step = B, window = B^L, full = v(w)
+        while n:
+            c += n % window == full
+            n //= step
+        return c
+    while n >= step:
+        c += full[n % window]
+        n //= step
+    return c + top[n]
 
 
 # adds 1 to every byte of a count buffer (overflow is ruled out by the caller)
@@ -220,6 +251,31 @@ def block_counts(w: Word, lo: int, hi: int) -> bytearray:
             level[i::modulus] = level[i::modulus].translate(_INCREMENT)
         counts, parent_lo = level, a
     return counts
+
+
+# the largest table count_block builds for one word (entries of one byte)
+_TABLE_CAP = 2**10
+
+
+def _build_counter(w: Word) -> tuple:
+    """:attr:`Word._counter`: the step, window and tables of :func:`count_block`."""
+    base, length = w.base, len(w.digits)
+    modulus, v = base**length, word_value(w)
+    if modulus > _TABLE_CAP:
+        return base, modulus, v, None
+    c = 1
+    while base ** (c + length) <= _TABLE_CAP:
+        c += 1
+    # full_k[r] = full_(k-1)[r // B] + [r mod B^L == v] on r < B^(k+L-1), from
+    # the all-zero full_0 on r < B^(L-1); full_c is full_w
+    full = bytearray(base ** (length - 1))
+    for _ in range(c):
+        level = bytearray(len(full) * base)
+        for r in range(base):
+            level[r::base] = full
+        level[v::modulus] = level[v::modulus].translate(_INCREMENT)
+        full = level
+    return base**c, len(full), bytes(full), bytes(block_counts(w, 0, base**c - 1))
 
 
 def all_words(base: int, max_len: int) -> list[Word]:

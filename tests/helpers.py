@@ -1,6 +1,7 @@
 """Shared test helpers: conversions to the mpmath oracle, tolerance asserts,
-and the per-term log-sums that the library's Gamma-ratio sums are checked
-against (the 4/pi family and the balanced ratio product)."""
+the per-digit block-count recurrence that the chunked ``count_block`` is
+checked against, and the per-term log-sums that the library's Gamma-ratio
+sums are checked against (the 4/pi family and the balanced ratio product)."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import mpmath
 
 from blockprod._kernels_py import fx_log1p_inv, fx_log_ratio
 from blockprod.bigreal import BigReal
+from blockprod.words import Word, word_value
 
 
 def to_mpf(x: BigReal) -> mpmath.mpf:
@@ -34,6 +36,17 @@ def assert_close(got: BigReal, want, bound) -> None:
 
 def frac_rel_err(got: Fraction, want: Fraction) -> Fraction:
     return abs(got - want) / abs(want)
+
+
+def count_block_recurrence(w: Word, n: int) -> int:
+    """``N_w(n)`` by the counting recurrence, one digit of ``n`` per step."""
+    modulus = w.base ** len(w.digits)
+    v = word_value(w)
+    c = 0
+    while n:
+        c += n % modulus == v
+        n //= w.base
+    return c
 
 
 # --------------------------------------------------------------------------

@@ -385,14 +385,39 @@ class TestCompanionSum:
         "prec, N", [(128, 7), (128, 3000), (128, 10**5), (128, 10**6), (256, 10**6), (1024, 10**4)]
     )
     def test_logsum_against_mpmath(self, prec, N):
-        """Within ``2^8`` units of ``2^-F`` of mpmath (measured: +7, +9, -31, -58, +47, -25).
+        """Within ``2^8`` units of ``2^-F`` of mpmath (measured: +7, +9, -31, -58, +47, -37).
 
-        The word-``1`` part takes the direct sum at N = 7, 3000 and at 1024 bits, the
-        engine at the other three points."""
+        The word-``1`` part takes the direct sum at N = 7 and 3000, the engine at the
+        other four points."""
         F = prec + GUARD_BITS
         with mpmath.workprec(F + 2 * N.bit_length() + 64):
             want = mpmath.ldexp(mp_companion_logsum(1, N), F)
         assert abs(logsum_companion(1, N, F) - want) <= 2**8
+
+    def test_word_one_switch_points(self):
+        """Where ``path_costs`` switches the word-``1`` sum between its two paths.
+
+        At 128 bits it switches at N = 2287-2303, which the range-splitting test
+        below cuts around.  At 1024 bits ``benchmarks/bench_kernels.py`` measures
+        the engine faster from N = 8563 on its grid; the rule must switch within
+        one grid step of that, so N = 10^4 takes the engine."""
+
+        def engine_taken(N, F):
+            engine, direct = path_costs(_WORD_ONE, N, F)
+            return engine < direct
+
+        F = self.F
+        assert [N for N in range(2200, 2400)
+                if engine_taken(N, F) != engine_taken(N - 1, F)] == [2287, 2288, 2295, 2296, 2303]
+        F = 1024 + GUARD_BITS
+        grid, N = [], 64
+        while N <= 60_000:
+            grid.append(N)
+            N = N * 5 // 4
+        picks = [engine_taken(N, F) for N in grid]
+        switch = next(N for i, N in enumerate(grid) if all(picks[i:]))
+        assert switch in (6851, 8563, 10703)
+        assert engine_taken(10**4, F)
 
     def test_range_splits_exactly(self):
         """Cuts on both sides of each N where the word-``1`` sum changes path, and where a

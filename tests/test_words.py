@@ -1,11 +1,14 @@
 """Expansions, word values, classification, and block counting."""
 
+import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import count_block_recurrence
 from blockprod.products import COUNT_CHUNK, default_corpus
 from blockprod.words import (
     ALL_ZEROS,
@@ -196,6 +199,76 @@ class TestCountBlock:
             w = Word.parse(text, 2)
             for n in range(1, 600):
                 assert count_block(w, n) == scan("0" * pad + render(n, 2), text)
+
+
+def chunk_digits(w: Word) -> int:
+    """The ``c`` of chunked counting: the largest ``c`` with ``B^(c+L-1) <= 2^10`` (0 if none)."""
+    c = 0
+    while w.base ** (c + len(w)) <= 2**10:
+        c += 1
+    return c
+
+
+def cap_words() -> list[Word]:
+    """Words with ``B^L`` at the table cap and one step above it, of each kind."""
+    rng = random.Random(5)
+    words = []
+    for base, length in ((2, 10), (2, 11), (10, 3), (10, 4), (32, 2)):
+        lead = (rng.randrange(1, base),)
+        rest = tuple(rng.randrange(base) for _ in range(length - 1))
+        words += [Word(base, (0,) * length), Word(base, (0,) * (length - 1) + (1,)),
+                  Word(base, lead + rest), Word(base, (base - 1,) * length)]
+    return words
+
+
+def edge_values(w: Word) -> list[int]:
+    """Integers at the edges of the chunked recurrence for ``w``, and two huge ones."""
+    B, L, c = w.base, len(w), max(chunk_digits(w), 1)
+    ns = {0, 1, B**c - 1, B**c, B**c + 1, B ** (c + L - 1) - 1, B ** (c + L - 1) + 1,
+          3**200 + 12345, random.Random(9).randrange(10**999, 10**1000)}
+    for k in range(1, 41):
+        ns |= {B**k - 1, B**k + 1}
+    return sorted(ns)
+
+
+class TestChunkedCounting:
+    """count_block against the per-digit recurrence and the padded scan."""
+
+    @pytest.mark.parametrize("words", ["corpus", "cap"])
+    def test_matches_recurrence_and_scan(self, words):
+        words = default_corpus() if words == "corpus" else cap_words()
+        for w in words:
+            text = w.render()
+            for n in edge_values(w):
+                want = count_block_recurrence(w, n)
+                assert count_block(w, n) == want == naive_count(text, w.base, n), (text, n)
+
+    def test_tables_within_cap(self):
+        """Step B^c and window B^(c+L-1) as in the module docstring; no table above 2^10."""
+        for w in default_corpus() + cap_words() + [Word(1024, (5,)), Word(1025, (5,))]:
+            count_block(w, 7)
+            step, window, full, top = w._counter
+            c = chunk_digits(w)
+            if c == 0:
+                assert top is None and w.base ** len(w) > 2**10
+                assert (step, window, full) == (w.base, w.base ** len(w), word_value(w))
+                continue
+            assert (step, window) == (w.base**c, w.base ** (c + len(w) - 1))
+            assert len(full) == window <= 2**10 and len(top) == step <= 2**10
+            assert top == bytes(block_counts(w, 0, step - 1))
+
+    def test_tables_leave_word_identity_alone(self):
+        """A word that holds its tables still equals, hashes, reprs and pickles as a fresh one."""
+        for text, base in (("101", 2), ("0", 4), ("0000000000", 2), ("1234", 10)):
+            built, fresh = Word.parse(text, base), Word.parse(text, base)
+            count_block(built, 3**200)
+            assert "_counter" in vars(built) and "_counter" not in vars(fresh)
+            assert built == fresh and hash(built) == hash(fresh)
+            assert repr(built) == repr(fresh)
+            assert pickle.dumps(built) == pickle.dumps(fresh)
+            copy = pickle.loads(pickle.dumps(built))
+            assert copy == fresh and count_block(copy, 3**200) == count_block(built, 3**200)
+        assert [f.name for f in dataclasses.fields(Word)] == ["base", "digits"]
 
 
 class TestBlockCounts:
