@@ -10,7 +10,7 @@ this script times both paths on a geometric grid of N and prints the
 measured break-even N (the first N from which the engine stays faster)
 next to the N where the pricing rule switches, which is the evidence for
 the rule's constants.  The engine is timed with a cold coefficient cache
-(the rule prices it cold) after one Spouge warm-up at that precision.
+(the rule prices it cold) after one log-Gamma warm-up at that precision.
 Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--precision 128 1024] [--max-terms N]
@@ -88,7 +88,7 @@ def main() -> int:
     print("-" * len(header))
     for prec in args.precision:
         F = prec + GUARD_BITS
-        gammafn._loggamma_fixed(Fraction(7, 3), F)  # Spouge coefficients and log ladder
+        gammafn._loggamma_fixed(Fraction(7, 3), F)  # Stirling coefficients and log ladder
         for base, text, a, b in CASES:
             spec = ProductSpec(base, Word.parse(text, base),
                                tuple(map(Fraction, a)), tuple(map(Fraction, b)))

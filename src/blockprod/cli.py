@@ -40,9 +40,10 @@ DEFAULT_TOLERANCE = "1/1000"
 FORMATS = ("text", "json", "csv")
 
 # Input caps, so that a mistyped size is refused rather than hanging the
-# process.  Spouge coefficients cost about 0.3 s cold at 2048 bits and 2 s at
-# 4096.  The 4/pi bit-length families sum O(log N) Gamma-ratio blocks, word
-# products and the companion form O(sqrt N) Gamma ratios (verify companion:
+# process.  The first log-Gamma builds its Stirling coefficients and log
+# tables, about 0.03 s cold at 2048 bits and 0.2 s at 4096.  The 4/pi
+# bit-length families sum O(log N) Gamma-ratio blocks, word products and the
+# companion form O(sqrt N) Gamma ratios (verify companion:
 # 0.4 s at 10^7 terms, 6 s at 2048 bits); the grouping check of rivoal-forms
 # costs O(N), seconds per 10^6 blocks.  One lemma1-fuzz trial at the default
 # sizes costs about 0.35 ms, so 10^5 trials take about 35 s.  Its support

@@ -475,8 +475,10 @@ def logsum_alternating(lo: int, hi: int, F: int) -> int:
 # lgG((m + b_i/B)/Q), a balanced log-Gamma sum (gammafn._balanced_lgamma).
 
 
-# A below-threshold edge costs 2d Spouge log-Gammas, 16d to 22d times one
-# Horner sum of the series at the precisions measured (160 to 2080 bits).
+# A below-threshold edge costs 2d log-Gammas, priced at 16d Horner sums of the
+# series: the fit to the earlier Spouge log-Gammas (16d to 22d at 160 to 2080
+# bits), kept so that no engine/direct path choice moves.  The Stirling
+# log-Gammas now cost less; refitting the prices is a ROADMAP item.
 _FALLBACK_EDGE_COST = 16
 
 
@@ -575,13 +577,15 @@ def path_costs(spec: ProductSpec, N: int, F: int) -> tuple[float, float]:
     The engine is priced from its exact edge plan (:func:`word_edge_plan`),
     counted without evaluating anything: each distinct edge at or above the
     series threshold costs ``K`` Horner steps, each edge below it ``2d``
-    Spouge log-Gammas, and each series modulus ``Q`` one cold coefficient
+    log-Gammas, and each series modulus ``Q`` one cold coefficient
     build of ``K^2`` steps, on top of one build of the products that every
     modulus shares.  The direct sum costs one log ratio per term whose
     block count is nonzero (share estimated as ``1 - (1 - B^-L)^windows``)
     at its working scale, cheaper on the base-2 parameters of its fast
     path.  The per-step times are fits to ``benchmarks/bench_kernels.py``
-    (pure Python, Python 3.11, one core of a 2-core x86-64 machine).
+    (pure Python, Python 3.11, one core of a 2-core x86-64 machine); the
+    log-Gamma price is the fit to the Spouge evaluator that the Stirling one
+    replaced, kept on purpose so that path choices do not move.
     """
     B, length, d = spec.base, len(spec.word.digits), len(spec.a)
     X0 = _series_threshold(F)
@@ -597,7 +601,7 @@ def path_costs(spec: ProductSpec, N: int, F: int) -> tuple[float, float]:
     step = 0.25 + F / 2000  # one Horner step, us
     shared_step = 0.2 + F / 14000  # one step of the modulus-free products, us
     build_step = 0.08 + F / 20000  # one coefficient-build step, us
-    lgamma = 100 + F * F / 1000  # one Spouge log-Gamma, us
+    lgamma = 100 + F * F / 1000  # one log-Gamma, us: the old Spouge fit, kept so choices stay put
     engine = len(series) * K * step + len(fallback) * 2 * d * lgamma
     if moduli:
         engine += K * K * (shared_step + len(moduli) * build_step)

@@ -21,6 +21,7 @@ from blockprod.gammafn import (
     _series,
     _series_terms,
     _series_threshold,
+    _stirling_series,
     eval_gamma_expr,
     gamma,
     gamma_ratio_product,
@@ -115,6 +116,62 @@ class TestLogGamma:
                 lg = log_gamma(Fraction(num, den), 160)
                 g = gamma(Fraction(num, den), 160)
                 assert abs(mpmath.exp(to_mpf(lg)) - to_mpf(g)) <= abs(to_mpf(g)) * contract(160)
+
+
+# working scales of Gamma: F = precision + 32 at 128, 256, 1024 and 2048 bits
+STIRLING_SCALES = [160, 288, 1056, 2080]
+
+
+@pytest.mark.parametrize("F", STIRLING_SCALES)
+class TestStirlingLogGamma:
+    """The shifted Stirling evaluator ``_loggamma_fixed`` at the scales Gamma runs at."""
+
+    @staticmethod
+    def arguments(F):
+        X0 = _series_threshold(F)
+        small = [Fraction(1, 997), Fraction(1, 64), Fraction(1, 4), Fraction(253, 256), Fraction(7, 81)]
+        # X0 - 1/q is shifted once, X0 not at all (the remainder bound's worst case)
+        edges = [X0 - Fraction(1, 997), X0 - Fraction(1, 64), Fraction(X0), X0 + Fraction(1, 3)]
+        large = [10**6 + Fraction(1, 3), 11 * 10**11 + Fraction(1, 3)]
+        return small + edges + large
+
+    def test_within_one_unit_of_mpmath(self, F):
+        for x in self.arguments(F):
+            # lgG(x) has bitlen(x) + bitlen(bitlen(x)) integer bits
+            with mpmath.workprec(F + 64 + 2 * int(x).bit_length()):
+                want = mpmath.loggamma(mpmath.mpf(x.numerator) / x.denominator) * mpmath.mpf(2) ** F
+                assert abs(_loggamma_fixed(x, F) - want) <= 1, x
+
+    def test_first_omitted_term_below_guard(self, F):
+        """``|B_(2K+2)| / ((2K+2)(2K+1) X0^(2K+1)) < 2**-(F + G + 2)``, and ``K`` is the fewest such terms."""
+        X0 = _series_threshold(F)
+        K = len(_stirling_series(F)[1])
+        bern = _bernoulli(2 * K + 2)
+
+        def below(m):
+            b = bern[m]
+            return abs(b.numerator) << (F + _SERIES_GUARD + 2) < b.denominator * m * (m - 1) * X0 ** (m - 1)
+
+        assert below(2 * K + 2)
+        assert not below(2 * K)
+
+    def test_cold_and_warm_calls_agree(self, F):
+        """The value depends on ``(x, F)`` alone: a call that builds the series equals a cached one."""
+        for x in (Fraction(1, 4), Fraction(253, 256), 10**6 + Fraction(1, 3)):
+            _stirling_series.cache_clear()
+            _bernoulli.cache_clear()
+            cold = _loggamma_fixed(x, F)
+            assert _stirling_series.cache_info().currsize == 1
+            assert _loggamma_fixed(x, F) == cold, x
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 997), Fraction(253, 256), 10**6 + Fraction(1, 3)])
+def test_gamma_at_precision_cap(x, mp_prec):
+    """The ``2**(8 - p)`` contract at 2048 bits, the ``--precision`` cap."""
+    with mp_prec(2048):
+        want = mpmath.gamma(mpmath.mpf(x.numerator) / x.denominator)
+        err = abs(to_mpf(gamma(x, 2048)) - want) / want
+        assert err <= contract(2048)
 
 
 class TestIdentities:
@@ -312,16 +369,16 @@ class TestBalancedSeries:
     ]
 
     @pytest.mark.parametrize("prec", [128, 1024, 2048])
-    def test_series_at_threshold_matches_spouge(self, prec):
-        """At ``u/W = X0``, the worst case of the series, it agrees with Spouge log-Gammas."""
+    def test_series_at_threshold_matches_log_gamma(self, prec):
+        """At ``u/W = X0``, the worst case of the series, it agrees with single log-Gammas."""
         F = prec + GUARD_BITS
         shifts = self.SHIFTS if prec < 2048 else self.SHIFTS[1:3]
         for A, T, W in shifts:
             X0, coeffs = _series(A, T, W, F)
             for u in (X0 * W, X0 * W + 1):
-                spouge = (sum(_loggamma_fixed(Fraction(u + x, W), F) for x in A)
+                single = (sum(_loggamma_fixed(Fraction(u + x, W), F) for x in A)
                           - sum(_loggamma_fixed(Fraction(u + x, W), F) for x in T))
-                assert abs(_balanced_lgamma(A, T, W, u, F) - spouge) <= 16, (A, T, W, u)
+                assert abs(_balanced_lgamma(A, T, W, u, F) - single) <= 16, (A, T, W, u)
 
     def test_series_against_mpmath(self, mp_prec):
         F = 160

@@ -92,7 +92,7 @@ class TestFixedPointPrimitives:
 
 
 # working scales of Gamma: F = precision + 32 at 128, 256 and 1024 bits, and
-# the Spouge coefficient scale at 1024 bits
+# 1900, between the 1024- and 2048-bit scales
 GAMMA_SCALES = [160, 288, 1056, 1900]
 LOG_EXP_ULPS = 1  # fx_log, fx_exp_reduced: absolute error, in units of 2**-F
 FX_EXP_ULPS = 2  # fx_exp: error relative to max(result, 1), in units of 2**-F
