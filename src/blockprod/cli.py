@@ -45,10 +45,11 @@ FORMATS = ("text", "json", "csv")
 # bit-length families sum O(log N) Gamma-ratio blocks, word products and the
 # companion form O(sqrt N) Gamma ratios (verify companion:
 # 0.4 s at 10^7 terms, 6 s at 2048 bits); the grouping check of rivoal-forms
-# costs O(N), seconds per 10^6 blocks.  One lemma1-fuzz trial at the default
-# sizes costs about 0.35 ms, so 10^5 trials take about 35 s.  Its support
-# points are drawn from [1, 400), so more than 400 draws add no new point; at
-# both size caps a trial takes about 5 ms.
+# costs O(N), about 0.2 s per 10^6 blocks (rivoal-forms takes 2.3 s at the
+# 10^7 cap).  One lemma1-fuzz trial at the default sizes costs about 0.1 ms,
+# so 10^5 trials take about 8 s.  Its support points are drawn from
+# [1, 400), so more than 400 draws add no new point; at both size caps a
+# trial takes about 1 ms.
 MAX_PRECISION = 2048
 MAX_BLOCK_SUM_TERMS = 10**30
 MAX_PER_TERM_TERMS = 10**7

@@ -24,6 +24,7 @@ back to the log-Gamma evaluator below.  The word-product log-sums and
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -156,6 +157,28 @@ def _stirling_series(F: int) -> tuple[int, tuple[int, ...]]:
     return half_log_2pi, coeffs
 
 
+_SPLIT_FACTORS = 128  # above this many factors the shift product splits in halves
+
+
+def _shift_product(p: int, q: int, M: int) -> int:
+    """``prod_{k<M} (p + kq)``, by binary splitting above ``_SPLIT_FACTORS`` factors.
+
+    One ``math.prod`` over ``M`` factors multiplies a growing product by a
+    small one ``M`` times, quadratic in ``M``; halves of balanced size keep
+    the large multiplications few.  The integer is the same either way.
+    """
+    if M <= _SPLIT_FACTORS:
+        return prod(range(p, p + M * q, q))
+    h = M // 2
+    return _shift_product(p, q, h) * _shift_product(p + h * q, q, M - h)
+
+
+@lru_cache(maxsize=128)
+def _log_denominator(q: int, E: int) -> int:
+    """``log q`` at scale ``E``: closed forms reuse a few denominators, mostly powers of the base."""
+    return fx_log(q << E, E)
+
+
 def _loggamma_fixed(x: Fraction, F: int) -> int:
     """``log Gamma(x)`` for rational ``x > 0`` at fixed-point scale ``F``, within one unit of ``2**-F``.
 
@@ -174,16 +197,27 @@ def _loggamma_fixed(x: Fraction, F: int) -> int:
     E = F + H
     acc = (2 * Z - q) * fx_log(Z << E, E)
     if q > 1:
-        acc += (q - 2 * p) * fx_log(q << E, E)
+        acc += (q - 2 * p) * _log_denominator(q, E)
     acc = acc // (2 * q) - (Z << E) // q
     if M:
-        acc -= fx_log(prod(range(p, Z, q)) << E, E)
+        acc -= fx_log(_shift_product(p, q, M) << E, E)
     q2, Z2 = q * q, Z * Z
     s = 0
     for c in reversed(coeffs):
         s = c + s * q2 // Z2
     s = s * q // Z + half_log_2pi
     return rshift_round(acc + (s << (H - _SERIES_GUARD)), H)
+
+
+def _loggamma_sum(num, den, F: int) -> int:
+    """``sum lgG(num_i) - sum lgG(den_j)`` at scale ``F``, one :func:`_loggamma_fixed` per distinct argument.
+
+    A repeated argument costs one call times its multiplicity, which is the
+    same integer as the calls added one by one.
+    """
+    counts = Counter(num)
+    counts.subtract(den)
+    return sum(c * _loggamma_fixed(x, F) for x, c in counts.items() if c)
 
 
 # --------------------------------------------------------------------------
@@ -280,8 +314,8 @@ def _balanced_lgamma(A: tuple[int, ...], T: tuple[int, ...], W: int, u: int, F: 
     ``A`` and ``T`` are integer shifts of equal length and equal sum, and
     every argument must be positive.  At ``u/W >= X0`` (see
     :func:`_series_threshold`) the Stirling series above is summed by
-    integer Horner in ``W/u``; below, each log-Gamma comes from
-    :func:`_loggamma_fixed`.  The value is an integer fixed by ``(A, T, W, u, F)``
+    integer Horner in ``W/u``; below, it is :func:`_loggamma_sum` of the
+    single log-Gammas.  The value is an integer fixed by ``(A, T, W, u, F)``
     alone, within a few units of ``2**-F`` of the exact sum.
     """
     X0, coeffs = _series(A, T, W, F)
@@ -290,8 +324,7 @@ def _balanced_lgamma(A: tuple[int, ...], T: tuple[int, ...], W: int, u: int, F: 
         for c in reversed(coeffs):
             acc = c + acc * W // u
         return rshift_round(acc * W // u, _SERIES_GUARD)
-    return (sum(_loggamma_fixed(Fraction(u + a, W), F) for a in A)
-            - sum(_loggamma_fixed(Fraction(u + t, W), F) for t in T))
+    return _loggamma_sum((Fraction(u + a, W) for a in A), (Fraction(u + t, W) for t in T), F)
 
 
 def gamma(x, precision_bits: int) -> BigReal:
@@ -415,12 +448,7 @@ def eval_gamma_expr(expr: GammaExpr, precision_bits: int) -> BigReal:
     """Evaluate a :class:`GammaExpr` numerically (log space, one final rounding)."""
     prec = _check_precision(precision_bits)
     F = prec + GUARD_BITS
-    ln = 0
-    for arg in expr.num:
-        ln += _loggamma_fixed(arg, F)
-    for arg in expr.den:
-        ln -= _loggamma_fixed(arg, F)
-    value = BigReal.exp_of_fixed(ln, F, prec)
+    value = BigReal.exp_of_fixed(_loggamma_sum(expr.num, expr.den, F), F, prec)
     if expr.prefactor == 1:
         return value
     return value * expr.prefactor

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import sub
 from typing import Callable, Iterator, Mapping
 
 from blockprod import _kernels_py
@@ -144,24 +145,28 @@ def lemma1_lhs(f: FiniteSupportFn, w: Word, base: int) -> Fraction:
     """Exact value of ``sum_{n>=1} N_w(n) * (f(n) - sum_{k<B} f(Bn+k))``.
 
     Only finitely many ``n`` contribute: those in the support of ``f`` and
-    those whose block ``[Bn, Bn+B-1]`` meets the support.
+    those whose block ``[Bn, Bn+B-1]`` meets the support.  The sum runs term
+    by term in integers, over the values of ``f`` scaled to their least
+    common denominator ``D``, and is divided by ``D`` once at the end.
     """
     _check_lemma_args(f, w, base)
-    candidates = set(f.support)
-    for m in f.support:
+    D = lcm(*(v.denominator for v in f.entries.values()))
+    g = {m: v.numerator * (D // v.denominator) for m, v in f.entries.items()}
+    candidates = set(g)
+    for m in g:
         t = m // base
         if t >= 1:
             candidates.add(t)
-    total = Fraction(0)
-    for n in sorted(candidates):
-        inner = f(n)
-        for k in range(base):
-            inner -= f(base * n + k)
+    total = 0
+    for n in candidates:
+        inner = g.get(n, 0)
+        for m in range(base * n, base * n + base):
+            inner -= g.get(m, 0)
         if inner:
             c = count_block(w, n)
             if c:
                 total += c * inner
-    return total
+    return Fraction(total, D)
 
 
 def lemma1_rhs(f: FiniteSupportFn, w: Word, base: int, misrange: bool = False) -> Fraction:
@@ -779,39 +784,65 @@ def rivoal_grouped_factors(K: int) -> dict[int, int]:
     return factors
 
 
-def _grouping_exponents(K: int) -> Iterator[tuple[int, int, int]]:
-    """``(m, original, grouped)``: exponent of every integer ``m`` in both factored forms.
+GROUPING_CHUNK = 4096  # integers compared per chunk, which bounds the memory the check holds
 
-    ``original`` is the exponent of ``m`` in ``rivoal_original_factors(4K+3)``:
-    the factor for ``k`` puts ``e(k)`` on ``k+2`` and ``-e(k)`` on ``k+1``, so
-    ``m`` carries ``e(m-2) - e(m-1)``.  ``grouped`` is its exponent in
-    ``rivoal_grouped_factors(K)``, read off from ``divmod(m, 4)``.  Every
-    other integer has exponent 0 in both.
+
+def _fill(arr: list[int], start: int, lo: int, hi: int, r: int, value: int) -> None:
+    """Set ``arr[m - start] = value`` for every ``m`` in ``[lo, hi)`` with ``m = r (mod 4)``."""
+    first = lo + (r - lo) % 4
+    if first < hi:
+        n = (hi - 1 - first) // 4 + 1
+        i = first - start
+        arr[i : i + 4 * n : 4] = [value] * n
+
+
+def _grouping_chunks(K: int, size: int = GROUPING_CHUNK) -> Iterator[tuple[int, list[int], list[int]]]:
+    """``(start, original, grouped)``: exponents of the integers ``m`` in ``[start, start + len)``.
+
+    The chunks cover ``[3, 4K + 6)`` in order, at most ``size`` integers
+    each; every other integer has exponent 0 in both factored forms.
+    ``original[i]`` is the exponent of ``start + i`` in
+    ``rivoal_original_factors(4K+3)``: the factor for ``k`` puts ``e(k)`` on
+    ``k+2`` and ``-e(k)`` on ``k+1``, so ``m`` carries ``e(m-2) - e(m-1)``.
+    ``grouped[i]`` is its exponent in ``rivoal_grouped_factors(K)``, read off
+    from ``divmod(m, 4)``.  Both are constant on a residue class mod 4 within
+    one bit length (of ``k``, and of ``q = m // 4``), so each class of each
+    bit length is filled by one slice assignment.
     """
     top = 4 * K + 3
-    prev = 0  # e(m - 2)
-    for m in range(3, top + 3):
-        k = m - 1
-        cur = 0  # e(m - 1)
-        if k <= top and k & 3 < 2:
-            cur = 2 * (k.bit_length() - 2)
-            if k & 3:
-                cur = -cur
-        q, r = divmod(m, 4)
-        grouped = 0
-        if r and 1 <= q <= K:
-            grouped = 2 * q.bit_length()
-            grouped = 2 * grouped if r == 2 else -grouped
-        yield m, prev - cur, grouped
-        prev = cur
+    for start in range(3, top + 3, size):
+        end = min(start + size, top + 3)
+        # e(k) for k in [start - 2, end - 1): 2 (bitlen(k) - 2) on k = 0, its
+        # negative on k = 1 (mod 4), for 2 <= k <= top
+        e = [0] * (end - start + 1)
+        lo, hi = max(start - 2, 2), min(end - 1, top + 1)
+        while lo < hi:
+            j = lo.bit_length()
+            block_end = min(hi, 1 << j)
+            _fill(e, start - 2, lo, block_end, 0, 2 * (j - 2))
+            _fill(e, start - 2, lo, block_end, 1, -2 * (j - 2))
+            lo = block_end
+        original = list(map(sub, e[:-1], e[1:]))
+        # m = 4q + r with 1 <= q <= K: 4 bitlen(q) at r = 2, -2 bitlen(q) at r = 1, 3
+        grouped = [0] * (end - start)
+        q, q_end = max(1, start // 4), min(K, (end - 1) // 4) + 1
+        while q < q_end:
+            j = q.bit_length()
+            block_end = min(q_end, 1 << j)
+            lo, hi = max(start, 4 * q), min(end, 4 * block_end)
+            _fill(grouped, start, lo, hi, 1, -2 * j)
+            _fill(grouped, start, lo, hi, 2, 4 * j)
+            _fill(grouped, start, lo, hi, 3, -2 * j)
+            q = block_end
+        yield start, original, grouped
 
 
 def grouping_identity_holds(K: int) -> bool:
     """Whether the original partial up to ``4K+3`` equals the grouped partial up to ``K`` exactly.
 
-    Compares the two factored forms one integer at a time, without building
-    either map.
+    Compares the exponent of every integer in both factored forms, one chunk
+    of integers at a time, without building either map.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    return all(original == grouped for _, original, grouped in _grouping_exponents(K))
+    return all(original == grouped for _, original, grouped in _grouping_chunks(K))

@@ -1,17 +1,23 @@
 """Shared test helpers: conversions to the mpmath oracle, tolerance asserts,
 the per-digit block-count recurrence that the chunked ``count_block`` is
-checked against, and the per-term log-sums that the library's Gamma-ratio
-sums are checked against (the 4/pi family and the balanced ratio product)."""
+checked against, the per-term log-sums that the library's Gamma-ratio
+sums are checked against (the 4/pi family and the balanced ratio product),
+and the plain forms of the log-Gamma and of the summation lemma's left
+side that the library's faster forms must equal exactly."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 import mpmath
 
 from blockprod._kernels_py import fx_log1p_inv, fx_log_ratio
 from blockprod.bigreal import BigReal
-from blockprod.words import Word, word_value
+from blockprod.fixedpoint import fx_log, rshift_round
+from blockprod.gammafn import _SERIES_GUARD, _series_threshold, _stirling_series
+from blockprod.identities import FiniteSupportFn
+from blockprod.words import Word, count_block, word_value
 
 
 def to_mpf(x: BigReal) -> mpmath.mpf:
@@ -47,6 +53,47 @@ def count_block_recurrence(w: Word, n: int) -> int:
         c += n % modulus == v
         n //= w.base
     return c
+
+
+def loggamma_fixed_oracle(x: Fraction, F: int) -> int:
+    """``gammafn._loggamma_fixed`` with the shift product as one ``math.prod`` and no cached ``log q``."""
+    half_log_2pi, coeffs = _stirling_series(F)
+    p, q = x.numerator, x.denominator
+    M = max(0, (_series_threshold(F) * q - p + q - 1) // q)  # ceil(X0 - x)
+    Z = p + M * q
+    H = max(_SERIES_GUARD, (Z // q).bit_length() + 4)
+    E = F + H
+    acc = (2 * Z - q) * fx_log(Z << E, E)
+    if q > 1:
+        acc += (q - 2 * p) * fx_log(q << E, E)
+    acc = acc // (2 * q) - (Z << E) // q
+    if M:
+        acc -= fx_log(prod(range(p, Z, q)) << E, E)
+    q2, Z2 = q * q, Z * Z
+    s = 0
+    for c in reversed(coeffs):
+        s = c + s * q2 // Z2
+    s = s * q // Z + half_log_2pi
+    return rshift_round(acc + (s << (H - _SERIES_GUARD)), H)
+
+
+def lemma1_lhs_oracle(f: FiniteSupportFn, w: Word, base: int) -> Fraction:
+    """``sum_{n>=1} N_w(n) * (f(n) - sum_{k<B} f(Bn+k))`` term by term in ``Fraction`` arithmetic."""
+    candidates = set(f.support)
+    for m in f.support:
+        t = m // base
+        if t >= 1:
+            candidates.add(t)
+    total = Fraction(0)
+    for n in sorted(candidates):
+        inner = f(n)
+        for k in range(base):
+            inner -= f(base * n + k)
+        if inner:
+            c = count_block(w, n)
+            if c:
+                total += c * inner
+    return total
 
 
 # --------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from blockprod.gammafn import (
     _bernoulli,
     _loggamma_fixed,
     _series,
+    _shift_product,
     _series_terms,
     _series_threshold,
     _stirling_series,
@@ -155,6 +156,16 @@ class TestStirlingLogGamma:
         assert below(2 * K + 2)
         assert not below(2 * K)
 
+    def test_equals_plain_form(self, F):
+        """The split shift product and the cached ``log q`` give the integer of the plain form,
+        also at 127, 128, 129 and 257 shift factors (where ``X0`` allows them)."""
+        X0 = _series_threshold(F)
+        shifted = [X0 - M + Fraction(1, 3) for M in (127, 128, 129, 257) if M <= X0]
+        for x in self.arguments(F) + shifted:
+            want = helpers.loggamma_fixed_oracle(x, F)
+            assert _loggamma_fixed(x, F) == want, x
+            assert _loggamma_fixed(x, F) == want, x  # log q from the cache
+
     def test_cold_and_warm_calls_agree(self, F):
         """The value depends on ``(x, F)`` alone: a call that builds the series equals a cached one."""
         for x in (Fraction(1, 4), Fraction(253, 256), 10**6 + Fraction(1, 3)):
@@ -163,6 +174,12 @@ class TestStirlingLogGamma:
             cold = _loggamma_fixed(x, F)
             assert _stirling_series.cache_info().currsize == 1
             assert _loggamma_fixed(x, F) == cold, x
+
+
+@pytest.mark.parametrize("M", [1, 127, 128, 129, 257, 1040])
+def test_shift_product_is_plain_product(M):
+    for p, q in ((1, 1), (25, 32), (7, 81)):
+        assert _shift_product(p, q, M) == math.prod(range(p, p + M * q, q)), (p, q)
 
 
 @pytest.mark.parametrize("x", [Fraction(1, 997), Fraction(253, 256), 10**6 + Fraction(1, 3)])
@@ -248,6 +265,22 @@ class TestGammaExpr:
             assert_close(eval_gamma_expr(e, 128), want, contract(128))
             wallis = GammaExpr(1, num=(Fraction(1, 2), Fraction(3, 2)))
             assert_close(eval_gamma_expr(wallis, 128), mpmath.pi / 2, contract(128))
+
+    @pytest.mark.parametrize("prec", [128, 1024])
+    def test_eval_repeated_arguments_equal_unrolled_sum(self, prec):
+        """One log-Gamma per distinct argument, times its multiplicity, is the one-by-one sum."""
+        F = prec + GUARD_BITS
+        exprs = [
+            GammaExpr(3, num=(Fraction(1, 3),) * 3 + (Fraction(5, 4),),
+                      den=(Fraction(1, 4),) * 2 + (Fraction(7, 8),)),
+            closed_form_baseB(ProductSpec(2, Word.parse("0", 2), (1, 1), (0, 2))),  # den (5/4, 5/4)
+        ]
+        for expr in exprs:
+            ln = (sum(helpers.loggamma_fixed_oracle(x, F) for x in expr.num)
+                  - sum(helpers.loggamma_fixed_oracle(x, F) for x in expr.den))
+            want = BigReal.exp_of_fixed(ln, F, prec) * expr.prefactor
+            got = eval_gamma_expr(expr, prec)
+            assert (got.man, got.exp) == (want.man, want.exp), expr
 
     def test_eval_closed_form_1024_bits(self, mp_prec):
         """The closed form of base 3, word 12 (G(5/9) G(17/27) / G(16/27)^2) at 1024 bits."""
@@ -379,6 +412,17 @@ class TestBalancedSeries:
                 single = (sum(_loggamma_fixed(Fraction(u + x, W), F) for x in A)
                           - sum(_loggamma_fixed(Fraction(u + x, W), F) for x in T))
                 assert abs(_balanced_lgamma(A, T, W, u, F) - single) <= 16, (A, T, W, u)
+
+    @pytest.mark.parametrize("F", [160, 1056])
+    def test_fallback_equals_single_log_gammas(self, F):
+        """Below the threshold the sum is that of the single log-Gammas, a repeated shift evaluated once."""
+        shifts = self.SHIFTS if F < 1056 else self.SHIFTS[:2]
+        for A, T, W in shifts:
+            X0, _ = _series(A, T, W, F)
+            for u in (1, W, X0 * W - 1):
+                want = (sum(helpers.loggamma_fixed_oracle(Fraction(u + x, W), F) for x in A)
+                        - sum(helpers.loggamma_fixed_oracle(Fraction(u + x, W), F) for x in T))
+                assert _balanced_lgamma(A, T, W, u, F) == want, (A, T, W, u)
 
     def test_series_against_mpmath(self, mp_prec):
         F = 160

@@ -10,11 +10,12 @@ import pytest
 from helpers import assert_close, to_mpf
 
 from blockprod.bigreal import GUARD_BITS
+from blockprod import identities
 from blockprod.gammafn import BalanceError, eval_gamma_expr
 from blockprod.identities import (
     _WORD_ONE,
     FiniteSupportFn,
-    _grouping_exponents,
+    _grouping_chunks,
     ProductSpec,
     alternating_product_estimate,
     closed_form_base2,
@@ -128,6 +129,39 @@ class TestLemma1:
             f = random_fn(rng)
             w = random_word(rng, base)
             assert lemma1_residual(f, w, base) == 0
+
+    def test_lhs_matches_fraction_oracle(self):
+        """The integer left side has the value of the term-by-term Fraction sum."""
+        rng = random.Random(1010)
+        primes = [p for p in range(2, 998) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        for i in range(300):
+            base = (2, 3, 4, 10)[i % 4]
+            entries = {}
+            for _ in range(1 if i % 10 == 0 else rng.randrange(2, 13)):  # a single point every tenth f
+                num = rng.randrange(-60, 61) or -1
+                entries[rng.randrange(1, 400)] = Fraction(num, rng.choice(primes) if i & 1 else rng.randrange(1, 40))
+            f = FiniteSupportFn(entries)
+            shape = i % 3  # all zeros, zero-leading, any digits
+            if shape == 0:
+                w = Word(base, (0,) * rng.randrange(1, 4))
+            elif shape == 1:
+                w = Word(base, (0,) + tuple(rng.randrange(base) for _ in range(rng.randrange(0, 4))))
+            else:
+                w = random_word(rng, base, 4)
+            assert lemma1_lhs(f, w, base) == helpers.lemma1_lhs_oracle(f, w, base), (entries, w)
+
+    def test_lhs_hand_worked(self):
+        """Base 3, word 2, f = {2: 1/2, 7: -1/5, 8: 1/7}; 7 = 21_3 and 8 = 22_3.
+
+        n = 2: N = 1, f(2) - f(6) - f(7) - f(8) = 1/2 + 1/5 - 1/7 = 39/70
+        n = 7: N = 1, f(7) = -1/5 = -14/70
+        n = 8: N = 2, f(8) = 1/7, twice: 20/70
+        sum 45/70 = 9/14 = f(2) + f(8), the right side (the m = 2 mod 3).
+        """
+        f = FiniteSupportFn({2: Fraction(1, 2), 7: Fraction(-1, 5), 8: Fraction(1, 7)})
+        w = Word.parse("2", 3)
+        assert lemma1_lhs(f, w, 3) == Fraction(9, 14)
+        assert lemma1_rhs(f, w, 3) == Fraction(9, 14)
 
     def test_base_mismatch(self):
         with pytest.raises(ValueError):
@@ -253,14 +287,42 @@ class TestRivoalForms:
         # cutting at 4K leaves the k = 4K factor unpaired (4K+2, 4K+3 are inert)
         assert rivoal_original_factors(4 * 50) != rivoal_grouped_factors(50)
 
-    def test_streamed_exponents_match_factor_maps(self):
-        """The per-integer exponents grouping_identity_holds compares are those of both maps."""
-        for K in range(1, 201):
-            exponents = list(_grouping_exponents(K))
-            original = {m: e for m, e, _ in exponents if e}
-            grouped = {m: e for m, _, e in exponents if e}
-            assert original == rivoal_original_factors(4 * K + 3)
-            assert grouped == rivoal_grouped_factors(K)
+    @pytest.mark.parametrize("size", [8, 4096])
+    def test_chunk_exponents_match_factor_maps(self, size):
+        """The chunk arrays that grouping_identity_holds compares hold the exponents of both maps,
+        for every K up to 200 and for 4K+3 next to a power of two or a chunk edge."""
+        near_powers = [(1 << j) // 4 + d for j in range(4, 15) for d in (-1, 0)]
+        near_edges = [(n * size - 3) // 4 + d for n in (1, 2, 3) for d in (-1, 0, 1)]
+        for K in sorted(set(range(1, 201)) | set(near_powers) | set(near_edges)):
+            original, grouped = {}, {}
+            m = 3
+            for start, orig, grp in _grouping_chunks(K, size):
+                assert start == m and len(orig) == len(grp) <= size
+                original.update((start + i, e) for i, e in enumerate(orig) if e)
+                grouped.update((start + i, e) for i, e in enumerate(grp) if e)
+                m += len(orig)
+            assert m == 4 * K + 6, K  # every integer up to 4K + 5
+            assert original == rivoal_original_factors(4 * K + 3), K
+            assert grouped == rivoal_grouped_factors(K), K
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_one_perturbed_entry_fails(self, monkeypatch, where):
+        """A single wrong exponent in one chunk makes the check fail."""
+        K, size = 300, 8
+        n_chunks = -(-(4 * K + 3) // size)
+        target = {"first": 0, "middle": n_chunks // 2, "last": n_chunks - 1}[where]
+        chunks = identities._grouping_chunks
+
+        def perturbed(K, size=size):
+            for i, (start, orig, grp) in enumerate(chunks(K, size)):
+                if i == target:
+                    grp = list(grp)
+                    grp[len(grp) // 2] += 1
+                yield start, orig, grp
+
+        assert grouping_identity_holds(K)
+        monkeypatch.setattr(identities, "_grouping_chunks", perturbed)
+        assert not grouping_identity_holds(K)
 
     def test_numeric_agreement(self):
         a = rivoal_original_partial(4 * 200 + 3, 128)
