@@ -2,7 +2,9 @@
 
 Exit codes: 0 success / verified pass, 1 verified failure (a check that ran
 and did not hold), 2 usage or validation error, 3 internal error (any other
-exception; its traceback goes to stderr).  All randomized behaviour
+exception; its traceback goes to stderr), 141 when the reader of stdout
+closes the pipe early (128 + SIGPIPE, as a shell reports a writer that
+signal stopped; nothing is printed).  All randomized behaviour
 flows from the explicit ``--seed``; identical invocations produce
 byte-identical output.  The environment variable ``BLOCKPROD_PRECISION``
 overrides the default precision (an explicit ``--precision`` still wins).
@@ -35,6 +37,7 @@ from blockprod.identities import (
 from blockprod.products import VerifyReport, enumerate_words, verify
 from blockprod.words import Word, count_block
 
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 DEFAULT_TERMS = 10**5
 DEFAULT_TOLERANCE = "1/1000"
 FORMATS = ("text", "json", "csv")
@@ -416,7 +419,14 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         _check_cap("--precision", args.precision, MAX_PRECISION)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (``| head``): not a crash.  Point stdout at
+        # devnull so that the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,9 +17,10 @@ the public error contract is a relative error of at most
 
 Balanced sums of log-Gammas, whose shifts add up to the same total on both
 sides, have a Stirling series with exact rational coefficients and no
-``log`` term; :func:`_balanced_lgamma` sums it at large arguments and falls
-back to the log-Gamma evaluator below.  The word-product log-sums and
-:func:`gamma_ratio_product` are differences of such sums.
+``log`` term; :func:`_balanced_series` sums it at large arguments, and
+:func:`_balanced_lgamma` falls back to the log-Gamma evaluator below.  The
+word-product log-sums take differences of the series above the threshold;
+:func:`gamma_ratio_product` takes ``G(N + 1) - G(0)``.
 """
 
 from __future__ import annotations
@@ -241,6 +242,7 @@ def _loggamma_sum(num, den, F: int) -> int:
 # [0, 1], and B_n(x + 1) = B_n(x) + n x^(n-1) adds n floor(x) x^(n-1) above.
 
 
+@lru_cache(maxsize=64)
 def _series_terms(F: int, X0: int, d: int, big: int = 0) -> int:
     """Terms of the balanced series for ``z >= X0``: the first omitted term is below ``2**-(F + _SERIES_GUARD + 4)``.
 
@@ -285,14 +287,22 @@ def _series_numerators(
     return lam, tuple(rows)
 
 
+def _largest_shift(A: tuple[int, ...], T: tuple[int, ...], W: int) -> int:
+    """The largest shift ``max(A + T)/W`` rounded up, or 0 when every shift lies in ``[0, 1]``."""
+    big = -(-max(A + T) // W)
+    return big if big > 1 else 0
+
+
+def _balanced_threshold(A: tuple[int, ...], T: tuple[int, ...], W: int, F: int) -> int:
+    """``X0`` of :func:`_series`, found without building its coefficients."""
+    return max(_series_threshold(F), 4 * _largest_shift(A, T, W))
+
+
 @lru_cache(maxsize=64)
 def _series(A: tuple[int, ...], T: tuple[int, ...], W: int, F: int) -> tuple[int, tuple[int, ...]]:
     """``(X0, coefficients)``: ``c_1..c_K`` of ``G`` at scale ``F + _SERIES_GUARD``, from power sums."""
-    big = -(-max(A + T) // W)  # the largest shift, rounded up
-    if big <= 1:
-        big = 0  # every shift in [0, 1]
-    X0 = max(_series_threshold(F), 4 * big)
-    K = _series_terms(F, X0, len(A), big)
+    X0 = _balanced_threshold(A, T, W, F)
+    K = _series_terms(F, X0, len(A), _largest_shift(A, T, W))
     lam, rows = _series_numerators(A, T, K)
     S = F + _SERIES_GUARD
     coeffs = []
@@ -308,22 +318,33 @@ def _series(A: tuple[int, ...], T: tuple[int, ...], W: int, F: int) -> tuple[int
     return X0, tuple(coeffs)
 
 
+def _balanced_series(A: tuple[int, ...], T: tuple[int, ...], W: int, u: int, F: int) -> int:
+    """The series of ``G(u)`` at scale ``F + _SERIES_GUARD``, unrounded, for ``u >= X0 * W``.
+
+    An integer Horner sum in ``W/u``: with its floored coefficients and
+    steps and the omitted terms it is within two units of its scale of the
+    exact ``G(u)``.
+    """
+    acc = 0
+    for c in reversed(_series(A, T, W, F)[1]):
+        acc = c + acc * W // u
+    return acc * W // u
+
+
 def _balanced_lgamma(A: tuple[int, ...], T: tuple[int, ...], W: int, u: int, F: int) -> int:
     """``sum_i lgG((u + A_i)/W) - lgG((u + T_i)/W)`` at fixed-point scale ``F``.
 
     ``A`` and ``T`` are integer shifts of equal length and equal sum, and
     every argument must be positive.  At ``u/W >= X0`` (see
-    :func:`_series_threshold`) the Stirling series above is summed by
-    integer Horner in ``W/u``; below, it is :func:`_loggamma_sum` of the
-    single log-Gammas.  The value is an integer fixed by ``(A, T, W, u, F)``
-    alone, within a few units of ``2**-F`` of the exact sum.
+    :func:`_balanced_threshold`) it is :func:`_balanced_series` rounded to
+    scale ``F``; below, :func:`_loggamma_sum` of the single log-Gammas,
+    which only :func:`gamma_ratio_product`'s ``G(0)`` still reaches (the
+    word-product log-sums sum the points below ``X0`` as exact products).
+    The value is an integer fixed by ``(A, T, W, u, F)`` alone, within a few
+    units of ``2**-F`` of the exact sum.
     """
-    X0, coeffs = _series(A, T, W, F)
-    if u >= X0 * W:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = c + acc * W // u
-        return rshift_round(acc * W // u, _SERIES_GUARD)
+    if u >= _balanced_threshold(A, T, W, F) * W:
+        return rshift_round(_balanced_series(A, T, W, u, F), _SERIES_GUARD)
     return _loggamma_sum((Fraction(u + a, W) for a in A), (Fraction(u + t, W) for t in T), F)
 
 

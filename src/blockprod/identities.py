@@ -10,9 +10,9 @@ Four families live here:
   (:func:`closed_form_base2` for the canonical base-2 family and
   :func:`closed_form_baseB` for general base and parameter vectors);
 * the truncated log-sum of a general block-exponent product, telescoped by
-  the same identity into ``O(sqrt N)`` balanced Gamma ratios
-  (:func:`logsum_word`), or summed term by term where that is priced
-  cheaper (:func:`logsum_word_priced`);
+  the same identity into ``O(sqrt N)`` pieces, each an exact product below
+  the series threshold and a balanced Gamma-ratio series above it
+  (:func:`logsum_word`);
 * the concrete 4/pi product family: the original four-periodic form, the
   grouped form with digit-count exponents, the companion form with signed
   digit-count exponents, and the numerically estimated alternating form.
@@ -31,17 +31,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import sub
 from typing import Callable, Iterator, Mapping
 
-from blockprod import _kernels_py
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision
-from blockprod.fixedpoint import rshift_round
+from blockprod.fixedpoint import fx_log, rshift_round
 from blockprod.gammafn import (
+    _SERIES_GUARD,
     BalanceError,
     GammaExpr,
-    _balanced_lgamma,
+    _balanced_series,
+    _balanced_threshold,
     _loggamma_fixed,
     _series_terms,
     _series_threshold,
@@ -49,10 +50,8 @@ from blockprod.gammafn import (
 from blockprod.words import (
     ALL_ZEROS,
     Word,
-    block_counts,
     classify,
     count_block,
-    to_digits,
     word_value,
 )
 
@@ -76,9 +75,6 @@ __all__ = [
     "logsum_alternating",
     "logsum_companion",
     "logsum_word",
-    "logsum_word_direct",
-    "logsum_word_priced",
-    "path_costs",
     "word_edge_plan",
     "rivoal_original_factors",
     "rivoal_grouped_factors",
@@ -269,14 +265,6 @@ class ProductSpec:
     def canonical_base2(cls, word: Word) -> "ProductSpec":
         """The parameters ``a = (1, 1)``, ``b = (0, 2)`` that yield the base-2 family."""
         return cls(2, word, (Fraction(1), Fraction(1)), (Fraction(0), Fraction(2)))
-
-    def kernel_args(self) -> tuple[tuple[int, ...], ...]:
-        return (
-            tuple(x.numerator for x in self.a),
-            tuple(x.denominator for x in self.a),
-            tuple(x.numerator for x in self.b),
-            tuple(x.denominator for x in self.b),
-        )
 
     def factor(self, n: int) -> Fraction:
         """Exact value of the n-th product term (before the block exponent)."""
@@ -477,14 +465,9 @@ def logsum_alternating(lo: int, hi: int, F: int) -> int:
 # B^(j+L).  Each block, each class and the first sum's progression adds up
 # f over an arithmetic progression m = first, first + Q, ... < end, which is
 # G_Q(end) - G_Q(first) with G_Q(m) = sum_i lgG((m + a_i/B)/Q) -
-# lgG((m + b_i/B)/Q), a balanced log-Gamma sum (gammafn._balanced_lgamma).
-
-
-# A below-threshold edge costs 2d log-Gammas, priced at 16d Horner sums of the
-# series: the fit to the earlier Spouge log-Gammas (16d to 22d at 160 to 2080
-# bits), kept so that no engine/direct path choice moves.  The Stirling
-# log-Gammas now cost less; refitting the prices is a ROADMAP item.
-_FALLBACK_EDGE_COST = 16
+# lgG((m + b_i/B)/Q), a balanced log-Gamma sum.  Its series
+# (gammafn._balanced_series) holds from m = X0 Q on; the points below are
+# summed as the log of the exact rational prod_i (Bm + a_i)/(Bm + b_i).
 
 
 def word_edge_plan(
@@ -492,20 +475,19 @@ def word_edge_plan(
 ) -> Iterator[tuple[int, int, int, int]]:
     """Pieces ``(sign, Q, first, end)`` of ``S(N)`` for a word of value ``v`` and length ``length``.
 
-    ``S(N)`` is the sum of ``sign * (G_Q(end) - G_Q(first))`` over the
-    pieces.  At each level the plan takes the cheaper of one piece per
-    block (``Q = 1``) and one per residue class (``Q = B^(j+L)``), pricing an
-    edge below the series threshold of ``gammafn._balanced_lgamma`` at
-    ``16d`` edges above it: about ``2 sqrt((B-1) N / B^L)`` pieces in all.
-    The plan depends on its six arguments alone.
+    ``S(N)`` is the sum over the pieces of ``sign`` times ``f`` summed over
+    ``m = first, first + Q, ... < end``.  At each level the plan takes the
+    cheaper of one piece per block (``Q = 1``) and one per residue class
+    (``Q = B^(j+L)``), priced by counts taken without building a piece: a
+    piece costs ``K`` steps (the series' term count at scale ``F``) for each
+    edge at or above the series threshold ``X0 * Q``, and ``2d`` factors for
+    each point below it and for the piece itself.  That gives about
+    ``2 sqrt((B-1) N / B^L)`` pieces in all.  The plan depends on its six
+    arguments alone.
     """
     B = base
     X0 = _series_threshold(F)
-    slow = _FALLBACK_EDGE_COST * d
-
-    def cost(m: int, Q: int) -> int:
-        return 1 if m >= Q * X0 else slow
-
+    K = _series_terms(F, X0, d)
     QL = B**length
     first = v or QL
     if first <= N:
@@ -515,148 +497,126 @@ def word_edge_plan(
     while Bj <= hi:
         a = max(lo, Bj)  # m // B^j >= 1
         Q = Bj * QL
-        t0 = a // Bj
-        t0 += (v - t0) % QL  # first block index = v (mod B^L)
-        t1 = hi // Bj
-        blocks = (t1 - t0) // QL + 1 if t0 <= t1 else 0
-        classes = min(Bj, hi - a + 1)
-        if 2 * blocks * cost(a, 1) <= classes * (cost(a, Q) + cost(hi + 1, Q)):
-            for t in range(t0, t1 + 1, QL):
+        head = v * Bj
+
+        def covered(c: int) -> int:
+            """Indices below ``c`` with ``m // B^j = v (mod B^L)``."""
+            return c // Q * Bj + min(Bj, max(0, c % Q - head))
+
+        def blocks_meeting(x: int) -> int:
+            """Blocks ``t = v (mod B^L)`` that meet ``[x, hi]``."""
+            t = x // Bj
+            t += (v - t) % QL
+            return (hi // Bj - t) // QL + 1 if t * Bj <= hi else 0
+
+        def cost(pieces: int, high: int, low_end: int) -> int:
+            low = covered(min(low_end, hi + 1)) - covered(a) if a < low_end else 0
+            return 2 * K * high + 2 * d * (low + pieces)
+
+        blocks = blocks_meeting(a)
+        classes = min(Bj, covered(hi + 1) - covered(a))
+        high = min(Bj, max(0, covered(hi + 1) - covered(max(a, X0 * Q))))
+        if cost(blocks, blocks_meeting(max(a, X0)), X0) <= cost(classes, high, X0 * Q):
+            for t in range(a // Bj + (v - a // Bj) % QL, hi // Bj + 1, QL):
                 yield -1, 1, max(a, t * Bj), min(hi, t * Bj + Bj - 1) + 1
         else:
-            for r in range(v * Bj, v * Bj + Bj):
+            for r in range(head, head + Bj):
                 m0 = a + (r - a) % Q
                 if m0 <= hi:
                     yield -1, Q, m0, hi - (hi - r) % Q + Q
         Bj *= B
 
 
-def logsum_word(spec: ProductSpec, N: int, F: int) -> int:
-    """``S(N) = sum_{n=1}^N N_w(n) * log(term_n)`` at scale ``F``, in ``O(sqrt N)`` Gamma ratios.
+# The log-sum adds up, at the working scale E = F + g, the series edges
+# (each within two units of 2**-E, see gammafn._balanced_series) and one log
+# per chunk of the exact low products (a floored quotient and an fx_log:
+# within two units).  No index of a level carries more than two such
+# values: the series part of a piece holds at least one point for its two
+# edges, and every chunk at least one point.  The first sum and each of the
+# J < bitlen(top) levels cover fewer than top = B(N + 1) indices, so the
+# values drift by less than 4 top bitlen(top) units of 2**-E, which
+# 2**g > 8 top bitlen(top) keeps below half a unit of 2**-F; the rounding
+# to F adds the other half.  g is rounded up to a multiple of 8 so that
+# nearby N share one scale, and with it their series coefficients and log
+# ladders.
+def _word_guard_bits(B: int, N: int) -> int:
+    top = B * (N + 1)
+    return -(-(8 * top * top.bit_length()).bit_length() // 8) * 8
 
-    Sums the pieces of :func:`word_edge_plan`, each a difference of
-    ``G_Q = gammafn._balanced_lgamma`` values; an edge shared by two pieces
-    is evaluated once.  Every value is an integer fixed by the spec, ``Q``,
-    the edge and ``F``, so ``S(hi) - S(lo - 1)`` is the exact log-sum of any
-    range ``[lo, hi]`` and chunked evaluation adds up to the bit.
+
+def _log_ratio(p: int, q: int, E: int) -> int:
+    """``log(p/q)`` at scale ``E`` for positive integers: one floored quotient, one ``fx_log``."""
+    if p < q:
+        return -_log_ratio(q, p, E)
+    return fx_log((p << E) // q, E)
+
+
+def logsum_word(spec: ProductSpec, N: int, F: int) -> int:
+    """``S(N) = sum_{n=1}^N N_w(n) * log(term_n)`` at scale ``F``, within one unit of ``2**-F``.
+
+    Sums the pieces of :func:`word_edge_plan` at the working scale
+    ``E = F + g`` (``g`` fixed by ``B`` and ``N``; see the comment above)
+    and rounds the total once.  A piece's points below the series threshold
+    ``X0 * Q`` (those before ``m*``, the first point at or above it) enter
+    as the log of the exact product ``prod (DBm + A_i)/(DBm + T_i)``,
+    multiplied across pieces into chunks of about ``8E`` bits with one log
+    per chunk; the rest is ``G_Q(end) - G_Q(m*)`` on the series of
+    :func:`gammafn._balanced_series`, an edge shared by two pieces evaluated
+    once.  ``S(N)`` is an integer fixed by the spec, ``N`` and ``F``, so
+    ``S(hi) - S(lo - 1)`` is the log-sum of any range ``[lo, hi]`` and
+    ranges taken that way add up exactly.
     """
     if N < 1:
         return 0
     B = spec.base
+    g = _word_guard_bits(B, N)
+    E = F + g
+    Fs = E - _SERIES_GUARD  # the series' nominal scale: their Horner sums land at E
     D = lcm(*(x.denominator for x in spec.a + spec.b))
     A = tuple(sorted(int(x * D) for x in spec.a))
     T = tuple(sorted(int(x * D) for x in spec.b))
-    DB = D * B
+    DB, d = D * B, len(A)
+    chunk_bits = 8 * E
+    limits: dict[int, int] = {}
     memo: dict[tuple[int, int], int] = {}
 
     def G(Q: int, m: int) -> int:
         v = memo.get((Q, m))
         if v is None:
-            v = memo[Q, m] = _balanced_lgamma(A, T, DB * Q, DB * m, F)
+            v = memo[Q, m] = _balanced_series(A, T, DB * Q, DB * m, Fs)
         return v
 
     total = 0
-    shape = (B, len(spec.word.digits), word_value(spec.word), len(A))
-    for sign, Q, first, end in word_edge_plan(*shape, N, F):
-        total += sign * (G(Q, end) - G(Q, first))
-    return total
-
-
-# The direct sum adds one floored fixed-point log per term with nonzero
-# count, over block counts built per chunk of COUNT_CHUNK indices.  It runs
-# at scale S = F + g and rounds once.  A floored term log is low by less
-# than S/8 units of 2**-S (measured: at most S/11 at S = 160, 1056 and 2080)
-# and weighs at most 2 bitlen(N).  With g = bitlen(N) + bitlen(F) + 4, so
-# that 2**g > 16 N F, the N terms drift by less than
-# N * 2 bitlen(N) * S/8 / 2**g < bitlen(N) (1 + g/F) / 64 units of 2**-F.
-COUNT_CHUNK = 1 << 16
-
-
-def _direct_guard_bits(N: int, F: int) -> int:
-    return N.bit_length() + F.bit_length() + 4
-
-
-def path_costs(spec: ProductSpec, N: int, F: int) -> tuple[float, float]:
-    """Estimated seconds of ``(telescoped engine, direct sum)`` for ``S(N)`` at scale ``F``.
-
-    The engine is priced from its exact edge plan (:func:`word_edge_plan`),
-    counted without evaluating anything: each distinct edge at or above the
-    series threshold costs ``K`` Horner steps, each edge below it ``2d``
-    log-Gammas, and each series modulus ``Q`` one cold coefficient
-    build of ``K^2`` steps, on top of one build of the products that every
-    modulus shares.  The direct sum costs one log ratio per term whose
-    block count is nonzero (share estimated as ``1 - (1 - B^-L)^windows``)
-    at its working scale, cheaper on the base-2 parameters of its fast
-    path.  The per-step times are fits to ``benchmarks/bench_kernels.py``
-    (pure Python, Python 3.11, one core of a 2-core x86-64 machine); the
-    log-Gamma price is the fit to the Spouge evaluator that the Stirling one
-    replaced, kept on purpose so that path choices do not move.
-    """
-    B, length, d = spec.base, len(spec.word.digits), len(spec.a)
-    X0 = _series_threshold(F)
-    K = _series_terms(F, X0, d)
-    series, fallback, moduli = set(), set(), set()
-    for _, Q, first, end in word_edge_plan(B, length, word_value(spec.word), d, N, F):
-        for m in (first, end):
-            if m >= Q * X0:
-                series.add((Q, m))
-                moduli.add(Q)
-            else:
-                fallback.add((Q, m))
-    step = 0.25 + F / 2000  # one Horner step, us
-    shared_step = 0.2 + F / 14000  # one step of the modulus-free products, us
-    build_step = 0.08 + F / 20000  # one coefficient-build step, us
-    lgamma = 100 + F * F / 1000  # one log-Gamma, us: the old Spouge fit, kept so choices stay put
-    engine = len(series) * K * step + len(fallback) * 2 * d * lgamma
-    if moduli:
-        engine += K * K * (shared_step + len(moduli) * build_step)
-    windows = max(0, len(to_digits(N, B)) - length + 1)
-    share = float(1 - Fraction(B**length - 1, B**length) ** windows)  # exact, then rounded once
-    S = F + _direct_guard_bits(N, F)  # the direct sum's working scale
-    if (B, *spec.kernel_args()) == _kernels_py.FAST_PATH_ARGS:
-        # the quadratic, scaled up to 4/3 above S = 256 so that for words 1
-        # and 101 at 1024 and 2048 bits the rule meets the break-even that
-        # benchmarks/bench_kernels.py measures (the engine's price runs high
-        # there); at 128 bits S stays below 256
-        per_term = (1 + S * S / 85000) * (1 + max(0, S - 256) / (3 * S))
-    else:
-        per_term = 0.55 * d * (B + 1) + d * S * S * (1 + S / 2048) / 102000
-    return engine * 1e-6, N * share * per_term * 1e-6
-
-
-def logsum_word_direct(spec: ProductSpec, N: int, F: int) -> int:
-    """``S(N)`` at scale ``F`` as the direct sum of one fixed-point log per term, rounded once.
-
-    Sums :func:`blockprod._kernels_py.logsum_word_product` over chunks of at
-    most ``COUNT_CHUNK`` indices at scale ``F + g`` and rounds the total to
-    scale ``F`` (the guard bits ``g`` are fixed by ``(N, F)``; see the
-    comment above :data:`COUNT_CHUNK`).
-    """
-    g = _direct_guard_bits(N, F)
-    args = spec.kernel_args()
-    total = 0
-    for lo in range(1, N + 1, COUNT_CHUNK):
-        hi = min(lo + COUNT_CHUNK - 1, N)
-        counts = block_counts(spec.word, lo, hi)
-        total += _kernels_py.logsum_word_product(spec.base, counts, *args, lo, hi, F + g)
+    num = den = 1  # the low products since the last chunk log
+    shape = (B, len(spec.word.digits), word_value(spec.word), d)
+    for sign, Q, first, end in word_edge_plan(*shape, N, Fs):
+        lim = limits.get(Q)
+        if lim is None:
+            lim = limits[Q] = _balanced_threshold(A, T, DB * Q, Fs) * Q
+        mstar = first
+        if first < lim:
+            mstar = min(end, first + (lim - first + Q - 1) // Q * Q)
+            step, stop = DB * Q, DB * mstar
+            span = step * max(1, chunk_bits // (d * stop.bit_length()))
+            for u in range(DB * first, stop, span):
+                u1 = min(u + span, stop)
+                p = q = 1
+                for x in A:
+                    p *= prod(range(u + x, u1 + x, step))
+                for x in T:
+                    q *= prod(range(u + x, u1 + x, step))
+                if sign < 0:
+                    p, q = q, p
+                num *= p
+                den *= q
+                if num.bit_length() > chunk_bits:
+                    total += _log_ratio(num, den, E)
+                    num = den = 1
+        if mstar < end:
+            total += sign * (G(Q, end) - G(Q, mstar))
+    if num != den:
+        total += _log_ratio(num, den, E)
     return rshift_round(total, g)
-
-
-def logsum_word_priced(spec: ProductSpec, N: int, F: int) -> int:
-    """``S(N)`` at scale ``F`` by whichever path :func:`path_costs` prices cheaper.
-
-    The telescoped engine :func:`logsum_word` (``O(sqrt N)`` Gamma ratios,
-    the larger ``N``) or the direct sum :func:`logsum_word_direct` (small
-    ``N``, high precision).  The choice reads the spec's shape and ``(N, F)``
-    alone, never cache state, so ``S(N)`` is an integer fixed by its
-    arguments.
-    """
-    if N < 1:
-        return 0
-    engine, direct = path_costs(spec, N, F)
-    if engine < direct:
-        return logsum_word(spec, N, F)
-    return logsum_word_direct(spec, N, F)
 
 
 # --------------------------------------------------------------------------
@@ -673,7 +633,7 @@ _WORD_ONE = ProductSpec.canonical_base2(Word.parse("1", 2))
 
 
 def _companion_prefix(N: int, F: int) -> int:
-    return logsum_rivoal_grouped(1, N, F) - 2 * logsum_word_priced(_WORD_ONE, N, F)
+    return logsum_rivoal_grouped(1, N, F) - 2 * logsum_word(_WORD_ONE, N, F)
 
 
 def logsum_companion(lo: int, hi: int, F: int) -> int:
@@ -681,9 +641,9 @@ def logsum_companion(lo: int, hi: int, F: int) -> int:
 
     The exponent is ``2*(bitlen(k) - 2*popcount(k))``, the signed digit
     balance.  The log-sum is ``P(hi) - P(lo - 1)`` with ``P(N)`` the grouped
-    form's log-sum minus twice the word-``1`` log-sum
-    (:func:`logsum_word_priced`): ``O(log N)`` plus ``O(sqrt N)`` log-Gammas
-    for large ``N``, one series per term for small ``N``.
+    form's log-sum minus twice the word-``1`` log-sum (:func:`logsum_word`):
+    ``O(log N)`` log-Gammas plus ``O(sqrt N)`` series edges, the points below
+    the series threshold as exact products.
     """
     lo = max(lo, 1)
     if lo > hi:

@@ -2,16 +2,16 @@
 
 Every partial product is the exponential of an integer fixed-point log-sum
 at scale ``F = precision + GUARD_BITS``.  Word products take the
-telescoped sum of the paper's lemma, ``O(sqrt N)`` balanced Gamma ratios
-(:func:`blockprod.identities.logsum_word`), or, where :func:`path_costs`
-prices it cheaper (small ``N``, high precision), the direct sum of one
-fixed-point logarithm per term, rounded once.  The left side of
-``rivoal_eq1`` (the grouped 4/pi form) adds one log-Gamma combination per
-dyadic block (:func:`blockprod.identities.logsum_rivoal_grouped`), within a
-few dozen units of ``2**-F`` of the exact log-sum, measured up to N =
-10**30.  The left side of ``companion_eq2`` is that grouped log-sum minus
-twice the word product of the base-2 word ``1``, taken by the same choice
-of path (:func:`blockprod.identities.logsum_companion`).  Each log-sum is
+telescoped sum of the paper's lemma (:func:`blockprod.identities.logsum_word`):
+``O(sqrt N)`` pieces, each an exact product below the series threshold and
+a balanced Gamma-ratio series above it, summed with guard bits and rounded
+once to within one unit of ``2**-F``.  The left side of ``rivoal_eq1``
+(the grouped 4/pi form) adds one log-Gamma combination per dyadic block
+(:func:`blockprod.identities.logsum_rivoal_grouped`), within a few dozen
+units of ``2**-F`` of the exact log-sum, measured up to N = 10**30.  The
+left side of ``companion_eq2`` is that grouped log-sum minus twice the
+word product of the base-2 word ``1``
+(:func:`blockprod.identities.logsum_companion`).  Each log-sum is
 built from integers fixed by their own index, edge or prefix length and by
 ``F``, so a range taken as a difference of prefixes, or disjoint ranges
 summed in any order, reproduce the whole-range result exactly (the
@@ -38,16 +38,13 @@ from fractions import Fraction
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision, pi_value
 from blockprod.fixedpoint import fx_div, fx_log, log2_fixed
 from blockprod.gammafn import eval_gamma_expr
-# COUNT_CHUNK and path_costs stay importable from this module
 from blockprod.identities import (
-    COUNT_CHUNK,
     ProductSpec,
     closed_form_baseB,
     companion_closed_form,
     logsum_companion,
     logsum_rivoal_grouped,
-    logsum_word_priced,
-    path_costs,
+    logsum_word,
 )
 from blockprod.words import Word, all_words
 
@@ -78,17 +75,14 @@ def eval_lhs_partial(spec: ProductSpec, N: int, precision_bits: int) -> BigReal:
     """First ``N`` factors of the block-exponent product, in log space.
 
     Exponents are the block-occurrence counts of ``spec.word``.  The log-sum
-    is :func:`blockprod.identities.logsum_word_priced`: the telescoped
-    Gamma-ratio engine (``O(sqrt N)`` pieces, the larger ``N``) or the
-    direct sum of one fixed-point log per term (small ``N``, high
-    precision), whichever :func:`path_costs` prices cheaper from the spec's
-    shape and ``(N, F)`` alone.
+    is :func:`blockprod.identities.logsum_word`, the telescoped sum of
+    ``O(sqrt N)`` pieces, within one unit of ``2**-F`` of the exact log-sum.
     """
     prec = _check_precision(precision_bits)
     if N < 1:
         raise ValueError("N must be >= 1")
     F = prec + GUARD_BITS
-    return BigReal.exp_of_fixed(logsum_word_priced(spec, N, F), F, prec)
+    return BigReal.exp_of_fixed(logsum_word(spec, N, F), F, prec)
 
 
 # --------------------------------------------------------------------------

@@ -1,22 +1,22 @@
 """Shared test helpers: conversions to the mpmath oracle, tolerance asserts,
 the per-digit block-count recurrence that the chunked ``count_block`` is
 checked against, the per-term log-sums that the library's Gamma-ratio
-sums are checked against (the 4/pi family and the balanced ratio product),
-and the plain forms of the log-Gamma and of the summation lemma's left
-side that the library's faster forms must equal exactly."""
+sums are checked against (the 4/pi family, the balanced ratio product and
+word products, with their fixed-point log series), and the plain forms of
+the log-Gamma and of the summation lemma's left side that the library's
+faster forms must equal exactly."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import mpmath
 
-from blockprod._kernels_py import fx_log1p_inv, fx_log_ratio
 from blockprod.bigreal import BigReal
 from blockprod.fixedpoint import fx_log, rshift_round
-from blockprod.gammafn import _SERIES_GUARD, _series_threshold, _stirling_series
-from blockprod.identities import FiniteSupportFn
+from blockprod.gammafn import _SERIES_GUARD, _balanced_threshold, _series_threshold, _stirling_series
+from blockprod.identities import FiniteSupportFn, _word_guard_bits, word_edge_plan
 from blockprod.words import Word, count_block, word_value
 
 
@@ -77,6 +77,38 @@ def loggamma_fixed_oracle(x: Fraction, F: int) -> int:
     return rshift_round(acc + (s << (H - _SERIES_GUARD)), H)
 
 
+def mstar_cuts(spec, lo: int, hi: int, F: int, limit: int = 2) -> list[int]:
+    """The first ``limit`` prefix lengths ``N`` in ``[lo, hi]`` at which a piece reaches ``m*``.
+
+    ``m*`` is the first point of a piece at or above its series threshold.
+    At such an ``N`` the plan has a piece whose last point is its ``m*``
+    (one point on the series, the rest exact products) and the plan at
+    ``N - 1`` has none.
+    """
+    B, L = spec.base, len(spec.word.digits)
+    D = lcm(*(x.denominator for x in spec.a + spec.b))
+    A = tuple(sorted(int(x * D) for x in spec.a))
+    T = tuple(sorted(int(x * D) for x in spec.b))
+
+    def reaches(N: int) -> bool:
+        Fs = F + _word_guard_bits(B, N) - _SERIES_GUARD
+        for _, Q, first, end in word_edge_plan(B, L, word_value(spec.word), len(A), N, Fs):
+            lim = _balanced_threshold(A, T, D * B * Q, Fs) * Q
+            if first < lim <= end - Q < lim + Q:
+                return True
+        return False
+
+    cuts, before = [], reaches(lo - 1)
+    for N in range(lo, hi + 1):
+        now = reaches(N)
+        if now and not before:
+            cuts.append(N)
+            if len(cuts) == limit:
+                break
+        before = now
+    return cuts
+
+
 def lemma1_lhs_oracle(f: FiniteSupportFn, w: Word, base: int) -> Fraction:
     """``sum_{n>=1} N_w(n) * (f(n) - sum_{k<B} f(Bn+k))`` term by term in ``Fraction`` arithmetic."""
     candidates = set(f.support)
@@ -93,6 +125,84 @@ def lemma1_lhs_oracle(f: FiniteSupportFn, w: Word, base: int) -> Fraction:
             c = count_block(w, n)
             if c:
                 total += c * inner
+    return total
+
+
+# --------------------------------------------------------------------------
+# fixed-point logs of rationals near 1
+# --------------------------------------------------------------------------
+#
+# Each is an exact-integer atanh series, floored term by term, so it sits
+# below the exact log by a few units of 2**-F; the per-term sums below add
+# one per term and drift by as many units per term.
+
+
+def fx_log_ratio(p: int, q: int, F: int) -> int:
+    """``log(p/q)`` for positive integers, by ``log(p/q) = 2*atanh((p-q)/(p+q))``."""
+    if p <= 0 or q <= 0:
+        raise ValueError("fx_log_ratio needs positive integers")
+    if p == q:
+        return 0
+    if p < q:
+        return -fx_log_ratio(q, p, F)
+    t = ((p - q) << F) // (p + q)
+    t2 = (t * t) >> F
+    u = t
+    s = 0
+    k = 1
+    while u:
+        s += u // k
+        u = (u * t2) >> F
+        k += 2
+    return 2 * s
+
+
+def fx_log1p_inv(q: int, F: int) -> int:
+    """``log(1 + 1/q)`` for a positive integer ``q``: ``2 * sum_{j>=0} (2q+1)^-(2j+1)/(2j+1)``."""
+    if q <= 0:
+        raise ValueError("fx_log1p_inv needs a positive integer")
+    c = 2 * q + 1
+    c2 = c * c
+    u = (2 << F) // c
+    s = 0
+    k = 1
+    while u:
+        s += u // k
+        u //= c2
+        k += 2
+    return s
+
+
+def logsum_word_product(spec, counts, lo: int, hi: int, F: int) -> int:
+    """Sum of ``N_w(n) * log(term_n)`` for ``n`` in ``[lo, hi]``, one log per term with nonzero count.
+
+    ``counts[n - lo] = N_w(n)`` (see ``words.block_counts``) and ``term_n =
+    spec.factor(n)``; the canonical base-2 parameters ``a = (1, 1)``, ``b =
+    (0, 2)`` give ``((4n+2)^2/((4n+1)(4n+3)))^2``, a ``log(1 + 1/q)`` each.
+    """
+    if len(counts) != hi - lo + 1:
+        raise ValueError("counts must hold one entry per index in [lo, hi]")
+    total = 0
+    if spec.base == 2 and spec.a == (1, 1) and spec.b == (0, 2):
+        for n, c in enumerate(counts, lo):
+            if c:
+                total += (2 * c) * fx_log1p_inv((4 * n + 1) * (4 * n + 3), F)
+        return total
+    B = spec.base
+    pairs = [(a.numerator, a.denominator, b.numerator, b.denominator) for a, b in zip(spec.a, spec.b)]
+    for n, c in enumerate(counts, lo):
+        if not c:
+            continue
+        bn = B * n
+        p = q = 1  # term_n = p/q, unreduced
+        for an, ad, bnum, bd in pairs:
+            p *= (bn * ad + an) * bd
+            q *= (bn * bd + bnum) * ad
+            for k in range(B):
+                x = B * bn + B * k
+                p *= (x * bd + bnum) * ad
+                q *= (x * ad + an) * bd
+        total += c * fx_log_ratio(p, q, F)
     return total
 
 

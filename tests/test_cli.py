@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +65,24 @@ class TestInternalError:
         assert code == 3  # not 1, which means a check ran and did not hold
         assert out == ""
         assert "internal error: ArithmeticError: series did not converge" in err
+
+
+class TestClosedPipe:
+    def test_reader_gone_is_not_a_crash(self):
+        """Output into a pipe that nobody reads (``| true``, ``| head``): no traceback, not exit 3."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "blockprod.cli", "count", "--base", "2", "--word", "11", "15"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE != 3
+        assert proc.stderr == b""
 
 
 class TestClosedForm:

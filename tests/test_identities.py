@@ -31,7 +31,6 @@ from blockprod.identities import (
     logsum_companion,
     logsum_rivoal_grouped,
     logsum_rivoal_original,
-    path_costs,
     rho,
     rivoal_grouped_factors,
     rivoal_grouped_partial,
@@ -447,55 +446,25 @@ class TestCompanionSum:
         "prec, N", [(128, 7), (128, 3000), (128, 10**5), (128, 10**6), (256, 10**6), (1024, 10**4)]
     )
     def test_logsum_against_mpmath(self, prec, N):
-        """Within ``2^8`` units of ``2^-F`` of mpmath (measured: +7, +9, -31, -58, +47, -37).
+        """Within ``2^6`` units of ``2^-F`` of mpmath (measured: +5, +13, -25, -28, -9, -5).
 
-        The word-``1`` part takes the direct sum at N = 7 and 3000, the engine at the
-        other four points."""
+        The word-``1`` part is within one unit; the rest is the grouped form's block sums."""
         F = prec + GUARD_BITS
         with mpmath.workprec(F + 2 * N.bit_length() + 64):
             want = mpmath.ldexp(mp_companion_logsum(1, N), F)
-        assert abs(logsum_companion(1, N, F) - want) <= 2**8
-
-    def test_word_one_switch_points(self):
-        """Where ``path_costs`` switches the word-``1`` sum between its two paths.
-
-        At 128 bits it switches at N = 2287-2303, which the range-splitting test
-        below cuts around.  At 1024 bits ``benchmarks/bench_kernels.py`` measures
-        the engine faster from N = 8563 on its grid; the rule must switch within
-        one grid step of that, so N = 10^4 takes the engine."""
-
-        def engine_taken(N, F):
-            engine, direct = path_costs(_WORD_ONE, N, F)
-            return engine < direct
-
-        F = self.F
-        assert [N for N in range(2200, 2400)
-                if engine_taken(N, F) != engine_taken(N - 1, F)] == [2287, 2288, 2295, 2296, 2303]
-        F = 1024 + GUARD_BITS
-        grid, N = [], 64
-        while N <= 60_000:
-            grid.append(N)
-            N = N * 5 // 4
-        picks = [engine_taken(N, F) for N in grid]
-        switch = next(N for i, N in enumerate(grid) if all(picks[i:]))
-        assert switch in (6851, 8563, 10703)
-        assert engine_taken(10**4, F)
+        assert abs(logsum_companion(1, N, F) - want) <= 2**6
 
     def test_range_splits_exactly(self):
-        """Cuts on both sides of each N where the word-``1`` sum changes path, and where a
-        block of the telescoped plan starts at the first index ``N + 1`` it sums."""
+        """Cuts where a block of the telescoped plan starts at the first index ``N + 1`` it
+        sums, and on both sides of each ``N`` at which a piece of the word-``1`` sum
+        reaches ``m*``, its first point on the series."""
         F = self.F
-
-        def engine_taken(N):
-            engine, direct = path_costs(_WORD_ONE, N, F)
-            return engine < direct
-
-        switches = [N for N in range(2200, 2400) if engine_taken(N) != engine_taken(N - 1)]
-        assert switches
+        lo, hi = 100, 5200
+        mstar = helpers.mstar_cuts(_WORD_ONE, lo + 1, hi - 1, F, limit=4)
+        assert len(mstar) == 4
         # word 1: level-j blocks start at (2t + 1) 2^j, so the plan for N = 3071
         # starts a block at m = 3 * 2^10; likewise 2047, 3583 and 5119
-        cuts = sorted({2047, 2048, 3071, 3072, 3583, 5119, *switches, *(N - 1 for N in switches)})
-        lo, hi = 1800, 5200
+        cuts = sorted({2047, 2048, 3071, 3072, 3583, 5119, *mstar, *(N - 1 for N in mstar)})
         whole = logsum_companion(lo, hi, F)
         edges = (lo - 1, *cuts, hi)
         assert whole == sum(logsum_companion(a + 1, b, F) for a, b in zip(edges, edges[1:]))

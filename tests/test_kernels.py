@@ -7,7 +7,6 @@ import helpers
 import mpmath
 import pytest
 
-from blockprod import _kernels_py
 from blockprod.fixedpoint import (
     fx_atan_inv,
     fx_div,
@@ -23,6 +22,7 @@ from blockprod.fixedpoint import (
     rshift_round,
     sqrt2pi_fixed,
 )
+from blockprod.identities import ProductSpec
 from blockprod.words import Word, block_counts
 
 F = 192
@@ -171,12 +171,11 @@ class TestSplitting:
 
     @pytest.mark.parametrize("base,text", [(2, "011"), (3, "12"), (4, "00")])
     def test_word_product_chunks_add_up(self, base, text):
-        """Direct-sum log-sums over per-chunk block counts add up to the whole-range log-sum exactly."""
-        w = Word.parse(text, base)
-        params = ((1, 1), (1, 1), (0, 2), (1, 1))
+        """The per-term word-product oracle over per-chunk block counts adds up to the whole range exactly."""
+        spec = ProductSpec(base, Word.parse(text, base), (1, 1), (0, 2))
 
         def logsum(lo, hi):
-            return _kernels_py.logsum_word_product(base, block_counts(w, lo, hi), *params, lo, hi, F)
+            return helpers.logsum_word_product(spec, block_counts(spec.word, lo, hi), lo, hi, F)
 
         chunks = ((1, 1), (2, 1000), (1001, 1023), (1024, 4097), (4098, 6000))
         assert logsum(1, 6000) == sum(logsum(lo, hi) for lo, hi in chunks)

@@ -3,21 +3,19 @@
 import json
 from fractions import Fraction
 
+import helpers
 import mpmath
 import pytest
 from helpers import to_mpf
 
-from blockprod import _kernels_py
-from blockprod.bigreal import GUARD_BITS, BigReal
+from blockprod.bigreal import GUARD_BITS
 from blockprod.gammafn import eval_gamma_expr
-from blockprod.identities import ProductSpec, closed_form_baseB, logsum_word, logsum_word_direct
+from blockprod.identities import ProductSpec, closed_form_baseB, logsum_word
 from blockprod.products import (
-    COUNT_CHUNK,
     VerifyReport,
     default_corpus,
     enumerate_words,
     eval_lhs_partial,
-    path_costs,
     tail_estimate,
     verify,
 )
@@ -52,8 +50,7 @@ def make_spec(base, text, a=("1", "1"), b=("0", "2")) -> ProductSpec:
 
 def direct_logsum(spec: ProductSpec, lo: int, hi: int, F: int) -> int:
     """The direct per-term sum over ``[lo, hi]``."""
-    counts = block_counts(spec.word, lo, hi)
-    return _kernels_py.logsum_word_product(spec.base, counts, *spec.kernel_args(), lo, hi, F)
+    return helpers.logsum_word_product(spec, block_counts(spec.word, lo, hi), lo, hi, F)
 
 
 class TestEvalLhsPartial:
@@ -68,8 +65,7 @@ class TestEvalLhsPartial:
         assert eval_lhs_partial(spec, 500, 128).to_fraction() == 1
 
     def test_matches_direct_product_oracle(self):
-        """At N = 300 the direct sum is taken and meets ``2^(8-p)``."""
-        F = 128 + GUARD_BITS
+        """At N = 300 the partial product meets ``2^(8-p)`` against direct mpmath multiplication."""
         with mpmath.workprec(300):
             for base, text, a, b in (
                 (2, "1", ("1", "1"), ("0", "2")),
@@ -80,8 +76,6 @@ class TestEvalLhsPartial:
                 (3, "12", ("1/2", "3/2"), ("1/3", "5/3")),
             ):
                 spec = make_spec(base, text, a, b)
-                engine, direct = path_costs(spec, 300, F)
-                assert direct < engine
                 got = to_mpf(eval_lhs_partial(spec, 300, 128))
                 want = mp_product(spec, 300)
                 assert abs(got - want) / want < mpmath.mpf(2) ** (8 - 128)
@@ -217,13 +211,17 @@ class TestVerify:
 
 class TestSplitting:
     def test_range_split_is_exact(self):
-        """Ranges taken as ``S(hi) - S(lo - 1)`` add up exactly, with cuts at block and class edges."""
+        """Ranges taken as ``S(hi) - S(lo - 1)`` add up exactly, with cuts at block and class
+        edges and where a piece's first point on the series, ``m*``, comes or goes."""
         F = 128 + GUARD_BITS
         spec = ProductSpec.canonical_base2(Word.parse("011", 2))
         N = 5000
         # word value 3, length 3: level-j blocks start at (8t + 3) 2^j, e.g. 24
         # (j = 3), 48 (j = 4) and 1408 (j = 7); residue classes at 3 * 2^j + r
-        cuts = (0, 23, 24, 47, 48, 1234, 1407, 1408, 3 * 2**10 - 1, 4000, N)
+        mstar = helpers.mstar_cuts(spec, 1, N - 1, F, limit=3)
+        assert len(mstar) == 3
+        cuts = sorted({0, 23, 24, 47, 48, 1234, 1407, 1408, 3 * 2**10 - 1, 4000, N,
+                       *mstar, *(c - 1 for c in mstar)})
         S = {c: logsum_word(spec, c, F) for c in cuts}
         parts = [S[hi] - S[lo] for lo, hi in zip(cuts, cuts[1:])]
         assert sum(parts) == S[N]
@@ -233,9 +231,10 @@ class TestSplitting:
 
 class TestChunkedEvaluation:
     # (man, exp) of eval_lhs_partial(spec, 70000, 128) from the per-index
-    # counting kernel that range counting replaced.  The telescoped engine
-    # now takes N = 70000 and rounds to the same 128-bit values, so these
-    # pins hold the rendered output fixed across the change of path.
+    # counting kernel that range counting replaced, whose block counts came
+    # in chunks of 2**16 indices (N = 70000 straddles the first boundary).
+    # The telescoped sum rounds to the same 128-bit values, so these pins
+    # hold the rendered output fixed across every change of method.
     PINNED = [
         (2, "101", ("1", "1"), ("0", "2"), 172096108265096079877282546574125500697),
         (3, "12", ("1", "1"), ("0", "2"), 171010692051314929451791053426491242590),
@@ -246,9 +245,7 @@ class TestChunkedEvaluation:
 
     @pytest.mark.parametrize("base,text,a,b,man", PINNED)
     def test_straddling_chunk_matches_pinned(self, base, text, a, b, man):
-        N = 70000
-        assert COUNT_CHUNK < N < 2 * COUNT_CHUNK
-        value = eval_lhs_partial(make_spec(base, text, a, b), N, 128)
+        value = eval_lhs_partial(make_spec(base, text, a, b), 70000, 128)
         assert (value.man, value.exp) == (man, -127)
 
 
@@ -263,22 +260,34 @@ ORACLE_SPECS = [
 ]
 
 
+# the six specs the word log-sum's one-unit contract is held to: bases 2, 3,
+# 4 and 10, the base-2 word 1 of the companion form, and a non-integer spec
+ROUNDING_SPECS = [
+    (2, "101", ("1", "1"), ("0", "2")),
+    (3, "12", ("1", "1"), ("0", "2")),
+    (10, "7", ("1", "1"), ("0", "2")),
+    (2, "1", ("1", "1"), ("0", "2")),
+    (4, "00", ("1", "1"), ("0", "2")),
+    (3, "12", ("1/2", "3/2"), ("1/3", "5/3")),
+]
+
+
 class TestWordEngine:
-    """The telescoped Gamma-ratio log-sum ``identities.logsum_word`` and the path choice."""
+    """The telescoped log-sum ``identities.logsum_word``: exact low products, series edges, one rounding."""
 
     PREC = 128
     F = PREC + GUARD_BITS
 
     @pytest.mark.parametrize("base,text,a,b", ORACLE_SPECS)
     def test_partial_against_mpmath(self, base, text, a, b, mp_prec):
-        """At N = 10^4 the engine's log-sum is within 64 units of ``2^-F`` (measured: 7) and
+        """At N = 10^4 the log-sum is within one unit of ``2^-F`` (measured: at most 0.42) and
         ``eval_lhs_partial`` meets ``2^(8-p)``."""
         spec = make_spec(base, text, a, b)
         N = 10**4
         with mp_prec(self.F + 32):
             want = mp_logsum(spec, N)
             got = logsum_word(spec, N, self.F)
-            assert abs(got - want * 2**self.F) <= 64
+            assert abs(got - want * 2**self.F) <= 1
             rel = abs(to_mpf(eval_lhs_partial(spec, N, self.PREC)) / mpmath.exp(want) - 1)
             assert rel <= mpmath.mpf(2) ** (8 - self.PREC)
 
@@ -289,52 +298,26 @@ class TestWordEngine:
         assert abs(logsum_word(spec, N, self.F) - direct_logsum(spec, 1, N, self.F)) \
             <= 1 << (self.F + 8 - self.PREC)
 
-    @pytest.mark.parametrize("base,text,a,b", [ORACLE_SPECS[i] for i in (0, 1, 4)])
-    def test_paths_agree_where_the_rule_switches(self, base, text, a, b):
-        """On both sides of every N < 6000 where the choice flips, both paths meet
-        ``2^(8-p)`` and ``eval_lhs_partial`` returns the chosen one."""
+    @pytest.mark.parametrize("base,text,a,b", ROUNDING_SPECS)
+    @pytest.mark.parametrize("prec", [128, 1024, 2048])
+    def test_within_one_unit_of_mpmath(self, prec, base, text, a, b):
+        """At N = 30, 100, 1000 and 3000 the log-sum is within one unit of ``2^-F`` of
+        mpmath (measured: at most 0.50).  At 2048 bits the series threshold is about
+        1044, so at N <= 100 the exact low products carry the whole sum."""
         spec = make_spec(base, text, a, b)
-
-        def engine_taken(N):
-            engine, direct = path_costs(spec, N, self.F)
-            return engine < direct
-
-        taken = [engine_taken(N) for N in range(1, 6000)]
-        switches = [N for N in range(2, 6000) if taken[N - 1] != taken[N - 2]]
-        assert any(N > 100 for N in switches)
-        for n in {n for N in switches for n in (N - 1, N)}:
-            engine = logsum_word(spec, n, self.F)
-            direct = logsum_word_direct(spec, n, self.F)
-            assert abs(engine - direct) <= 1 << (self.F + 8 - self.PREC), n
-            chosen = engine if taken[n - 1] else direct
-            assert eval_lhs_partial(spec, n, self.PREC) == BigReal.exp_of_fixed(chosen, self.F, self.PREC)
-
-    @pytest.mark.parametrize("prec, base, text, a, b", [
-        (128, 2, "101", ("1", "1"), ("0", "2")),
-        (128, 10, "7", ("1", "1"), ("0", "2")),
-        (128, 3, "12", ("1/2", "3/2"), ("1/3", "5/3")),
-        (1024, 3, "12", ("1", "1"), ("0", "2")),
-        (2048, 2, "1", ("1", "1"), ("0", "2")),
-    ])
-    def test_direct_sum_rounds_once(self, prec, base, text, a, b):
-        """At N = 2000 the direct sum, run with guard bits and rounded once, is within one
-        unit of ``2^-F`` of mpmath (measured: 0.5); floored per term at scale ``F`` it is
-        off by 10^3 to 5·10^5 units."""
-        spec = make_spec(base, text, a, b)
-        N, F = 2000, prec + GUARD_BITS
+        F = prec + GUARD_BITS
+        Ns = (30, 100, 1000, 3000)
         with mpmath.workprec(F + 32):
-            want = mpmath.ldexp(mp_logsum(spec, N), F)
-        assert abs(logsum_word_direct(spec, N, F) - want) <= 1
-
-    def test_high_precision_small_n_stays_direct(self):
-        """At 1024 bits and N = 2000 the direct sum is priced cheaper, and is taken."""
-        spec = make_spec(3, "12")
-        F = 1024 + GUARD_BITS
-        engine, direct = path_costs(spec, 2000, F)
-        assert direct < engine
-        assert eval_lhs_partial(spec, 2000, 1024) == BigReal.exp_of_fixed(
-            logsum_word_direct(spec, 2000, F), F, 1024
-        )
+            acc, want = mpmath.mpf(0), {}
+            for n in range(1, Ns[-1] + 1):
+                c = count_block(spec.word, n)
+                if c:
+                    fr = spec.factor(n)
+                    acc += c * mpmath.log1p(mpmath.mpf(fr.numerator - fr.denominator) / fr.denominator)
+                if n in Ns:
+                    want[n] = mpmath.ldexp(acc, F)
+            for N in Ns:
+                assert abs(logsum_word(spec, N, F) - want[N]) <= 1, N
 
 
 class TestEnumerate:
