@@ -4,10 +4,14 @@ The log-Gamma evaluator is Stirling's series over the exact Bernoulli
 numbers (Johansson, "Arbitrary-precision computation of the gamma
 function", arXiv:2109.08392), summed at ``z >= X0 = F/2`` for working scale
 ``F``; a smaller argument ``x`` is first raised by ``M = ceil(X0 - x)`` with
-one exact integer product.  The series stops at the first term count ``K``
+one exact integer product.  The series keeps the first term count ``K``
 whose first omitted term at ``X0`` is below ``2**-(F + 18)``, which bounds
-the remainder for real ``z > 0``.  (It replaced Spouge's formula, SIAM J.
-Numer. Anal. 1994, which needed ``2a + 32`` cancellation guard bits.)
+the remainder for real ``z > 0``.  Larger arguments need fewer terms: with
+each series comes a table of cuts ``z_1 >= ... >= z_K = X0``, ``z_n`` the
+least power of two at which the same integer test passes with ``n`` terms,
+and an argument ``z`` keeps the fewest ``n`` with ``z >= z_n``
+(:func:`_terms_at`).  (It replaced Spouge's formula, SIAM J. Numer. Anal.
+1994, which needed ``2a + 32`` cancellation guard bits.)
 
 Everything is computed in exact integer fixed point (deterministic across
 platforms).  Against mpmath the log-Gamma is within one unit of ``2**-F``
@@ -17,19 +21,22 @@ the public error contract is a relative error of at most
 
 Balanced sums of log-Gammas, whose shifts add up to the same total on both
 sides, have a Stirling series with exact rational coefficients and no
-``log`` term; :func:`_balanced_series` sums it at large arguments, and
-:func:`_balanced_lgamma` falls back to the log-Gamma evaluator below.  The
+``log`` term; :func:`_balanced_series` sums it at large arguments, as many
+terms as its own cuts give for ``u/W``, and :func:`_balanced_lgamma` falls
+back to the log-Gamma evaluator below.  The
 word-product log-sums take differences of the series above the threshold;
 :func:`gamma_ratio_product` takes ``G(N + 1) - G(0)``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
+from operator import neg
 
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision
 from blockprod.fixedpoint import fx_log, fx_sin, pi_fixed, rshift_round
@@ -104,9 +111,54 @@ def _series_threshold(F: int) -> int:
 
     :func:`_loggamma_fixed` shifts smaller arguments up to it;
     :func:`_balanced_lgamma` raises it to four times shifts above 1 (see
-    :func:`_series_terms`).
+    :func:`_series_cuts`).
     """
     return F // 2
+
+
+# --------------------------------------------------------------------------
+# term-count cuts
+# --------------------------------------------------------------------------
+#
+# Each series below keeps its first K terms at z = X0, K the fewest whose
+# first omitted term passes an integer test there.  The omitted term after
+# n < K terms is a constant over a power of z, so its test passes from some
+# z on; the cut z_n is the least power of two at which it passes (found from
+# bit lengths, at most two comparisons per n), and z_K = X0.  At z >= z_n the
+# first omitted term after n terms meets the bound it meets at X0 after K.
+
+
+def _least_exponent(L: int, R: int, k: int) -> int:
+    """The least ``e >= 0`` with ``L < R * 2**(e*k)``, for ``R, k >= 1``.
+
+    ``e = (bitlen(L) - bitlen(R)) // k`` is never too large, and one step
+    up always passes.
+    """
+    e = max(0, (L.bit_length() - R.bit_length()) // k)
+    while L >= R << (e * k):
+        e += 1
+    return e
+
+
+def _cuts(exponents: list[int], X0: int) -> tuple[int, ...]:
+    """``(z_1, ..., z_K)`` from the least passing exponents ``e_1..e_(K-1)``; ``z_K = X0``.
+
+    ``z_n`` is ``2**e_n``, or ``z_(n+1)`` if that is larger, so the cuts
+    never increase with ``n`` and each test passes at and above its cut.
+    """
+    cuts = [X0]
+    for e in reversed(exponents):
+        cuts.append(max(1 << e, cuts[-1]))
+    return tuple(reversed(cuts))
+
+
+def _terms_at(cuts: tuple[int, ...], z: int) -> int:
+    """Terms a series keeps at ``z >= X0``: the fewest ``n`` with ``z >= z_n``.
+
+    The evaluators and ``identities.word_edge_plan``'s price both read
+    their count here.
+    """
+    return bisect_left(cuts, -z, key=neg) + 1
 
 
 # --------------------------------------------------------------------------
@@ -128,14 +180,15 @@ def _series_threshold(F: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _stirling_series(F: int) -> tuple[int, tuple[int, ...]]:
-    """``(log(2 pi)/2, (c_1..c_K))`` at scale ``F + _SERIES_GUARD``, ``c_k = B_2k/(2k (2k-1))``.
+def _stirling_series(F: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """``(log(2 pi)/2, (c_1..c_K), (z_1..z_K))``, ``c_k = B_2k/(2k (2k-1))`` at scale ``F + _SERIES_GUARD``.
 
     ``K`` is the fewest terms whose first omitted term at ``z = X0``,
     ``|B_(2K+2)| / ((2K+2)(2K+1) X0^(2K+1))``, is below
-    ``2**-(F + _SERIES_GUARD + 2)``, compared in integers.  The Bernoulli
-    numbers come from one :func:`_bernoulli` build, doubled while ``K`` needs
-    more of them.
+    ``2**-(F + _SERIES_GUARD + 2)``, compared in integers; ``z_n`` is the
+    least power of two at which the omitted term after ``n`` terms passes
+    the same test (see :func:`_cuts`).  The Bernoulli numbers come from one
+    :func:`_bernoulli` build, doubled while ``K`` needs more of them.
     """
     X0 = _series_threshold(F)
     S = F + _SERIES_GUARD
@@ -143,19 +196,23 @@ def _stirling_series(F: int) -> tuple[int, tuple[int, ...]]:
     n = 64
     bern = _bernoulli(n)
     K = 0
+    exponents = []
     while True:
         m = 2 * K + 2  # index of the first omitted Bernoulli number
         if m > n:
             n *= 2
             bern = _bernoulli(n)
         b = bern[m]
-        if abs(b.numerator) * lim < b.denominator * m * (m - 1) * X0 ** (m - 1):
+        L, R = abs(b.numerator) * lim, b.denominator * m * (m - 1)
+        if L < R * X0 ** (m - 1):
             break
+        if K:
+            exponents.append(_least_exponent(L, R, m - 1))
         K += 1
     coeffs = tuple((b.numerator << S) // (b.denominator * 2 * k * (2 * k - 1))
                    for k, b in enumerate(bern[2 : 2 * K + 1 : 2], 1))
     half_log_2pi = rshift_round(fx_log(pi_fixed(S) << 1, S), 1)
-    return half_log_2pi, coeffs
+    return half_log_2pi, coeffs, _cuts(exponents, X0)
 
 
 _SPLIT_FACTORS = 128  # above this many factors the shift product splits in halves
@@ -184,17 +241,20 @@ def _loggamma_fixed(x: Fraction, F: int) -> int:
     """``log Gamma(x)`` for rational ``x > 0`` at fixed-point scale ``F``, within one unit of ``2**-F``.
 
     Three ``fx_log`` calls (``log Z``, ``log q`` and the shift product) run
-    ``bitlen(z) + 4`` bits deeper, at least ``_SERIES_GUARD``, where the
-    factors ``z - 1/2`` and ``1/2 - x`` keep their error below ``2**-4``
-    units; the series is a Horner sum in ``q^2/Z^2``.  Everything is added up
-    at that scale and rounded once, so the value is an integer fixed by
-    ``(x, F)`` alone.
+    ``H`` bits deeper, ``bitlen(z) + 4`` rounded up to a multiple of
+    ``_SERIES_GUARD`` (16), where the factors ``z - 1/2`` and ``1/2 - x``
+    keep their error below ``2**-4`` units; arguments whose sizes round
+    alike share one ``fx_log`` ladder.  The series is a Horner sum in
+    ``q^2/Z^2`` over the terms that ``z >= Z // q`` needs
+    (:func:`_terms_at`): all ``K`` for a shifted argument, which lands in
+    ``[X0, X0 + 1)``.  Everything is added up at that scale and rounded
+    once, so the value is an integer fixed by ``(x, F)`` alone.
     """
-    half_log_2pi, coeffs = _stirling_series(F)
+    half_log_2pi, coeffs, cuts = _stirling_series(F)
     p, q = x.numerator, x.denominator
     M = max(0, (_series_threshold(F) * q - p + q - 1) // q)  # ceil(X0 - x)
     Z = p + M * q
-    H = max(_SERIES_GUARD, (Z // q).bit_length() + 4)
+    H = -(-((Z // q).bit_length() + 4) // _SERIES_GUARD) * _SERIES_GUARD
     E = F + H
     acc = (2 * Z - q) * fx_log(Z << E, E)
     if q > 1:
@@ -204,7 +264,7 @@ def _loggamma_fixed(x: Fraction, F: int) -> int:
         acc -= fx_log(_shift_product(p, q, M) << E, E)
     q2, Z2 = q * q, Z * Z
     s = 0
-    for c in reversed(coeffs):
+    for c in reversed(coeffs[: _terms_at(cuts, Z // q)]):
         s = c + s * q2 // Z2
     s = s * q // Z + half_log_2pi
     return rshift_round(acc + (s << (H - _SERIES_GUARD)), H)
@@ -243,24 +303,29 @@ def _loggamma_sum(num, den, F: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _series_terms(F: int, X0: int, d: int, big: int = 0) -> int:
-    """Terms of the balanced series for ``z >= X0``: the first omitted term is below ``2**-(F + _SERIES_GUARD + 4)``.
+def _series_cuts(F: int, X0: int, d: int, big: int = 0) -> tuple[int, ...]:
+    """Cuts ``(z_1..z_K)`` of the balanced series: after ``n`` terms, at ``z >= z_n``, the first omitted term is below ``2**-(F + _SERIES_GUARD + 4)``.
 
-    ``d`` shifts on each side.  Bounds the omitted ``c_k/z^k`` by
-    ``8d (k-1)!/(6^(k+1) X0^k)`` for shifts in ``[0, 1]`` plus
-    ``2d big^(k+1)/(k X0^k)`` when the largest shift rounds up to ``big > 1``
+    ``K`` is the fewest terms that pass at ``z = X0`` (``z_K = X0``), and
+    ``d`` the number of shifts on each side.  Bounds the omitted ``c_k/z^k``
+    by ``8d (k-1)!/(6^(k+1) z^k)`` for shifts in ``[0, 1]`` plus
+    ``2d big^(k+1)/(k z^k)`` when the largest shift rounds up to ``big > 1``
     (a conservative rendering of the term bound above); integer comparisons
-    only.
+    only, the cuts by :func:`_cuts`.
     """
     lim = 1 << (F + _SERIES_GUARD + 4)
     k = 1
     fact = 1  # (k - 1)!
+    exponents = []
     while True:
         k += 1  # test the term after k - 1 kept terms
         fact *= k - 1
         den = X0**k
-        if 8 * d * fact * lim < 6 ** (k + 1) * den and 2 * d * big ** (k + 1) * lim < k * den:
-            return k - 1
+        L1, R1 = 8 * d * fact * lim, 6 ** (k + 1)
+        L2 = 2 * d * big ** (k + 1) * lim
+        if L1 < R1 * den and L2 < k * den:
+            return _cuts(exponents, X0)
+        exponents.append(max(_least_exponent(L1, R1, k), _least_exponent(L2, k, k)))
 
 
 @lru_cache(maxsize=8)
@@ -299,11 +364,13 @@ def _balanced_threshold(A: tuple[int, ...], T: tuple[int, ...], W: int, F: int) 
 
 
 @lru_cache(maxsize=64)
-def _series(A: tuple[int, ...], T: tuple[int, ...], W: int, F: int) -> tuple[int, tuple[int, ...]]:
-    """``(X0, coefficients)``: ``c_1..c_K`` of ``G`` at scale ``F + _SERIES_GUARD``, from power sums."""
+def _series(
+    A: tuple[int, ...], T: tuple[int, ...], W: int, F: int
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """``(X0, coefficients, cuts)``: ``c_1..c_K`` of ``G`` at scale ``F + _SERIES_GUARD``, from power sums, and their :func:`_series_cuts`."""
     X0 = _balanced_threshold(A, T, W, F)
-    K = _series_terms(F, X0, len(A), _largest_shift(A, T, W))
-    lam, rows = _series_numerators(A, T, K)
+    cuts = _series_cuts(F, X0, len(A), _largest_shift(A, T, W))
+    lam, rows = _series_numerators(A, T, len(cuts))
     S = F + _SERIES_GUARD
     coeffs = []
     w_n = W * W
@@ -315,18 +382,19 @@ def _series(A: tuple[int, ...], T: tuple[int, ...], W: int, F: int) -> tuple[int
             y = -y
         coeffs.append((y << S) // (k * (k + 1) * lam * w_n))
         w_n *= W
-    return X0, tuple(coeffs)
+    return X0, tuple(coeffs), cuts
 
 
 def _balanced_series(A: tuple[int, ...], T: tuple[int, ...], W: int, u: int, F: int) -> int:
     """The series of ``G(u)`` at scale ``F + _SERIES_GUARD``, unrounded, for ``u >= X0 * W``.
 
-    An integer Horner sum in ``W/u``: with its floored coefficients and
-    steps and the omitted terms it is within two units of its scale of the
-    exact ``G(u)``.
+    An integer Horner sum in ``W/u`` over the terms that ``u // W`` needs
+    (:func:`_terms_at`): with its floored coefficients and steps and the
+    omitted terms it is within two units of its scale of the exact ``G(u)``.
     """
+    _, coeffs, cuts = _series(A, T, W, F)
     acc = 0
-    for c in reversed(_series(A, T, W, F)[1]):
+    for c in reversed(coeffs[: _terms_at(cuts, u // W)]):
         acc = c + acc * W // u
     return acc * W // u
 

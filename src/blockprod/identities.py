@@ -44,8 +44,9 @@ from blockprod.gammafn import (
     _balanced_series,
     _balanced_threshold,
     _loggamma_fixed,
-    _series_terms,
+    _series_cuts,
     _series_threshold,
+    _terms_at,
 )
 from blockprod.words import (
     ALL_ZEROS,
@@ -479,15 +480,18 @@ def word_edge_plan(
     ``m = first, first + Q, ... < end``.  At each level the plan takes the
     cheaper of one piece per block (``Q = 1``) and one per residue class
     (``Q = B^(j+L)``), priced by counts taken without building a piece: a
-    piece costs ``K`` steps (the series' term count at scale ``F``) for each
-    edge at or above the series threshold ``X0 * Q``, and ``2d`` factors for
-    each point below it and for the piece itself.  That gives about
-    ``2 sqrt((B-1) N / B^L)`` pieces in all.  The plan depends on its six
-    arguments alone.
+    piece costs a Horner step per series term for each edge at or above the
+    series threshold ``X0 * Q``, and ``2d`` factors for each point below it
+    and for the piece itself.  The term count is the one the series keeps at
+    the level's lowest edge, ``z = max(a, X0)`` for blocks and
+    ``max(a, X0 Q) // Q`` for classes (``gammafn._terms_at``), so a level of
+    blocks near ``z = N`` is priced at the few terms it runs.  That gives
+    about ``2 sqrt((B-1) N / B^L)`` pieces in all.  The plan depends on its
+    six arguments alone.
     """
     B = base
     X0 = _series_threshold(F)
-    K = _series_terms(F, X0, d)
+    cuts = _series_cuts(F, X0, d)
     QL = B**length
     first = v or QL
     if first <= N:
@@ -509,14 +513,15 @@ def word_edge_plan(
             t += (v - t) % QL
             return (hi // Bj - t) // QL + 1 if t * Bj <= hi else 0
 
-        def cost(pieces: int, high: int, low_end: int) -> int:
+        def cost(pieces: int, high: int, low_end: int, z: int) -> int:
             low = covered(min(low_end, hi + 1)) - covered(a) if a < low_end else 0
-            return 2 * K * high + 2 * d * (low + pieces)
+            return 2 * _terms_at(cuts, z) * high + 2 * d * (low + pieces)
 
         blocks = blocks_meeting(a)
         classes = min(Bj, covered(hi + 1) - covered(a))
         high = min(Bj, max(0, covered(hi + 1) - covered(max(a, X0 * Q))))
-        if cost(blocks, blocks_meeting(max(a, X0)), X0) <= cost(classes, high, X0 * Q):
+        if cost(blocks, blocks_meeting(max(a, X0)), X0, max(a, X0)) \
+                <= cost(classes, high, X0 * Q, max(a, X0 * Q) // Q):
             for t in range(a // Bj + (v - a // Bj) % QL, hi // Bj + 1, QL):
                 yield -1, 1, max(a, t * Bj), min(hi, t * Bj + Bj - 1) + 1
         else:

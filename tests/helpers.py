@@ -15,7 +15,13 @@ import mpmath
 
 from blockprod.bigreal import BigReal
 from blockprod.fixedpoint import fx_log, rshift_round
-from blockprod.gammafn import _SERIES_GUARD, _balanced_threshold, _series_threshold, _stirling_series
+from blockprod.gammafn import (
+    _SERIES_GUARD,
+    _balanced_threshold,
+    _series_threshold,
+    _stirling_series,
+    _terms_at,
+)
 from blockprod.identities import FiniteSupportFn, _word_guard_bits, word_edge_plan
 from blockprod.words import Word, count_block, word_value
 
@@ -57,11 +63,11 @@ def count_block_recurrence(w: Word, n: int) -> int:
 
 def loggamma_fixed_oracle(x: Fraction, F: int) -> int:
     """``gammafn._loggamma_fixed`` with the shift product as one ``math.prod`` and no cached ``log q``."""
-    half_log_2pi, coeffs = _stirling_series(F)
+    half_log_2pi, coeffs, cuts = _stirling_series(F)
     p, q = x.numerator, x.denominator
     M = max(0, (_series_threshold(F) * q - p + q - 1) // q)  # ceil(X0 - x)
     Z = p + M * q
-    H = max(_SERIES_GUARD, (Z // q).bit_length() + 4)
+    H = -(-((Z // q).bit_length() + 4) // 16) * 16
     E = F + H
     acc = (2 * Z - q) * fx_log(Z << E, E)
     if q > 1:
@@ -71,7 +77,7 @@ def loggamma_fixed_oracle(x: Fraction, F: int) -> int:
         acc -= fx_log(prod(range(p, Z, q)) << E, E)
     q2, Z2 = q * q, Z * Z
     s = 0
-    for c in reversed(coeffs):
+    for c in reversed(coeffs[: _terms_at(cuts, Z // q)]):
         s = c + s * q2 // Z2
     s = s * q // Z + half_log_2pi
     return rshift_round(acc + (s << (H - _SERIES_GUARD)), H)

@@ -1,6 +1,7 @@
 """CLI behaviour: outputs, exit codes, determinism, and schema round-trips."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -248,6 +249,31 @@ class TestRivoalForms:
         obj = json.loads(out)
         assert obj["exact_match"] is True
         assert obj["original_terms"] == 203
+
+
+class TestOutputDigests:
+    """The stdout of these runs is pinned by its sha256: any change of the numbers they
+    print, however small, must be deliberate and show here."""
+
+    RUNS = [
+        ("verify companion --terms 10000000",
+         "b379454221cf5a54ae9141741556d75b7c641424ef603ee9b3a0d8a8efe4a0df"),
+        ("verify --base 10 --word 7 --terms 10000000",
+         "22c075caeb2329e73f498b632bf1818719209091dc737cbeeae95d2905c097fb"),
+        ("verify --base 3 --word 12 --terms 10000 --precision 1024",
+         "087f7bdce716b9b7b8cb52d534e527b91aa344dc9c0ea55a792b01227753e062"),
+        ("enumerate --base 2 --max-len 3 --terms 10000000",
+         "2b18bba2c28646c771a590442fe461a2a4320adce09a58046afe8258af40b1a2"),
+        (f"verify rivoal --terms {10**30} --precision 2048",
+         "0e85e0bd27eb0019cb313c0d51f866a1f0c5db5317b60c23db9dabafd65043ab"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", RUNS, ids=[argv for argv, _ in RUNS])
+    def test_stdout_digest(self, capsys, monkeypatch, argv, digest):
+        monkeypatch.delenv("BLOCKPROD_PRECISION", raising=False)
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDeterminismAndConfig:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import helpers
@@ -9,6 +10,7 @@ import mpmath
 import pytest
 from helpers import assert_close, to_mpf
 
+from blockprod import fixedpoint, gammafn, identities
 from blockprod.bigreal import GUARD_BITS, BigReal, pi_value
 from blockprod.gammafn import (
     BalanceError,
@@ -16,20 +18,22 @@ from blockprod.gammafn import (
     _SERIES_GUARD,
     PoleError,
     _balanced_lgamma,
+    _balanced_series,
     _bernoulli,
     _loggamma_fixed,
     _series,
     _shift_product,
-    _series_terms,
+    _series_cuts,
     _series_threshold,
     _stirling_series,
+    _terms_at,
     eval_gamma_expr,
     gamma,
     gamma_ratio_product,
     log_gamma,
     sin_pi,
 )
-from blockprod.identities import ProductSpec, closed_form_baseB
+from blockprod.identities import ProductSpec, closed_form_baseB, logsum_word
 from blockprod.words import Word
 
 
@@ -369,7 +373,8 @@ def per_modulus_series(A, T, W, F):
     if big <= 1:
         big = 0
     X0 = max(_series_threshold(F), 4 * big)
-    K = _series_terms(F, X0, len(A), big)
+    cuts = _series_cuts(F, X0, len(A), big)
+    K = len(cuts)
     bern = _bernoulli(K + 1)
     lam = math.lcm(*(b.denominator for b in bern))
     bern_int = [b.numerator * (lam // b.denominator) for b in bern]
@@ -385,7 +390,7 @@ def per_modulus_series(A, T, W, F):
         if k & 1 == 0:
             y = -y
         coeffs.append((y << (F + _SERIES_GUARD)) // (k * n * lam * W**n))
-    return X0, tuple(coeffs)
+    return X0, tuple(coeffs), cuts
 
 
 class TestBalancedSeries:
@@ -407,7 +412,7 @@ class TestBalancedSeries:
         F = prec + GUARD_BITS
         shifts = self.SHIFTS if prec < 2048 else self.SHIFTS[1:3]
         for A, T, W in shifts:
-            X0, coeffs = _series(A, T, W, F)
+            X0 = _series(A, T, W, F)[0]
             for u in (X0 * W, X0 * W + 1):
                 single = (sum(_loggamma_fixed(Fraction(u + x, W), F) for x in A)
                           - sum(_loggamma_fixed(Fraction(u + x, W), F) for x in T))
@@ -418,7 +423,7 @@ class TestBalancedSeries:
         """Below the threshold the sum is that of the single log-Gammas, a repeated shift evaluated once."""
         shifts = self.SHIFTS if F < 1056 else self.SHIFTS[:2]
         for A, T, W in shifts:
-            X0, _ = _series(A, T, W, F)
+            X0 = _series(A, T, W, F)[0]
             for u in (1, W, X0 * W - 1):
                 want = (sum(helpers.loggamma_fixed_oracle(Fraction(u + x, W), F) for x in A)
                         - sum(helpers.loggamma_fixed_oracle(Fraction(u + x, W), F) for x in T))
@@ -427,7 +432,7 @@ class TestBalancedSeries:
     def test_series_against_mpmath(self, mp_prec):
         F = 160
         A, T, W = (3, 9), (2, 10), 18
-        X0, _ = _series(A, T, W, F)
+        X0 = _series(A, T, W, F)[0]
         with mp_prec(F):
             for u in (X0 * W, 10**6 + 7, 10**15 + 3):
                 want = mpmath.fsum(mpmath.loggamma(mpmath.mpf(u + x) / W) for x in A) \
@@ -445,6 +450,137 @@ class TestBalancedSeries:
     def test_equal_shifts_give_zero(self):
         assert _balanced_lgamma((1, 2), (2, 1), 3, 10**6, 160) == 0
         assert _balanced_lgamma((1, 2), (2, 1), 3, 5, 160) == 0
+
+
+# (A, T, W) of the term-cut tests: a canonical base-2 block, the non-integer
+# base-3 spec, three shifts per side, and shifts above 1
+CUT_SHIFTS = [((1, 1), (0, 2), 2), ((3, 9), (2, 10), 18), ((1, 1, 1), (0, 0, 3), 21), ((80, 2), (0, 82), 2)]
+
+
+def full_terms(cuts, z):
+    """A stand-in for ``gammafn._terms_at`` that keeps every term."""
+    return len(cuts)
+
+
+@pytest.mark.parametrize("F", [160, 1056, 2080])
+class TestTermCuts:
+    """Each series keeps the fewest terms its argument needs: ``n`` terms at ``z >= z_n``."""
+
+    @staticmethod
+    def stirling_passes(F, n, z):
+        """The first omitted term after ``n`` terms of Stirling's series, at ``z``, is below ``2**-(F + 18)``."""
+        b = _bernoulli(2 * n + 2)[2 * n + 2]
+        m = 2 * n + 2
+        return abs(b.numerator) << (F + 18) < b.denominator * m * (m - 1) * z ** (m - 1)
+
+    @staticmethod
+    def balanced_passes(F, d, big, n, z):
+        """The bound of ``_series_cuts`` on the term after ``n`` terms, at ``z``, is below ``2**-(F + 20)``."""
+        k = n + 1
+        return (8 * d * math.factorial(k - 1) << (F + 20)) < 6 ** (k + 1) * z**k \
+            and (2 * d * big ** (k + 1) << (F + 20)) < k * z**k
+
+    def test_stirling_cuts(self, F):
+        """The cuts do not increase with ``n``, ``z_K = X0``, and each is the least power of two
+        at which the omitted-term bound holds."""
+        X0 = _series_threshold(F)
+        _, coeffs, cuts = _stirling_series(F)
+        assert len(cuts) == len(coeffs) and cuts[-1] == X0
+        assert all(a >= b for a, b in zip(cuts, cuts[1:]))
+        for n, z in enumerate(cuts[:-1], 1):
+            assert z & (z - 1) == 0 and z > X0
+            assert self.stirling_passes(F, n, z) and not self.stirling_passes(F, n, z // 2), n
+
+    def test_balanced_cuts(self, F):
+        for A, T, W in CUT_SHIFTS:
+            X0, coeffs, cuts = _series(A, T, W, F)
+            big = -(-max(A + T) // W)
+            big = big if big > 1 else 0
+            assert len(cuts) == len(coeffs) and cuts[-1] == X0
+            assert all(a >= b for a, b in zip(cuts, cuts[1:]))
+            assert self.balanced_passes(F, len(A), big, len(cuts), X0)
+            for n, z in enumerate(cuts[:-1], 1):
+                assert z & (z - 1) == 0 and z > X0
+                assert self.balanced_passes(F, len(A), big, n, z), (A, n)
+                assert not self.balanced_passes(F, len(A), big, n, z // 2), (A, n)
+
+    def test_terms_at_reads_the_cuts(self, F):
+        cuts = _stirling_series(F)[2]
+        K = len(cuts)
+        assert _terms_at(cuts, cuts[-1]) == K
+        for n, z in enumerate(cuts, 1):
+            assert _terms_at(cuts, z) <= n
+            assert _terms_at(cuts, z - 1) > n or n == K or cuts[n] == z
+        assert _terms_at(cuts, cuts[0] * 8) == 1
+
+    def test_truncated_log_gamma_within_one_unit(self, F, monkeypatch):
+        """At every cut and one below it, ``_loggamma_fixed`` is within one unit of its
+        scale of the same evaluation with all ``K`` terms."""
+        X0 = _series_threshold(F)
+        zs = sorted({z - i for z in _stirling_series(F)[2] for i in (0, 1)} - {X0 - 1})
+        xs = [Fraction(z) for z in zs] + [Fraction(3 * z + 1, 3) for z in zs[:: max(1, len(zs) // 8)]]
+        got = [_loggamma_fixed(x, F) for x in xs]
+        monkeypatch.setattr(gammafn, "_terms_at", full_terms)
+        for x, g in zip(xs, got):
+            assert abs(g - _loggamma_fixed(x, F)) <= 1, x
+
+    def test_truncated_balanced_series_within_one_unit(self, F, monkeypatch):
+        """At every cut and one below it, ``_balanced_series`` (unrounded, scale ``F + 16``) is
+        within one unit of the same sum over all ``K`` terms."""
+        points = []
+        for A, T, W in CUT_SHIFTS if F < 2080 else CUT_SHIFTS[:2]:
+            X0, _, cuts = _series(A, T, W, F)
+            points += [(A, T, W, (z - i) * W) for z in cuts for i in (0, 1) if z - i >= X0]
+        got = [_balanced_series(*pt, F) for pt in points]
+        monkeypatch.setattr(gammafn, "_terms_at", full_terms)
+        for pt, g in zip(points, got):
+            assert abs(g - _balanced_series(*pt, F)) <= 1, pt
+
+    def test_balanced_series_against_mpmath(self, F):
+        """Within two units of ``2**-(F + 16)`` of the exact sum at ``u/W`` far above ``X0``."""
+        for A, T, W in CUT_SHIFTS[:3]:
+            for z in (10**6, 10**15, 2**200):
+                u = z * W + 1
+                with mpmath.workprec(F + 2 * z.bit_length() + 64):
+                    want = mpmath.fsum(mpmath.loggamma(mpmath.mpf(u + x) / W) for x in A) \
+                        - mpmath.fsum(mpmath.loggamma(mpmath.mpf(u + x) / W) for x in T)
+                    assert abs(_balanced_series(A, T, W, u, F) - mpmath.ldexp(want, F + _SERIES_GUARD)) <= 2, (A, z)
+
+    def test_log_gamma_at_huge_arguments(self, F):
+        for x in (10**30 + Fraction(1, 3), 2**1000 + Fraction(1, 3)):
+            with mpmath.workprec(F + 64 + 2 * int(x).bit_length()):
+                want = mpmath.loggamma(mpmath.mpf(x.numerator) / x.denominator)
+                assert abs(_loggamma_fixed(x, F) - mpmath.ldexp(want, F)) <= 1, x
+
+
+def test_plan_and_evaluators_share_the_count(monkeypatch):
+    """``word_edge_plan`` prices each series edge by the count the evaluators keep: both
+    call the one ``gammafn._terms_at``."""
+    assert identities._terms_at is gammafn._terms_at
+    callers = set()
+
+    def spy(cuts, z):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return _terms_at(cuts, z)
+
+    monkeypatch.setattr(gammafn, "_terms_at", spy)
+    monkeypatch.setattr(identities, "_terms_at", spy)
+    logsum_word(ProductSpec.canonical_base2(Word.parse("1", 2)), 10**4, 160)
+    _loggamma_fixed(10**6 + Fraction(1, 3), 160)
+    assert callers == {"cost", "_balanced_series", "_loggamma_fixed"}
+
+
+def test_log_gamma_sizes_share_a_ladder(monkeypatch):
+    """``bitlen(z) + 4`` rounds up to a multiple of 16: ``z`` of 20 and 28 bits share one
+    ``fx_log`` ladder, and ``z`` of 29 bits takes the next."""
+    F = 160
+    _stirling_series(F)
+    monkeypatch.setattr(fixedpoint, "_LADDER_CACHE", {})
+    _loggamma_fixed(10**6 + Fraction(1, 3), F)
+    _loggamma_fixed(2**27 + Fraction(1, 3), F)
+    assert len(fixedpoint._LADDER_CACHE) == 1
+    _loggamma_fixed(2**28 + Fraction(1, 3), F)
+    assert len(fixedpoint._LADDER_CACHE) == 2
 
 
 class TestSinPi:
