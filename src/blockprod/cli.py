@@ -45,9 +45,13 @@ FORMATS = ("text", "json", "csv")
 # Input caps, so that a mistyped size is refused rather than hanging the
 # process.  The first log-Gamma builds its Stirling coefficients and log
 # tables, about 0.03 s cold at 2048 bits and 0.2 s at 4096.  The 4/pi
-# bit-length families sum O(log N) Gamma-ratio blocks, word products and the
-# companion form O(sqrt N) Gamma ratios (verify companion:
-# 0.4 s at 10^7 terms, 6 s at 2048 bits); the grouping check of rivoal-forms
+# bit-length families sum O(log N) Gamma-ratio blocks; word products and the
+# companion form sum about one Euler-Maclaurin run per level plus the blocks
+# below the run threshold, so they share the 10^30 cap (cold verify
+# companion at 10^30 terms: 0.14 s, 0.93 s at 2048 bits; the slowest word
+# seen at 2048 bits, base 10 word 7 at N = 10^8, took 1.0 s).  enumerate
+# keeps 10^7: at 2048 bits its words take about 0.4 s each at 10^7, so 512
+# words would take over three minutes.  The grouping check of rivoal-forms
 # costs O(N), about 0.2 s per 10^6 blocks (rivoal-forms takes 2.3 s at the
 # 10^7 cap).  One lemma1-fuzz trial at the default sizes costs about 0.1 ms,
 # so 10^5 trials take about 8 s.  Its support points are drawn from
@@ -180,8 +184,7 @@ def cmd_verify(args) -> int:
         target = tag
     else:
         target = _make_spec(args)
-    cap = MAX_BLOCK_SUM_TERMS if target == "rivoal_eq1" else MAX_PER_TERM_TERMS
-    _check_cap("--terms", args.terms, cap)
+    _check_cap("--terms", args.terms, MAX_BLOCK_SUM_TERMS)
     report = verify(target, N=args.terms, precision_bits=args.precision,
                     tolerance=Fraction(args.tolerance))
     _print_report(report, args.format)

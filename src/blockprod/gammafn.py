@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from operator import neg
+from operator import neg, sub
 
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision
 from blockprod.fixedpoint import fx_log, fx_sin, pi_fixed, rshift_round
@@ -397,6 +397,133 @@ def _balanced_series(A: tuple[int, ...], T: tuple[int, ...], W: int, u: int, F: 
     for c in reversed(coeffs[: _terms_at(cuts, u // W)]):
         acc = c + acc * W // u
     return acc * W // u
+
+
+# --------------------------------------------------------------------------
+# Euler-Maclaurin rows of the balanced series
+# --------------------------------------------------------------------------
+#
+# identities.logsum_word sums psi(y) = sum_k c_k y^-k (the series of G at
+# z = y, W the series' own modulus) over runs of points y_s = y_a + sP by
+# Euler-Maclaurin.  Its correction of order 2p needs the derivative
+# psi^(2p-1)(y) = -sum_k c_k (k)_(2p-1) y^-(k+2p-1), (k)_n the rising
+# factorial, times B_2p/(2p)! P^(2p-1); row p holds B_2p/(2p)! c_k (k)_(2p-1).
+# Written with x = y/P the term of row p and index k is that coefficient
+# over P^k x^(k+2p-1), so a run whose least point has x >= 2**lx and
+# y >= 2**ly bounds every term by bit lengths.  |B_2p|/(2p)! = 2 zeta(2p)/
+# (2 pi)^(2p), so keeping rows 1..m leaves a remainder of at most twice the
+# magnitude of row m at the least point (the integral of |psi^(2m)| from y_a
+# on): the rows are summed until one is negligible there.
+
+_RUN_TOL = 4  # a run drops Euler-Maclaurin terms below 2**-_RUN_TOL units of its scale
+
+
+@lru_cache(maxsize=64)
+def _run_bounds(F: int, X0: int, d: int, big: int = 0) -> tuple:
+    """``(lx, ly, beta, fact, col)``: where runs over the balanced series of :func:`_series_cuts` ``(F, X0, d, big)`` may start, and their term bounds.
+
+    The term of row ``p`` and index ``k`` is below ``2**ub`` units of
+    ``2**-(F + _SERIES_GUARD)`` over ``P^k x^(k+2p-1)``, with ``ub =
+    beta[p-1] + fact[k+2p-2] + col[k-1]`` read off bit lengths alone:
+    ``|B_2p|/(2p)! = 2 zeta(2p)/(2 pi)^(2p) < 4/39^p`` gives ``beta``,
+    ``fact[n]`` is ``bitlen(n!)`` and ``col`` carries the bound on ``c_k``
+    that :func:`_series_cuts` uses.  A run starts at block index
+    ``x >= X1 = 2**lx``, ``lx`` the least exponent from
+    ``bitlen(0.11 (F + 32))`` on at which some row's first term falls below
+    ``2**-_RUN_TOL`` at ``x = X1`` and ``y = 4 X1`` (the least ``y`` of a
+    run, as ``P >= 4``); ``beta`` stops at that row.  From ``y >= 2**ly``
+    on, every row's bounds fall by at least one bit per ``k``, so the terms
+    a row omits add up to less than twice its first omitted one.
+    """
+    S = F + _SERIES_GUARD
+    K = len(_series_cuts(F, X0, d, big))
+    col = [(8 * d).bit_length() + 1 - (6 ** (k + 1)).bit_length() for k in range(1, K + 1)]
+    fact, fact_bits = 1, [1]  # bitlen(n!) for n = 0, 1, ...
+    if big:
+        for k in range(1, K + 1):
+            fact *= k
+            fact_bits.append(fact.bit_length())
+        col = [max(c, (2 * d).bit_length() + (k + 1) * big.bit_length() - fact_bits[k]) + 2
+               for k, c in enumerate(col, 1)]
+    lx = (-(-11 * (S + 16) // 100) - 1).bit_length()
+    while True:
+        beta, last = [], None
+        while True:
+            p = len(beta) + 1
+            while len(fact_bits) < K + 2 * p:
+                fact *= len(fact_bits)
+                fact_bits.append(fact.bit_length())
+            beta.append(S + 3 - (39**p).bit_length())
+            first = beta[-1] + fact_bits[2 * p - 1] + col[0] - (lx + 2) - (2 * p - 1) * lx
+            if first <= -_RUN_TOL:
+                step = (K + 2 * p).bit_length() + 1 + max(map(sub, col[1:], col), default=0)
+                return lx, max(lx + 2, step) + 1, tuple(beta), tuple(fact_bits), tuple(col)
+            if last is not None and first >= last:
+                break  # the rows grow again before one is negligible: start further out
+            last = first
+        lx += 1
+
+
+@lru_cache(maxsize=1024)
+def _run_counts(F: int, X0: int, d: int, big: int, ly: int, lx: int) -> tuple[int, ...]:
+    """Terms ``(K_1, ..., K_m)`` a run keeps of rows ``1..m`` at ``y >= 2**ly``, ``x >= 2**lx``.
+
+    Row ``p`` keeps its leading terms whose bound (see :func:`_run_bounds`
+    ``(F, X0, d, big)``) is at least ``2**-_RUN_TOL``; the first row none of
+    whose terms passes ends the list.  ``ly`` and ``lx`` must be at least
+    those of the bounds.
+    """
+    _, _, beta, fact, col = _run_bounds(F, X0, d, big)
+    counts = []
+    for p, b in enumerate(beta):
+        lim = (2 * p + 1) * lx - _RUN_TOL - b
+        n = 0
+        for c in col:
+            n += 1
+            if fact[n + 2 * p] + c - n * ly <= lim:
+                n -= 1
+                break
+        if not n:
+            break
+        counts.append(n)
+    return tuple(counts)
+
+
+class _RunRows:
+    """The coefficients of runs over one balanced series, at its scale ``F + _SERIES_GUARD``.
+
+    ``integral[j-1] = c_(j+1) // j`` gives ``int psi = c_1 log y - sum_j
+    integral[j-1] y^-j``; ``row(p, n)`` holds ``B_2p/(2p)! (k)_(2p-1) c_k``
+    for ``k = 1..n``, each row built only as far as a run has asked.
+    """
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        self.coeffs = coeffs
+        self.integral = tuple(c // j for j, c in enumerate(coeffs[1:], 1))
+        self._rows: list[list[int]] = []
+        self._next: list[tuple[int, int]] = []  # (denominator, numerator for the next k) per row
+
+    def row(self, p: int, n: int) -> list[int]:
+        while len(self._rows) < p:
+            q = len(self._rows) + 1
+            b = _bernoulli(max(64, 1 << (2 * q).bit_length()))[2 * q]
+            fact = prod(range(1, 2 * q))  # (2q - 1)! = (1)_(2q-1)
+            self._rows.append([])
+            self._next.append((b.denominator * fact * 2 * q, b.numerator * fact))
+        row = self._rows[p - 1]
+        den, m = self._next[p - 1]
+        while len(row) < n:
+            k = len(row) + 1
+            row.append(self.coeffs[k - 1] * m // den)
+            m = m * (k + 2 * p - 1) // k
+        self._next[p - 1] = den, m
+        return row
+
+
+@lru_cache(maxsize=8)
+def _run_rows(A: tuple[int, ...], T: tuple[int, ...], W: int, F: int) -> _RunRows:
+    """The :class:`_RunRows` of the series of :func:`_series` ``(A, T, W, F)``, made when a run is summed."""
+    return _RunRows(_series(A, T, W, F)[1])
 
 
 def _balanced_lgamma(A: tuple[int, ...], T: tuple[int, ...], W: int, u: int, F: int) -> int:

@@ -10,9 +10,10 @@ Four families live here:
   (:func:`closed_form_base2` for the canonical base-2 family and
   :func:`closed_form_baseB` for general base and parameter vectors);
 * the truncated log-sum of a general block-exponent product, telescoped by
-  the same identity into ``O(sqrt N)`` pieces, each an exact product below
-  the series threshold and a balanced Gamma-ratio series above it
-  (:func:`logsum_word`);
+  the same identity into levels of blocks: the whole blocks of a level from
+  block index ``X1`` on as one Euler-Maclaurin run over a balanced
+  Gamma-ratio series, and a few dozen pieces, each an exact product below
+  the series threshold and the series above it (:func:`logsum_word`);
 * the concrete 4/pi product family: the original four-periodic form, the
   grouped form with digit-count exponents, the companion form with signed
   digit-count exponents, and the numerically estimated alternating form.
@@ -43,7 +44,12 @@ from blockprod.gammafn import (
     GammaExpr,
     _balanced_series,
     _balanced_threshold,
+    _largest_shift,
     _loggamma_fixed,
+    _run_bounds,
+    _run_counts,
+    _run_rows,
+    _series,
     _series_cuts,
     _series_threshold,
     _terms_at,
@@ -471,31 +477,45 @@ def logsum_alternating(lo: int, hi: int, F: int) -> int:
 # summed as the log of the exact rational prod_i (Bm + a_i)/(Bm + b_i).
 
 
+_RUN_STEPS = 128  # price of a run's fx_log and set-up, in Horner steps
+_RUN_ROW_STEPS = 6  # price of one kept Euler-Maclaurin term at four endpoints, with its row's scalings
+
+
 def word_edge_plan(
-    base: int, length: int, v: int, d: int, N: int, F: int
-) -> Iterator[tuple[int, int, int, int]]:
-    """Pieces ``(sign, Q, first, end)`` of ``S(N)`` for a word of value ``v`` and length ``length``.
+    base: int, length: int, v: int, d: int, N: int, F: int, big: int
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """Pieces ``(sign, Q, first, end, h)`` of ``S(N)`` for a word of value ``v`` and length ``length``.
 
     ``S(N)`` is the sum over the pieces of ``sign`` times ``f`` summed over
-    ``m = first, first + Q, ... < end``.  At each level the plan takes the
-    cheaper of one piece per block (``Q = 1``) and one per residue class
-    (``Q = B^(j+L)``), priced by counts taken without building a piece: a
-    piece costs a Horner step per series term for each edge at or above the
-    series threshold ``X0 * Q``, and ``2d`` factors for each point below it
-    and for the piece itself.  The term count is the one the series keeps at
-    the level's lowest edge, ``z = max(a, X0)`` for blocks and
-    ``max(a, X0 Q) // Q`` for classes (``gammafn._terms_at``), so a level of
-    blocks near ``z = N`` is priced at the few terms it runs.  That gives
-    about ``2 sqrt((B-1) N / B^L)`` pieces in all.  The plan depends on its
-    six arguments alone.
+    the blocks ``[first + sQ, first + sQ + h)`` with ``first + sQ < end``.
+    A piece with ``h = 1`` is summed point by point (exact products below
+    the series threshold ``X0 Q``, series edges above), a piece with
+    ``h > 1`` is a run of whole blocks summed by Euler-Maclaurin.  At each
+    level the plan takes the cheapest of one piece per block (``Q = 1``),
+    one per residue class (``Q = B^(j+L)``), and one per block below
+    ``X1`` or cut by the range's ends with a run over the rest, priced by
+    counts taken without building a piece.  A piece costs a Horner step per
+    series term for each edge at or above the threshold, and ``2d`` factors
+    for each point below it and for the piece itself; the term count is the
+    one the series keeps at the level's lowest edge, ``z = max(a, X0)`` for
+    blocks and ``max(a, X0 Q) // Q`` for classes (``gammafn._terms_at``).
+    A run costs its Horner steps at four endpoints: one per term for the
+    series and its integral at the count of its least point ``y``, and one
+    and a half per term of the Euler-Maclaurin rows of
+    ``gammafn._run_counts``, for the scaling of each row; its ``fx_log``
+    and set-up add ``_RUN_STEPS``.  ``big`` is the largest shift of the
+    series (``gammafn._largest_shift``), 0 when every shift lies in
+    ``[0, 1]``.  So a level costs about one run plus the blocks below
+    ``X1`` and at its ends.  The plan depends on its arguments alone.
     """
     B = base
-    X0 = _series_threshold(F)
-    cuts = _series_cuts(F, X0, d)
+    X0 = max(_series_threshold(F), 4 * big)
+    cuts = _series_cuts(F, X0, d, big)
+    lx = ly = None  # where runs may start, from gammafn._run_bounds once a level asks
     QL = B**length
     first = v or QL
     if first <= N:
-        yield 1, QL, first, first + QL * ((N - first) // QL + 1)
+        yield 1, QL, first, first + QL * ((N - first) // QL + 1), 1
     lo, hi = N + 1, B * N + B - 1
     Bj = B
     while Bj <= hi:
@@ -518,35 +538,102 @@ def word_edge_plan(
             return 2 * _terms_at(cuts, z) * high + 2 * d * (low + pieces)
 
         blocks = blocks_meeting(a)
+        high = blocks_meeting(max(a, X0))
+        best = cost(blocks, high, X0, max(a, X0))
         classes = min(Bj, covered(hi + 1) - covered(a))
-        high = min(Bj, max(0, covered(hi + 1) - covered(max(a, X0 * Q))))
-        if cost(blocks, blocks_meeting(max(a, X0)), X0, max(a, X0)) \
-                <= cost(classes, high, X0 * Q, max(a, X0 * Q) // Q):
+        high_classes = min(Bj, max(0, covered(hi + 1) - covered(max(a, X0 * Q))))
+        class_cost = cost(classes, high_classes, X0 * Q, max(a, X0 * Q) // Q)
+        run = None
+        if high > 2:
+            if lx is None:
+                lx, ly = _run_bounds(F, X0, d, big)[:2]
+            need = max(-(-a // Bj), QL << lx, -(-max(X0, 1 << ly) // Bj))
+            t0 = need + (v - need) % QL  # the run's first block
+            t1 = (hi + 1) // Bj - 1
+            t1 -= (t1 - v) % QL  # its last: the last whole block
+            n = (t1 - t0) // QL + 1
+            if n > 1:
+                y = t0 * Bj
+                counts = _run_counts(F, X0, d, big, y.bit_length() - 1, (t0 // QL).bit_length() - 1)
+                steps = 8 * _terms_at(cuts, y) + _RUN_ROW_STEPS * sum(counts) + _RUN_STEPS
+                if cost(blocks - n, high - n, X0, max(a, X0)) + steps < min(best, class_cost):
+                    run = t0, t1, n
+        if run is not None:
+            t0, t1, n = run
+            for t in range(a // Bj + (v - a // Bj) % QL, t0, QL):
+                yield -1, 1, max(a, t * Bj), t * Bj + Bj, 1
+            yield -1, Q, t0 * Bj, t0 * Bj + n * Q, Bj
+            for t in range(t1 + QL, hi // Bj + 1, QL):
+                yield -1, 1, t * Bj, min(hi, t * Bj + Bj - 1) + 1, 1
+        elif best <= class_cost:
             for t in range(a // Bj + (v - a // Bj) % QL, hi // Bj + 1, QL):
-                yield -1, 1, max(a, t * Bj), min(hi, t * Bj + Bj - 1) + 1
+                yield -1, 1, max(a, t * Bj), min(hi, t * Bj + Bj - 1) + 1, 1
         else:
             for r in range(head, head + Bj):
                 m0 = a + (r - a) % Q
                 if m0 <= hi:
-                    yield -1, Q, m0, hi - (hi - r) % Q + Q
+                    yield -1, Q, m0, hi - (hi - r) % Q + Q, 1
         Bj *= B
 
 
-# The log-sum adds up, at the working scale E = F + g, the series edges
-# (each within two units of 2**-E, see gammafn._balanced_series) and one log
-# per chunk of the exact low products (a floored quotient and an fx_log:
-# within two units).  No index of a level carries more than two such
-# values: the series part of a piece holds at least one point for its two
-# edges, and every chunk at least one point.  The first sum and each of the
-# J < bitlen(top) levels cover fewer than top = B(N + 1) indices, so the
-# values drift by less than 4 top bitlen(top) units of 2**-E, which
-# 2**g > 8 top bitlen(top) keeps below half a unit of 2**-F; the rounding
-# to F adds the other half.  g is rounded up to a multiple of 8 so that
-# nearby N share one scale, and with it their series coefficients and log
-# ladders.
-def _word_guard_bits(B: int, N: int) -> int:
-    top = B * (N + 1)
-    return -(-(8 * top * top.bit_length()).bit_length() // 8) * 8
+def _series_shifts(spec: ProductSpec) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """``(A, T, DB)``: ``f(m) = sum_i log((DBm + A_i)/(DBm + T_i))`` in integers, ``D`` the parameters' common denominator."""
+    D = lcm(*(x.denominator for x in spec.a + spec.b))
+    return (tuple(sorted(int(x * D) for x in spec.a)), tuple(sorted(int(x * D) for x in spec.b)),
+            D * spec.base)
+
+
+# The log-sum adds up, at the working scale E = F + g, values that are each
+# within two units of 2**-E: the series edges of the pieces (at most two per
+# piece; gammafn._balanced_series), one log per chunk of the exact low
+# products (a floored quotient and an fx_log), and the floors of each run.
+# A chunk closes once its numerator passes 8E bits, so there are at most
+# bits // 8E + 1 chunk logs, bits the size of all low factors together
+# (d factors per low point, none above bitlen(DB top + max shift), top above
+# every point of the plan).
+# A run is within 16 + m + 2|c_1|/P units (_run_sum; m <= the rows of
+# gammafn._run_bounds, |c_1| <= d (1 + big^2) 2**E, P >= 4), so it counts as
+# 16 + m + d (1 + big^2) values.  With V values in all the sum drifts by
+# less than 2V units, which 2**g >= 4V keeps below half a unit of 2**-F;
+# the rounding to F adds the other half.  g is the least multiple of 8 from
+# 16 on that passes for the plan made at its own scale (at 128 bits, 16
+# passes at once for every N measured up to 10^30), so that nearby N share
+# one scale, and with it their series coefficients and log ladders.
+def _word_plan(spec: ProductSpec, N: int, F: int) -> tuple[int, list[tuple[int, int, int, int, int]]]:
+    """``(g, pieces)``: the guard bits of :func:`logsum_word` at ``(spec, N, F)`` and the plan made at ``E = F + g``."""
+    A, T, DB = _series_shifts(spec)
+    big = _largest_shift(A, T, DB)
+    shape = (spec.base, len(spec.word.digits), word_value(spec.word), len(A))
+    g = 16
+    while True:
+        pieces = list(word_edge_plan(*shape, N, F + g - _SERIES_GUARD, big))
+        if 4 * _plan_values(A, T, DB, pieces, F + g) <= 1 << g:
+            return g, pieces
+        g += 8
+
+
+def _plan_values(A: tuple[int, ...], T: tuple[int, ...], DB: int, pieces, E: int) -> int:
+    """The values within two units of ``2**-E`` that summing ``pieces`` at scale ``E`` adds up, counted as above."""
+    d, big = len(A), _largest_shift(A, T, DB)
+    Fs = E - _SERIES_GUARD
+    X0 = _balanced_threshold(A, T, DB, Fs)
+    values = low = runs = 0
+    for _, Q, first, end, h in pieces:
+        if h > 1:
+            runs += 1
+            continue
+        lim = (_balanced_threshold(A, T, DB * Q, Fs) if big else X0) * Q  # shifts shrink as Q grows
+        if first < lim:
+            mstar = min(end, first + (lim - first + Q - 1) // Q * Q)
+            low += (mstar - first) // Q
+            values += 2 * (mstar < end)
+        else:
+            values += 2
+    if runs:
+        values += runs * (16 + len(_run_bounds(Fs, X0, d, big)[2]) + d * (1 + big * big))
+    top = max((end for _, _, _, end, _ in pieces), default=0)  # above every point
+    factor_bits = d * (DB * top + max(A + T)).bit_length()
+    return values + low * factor_bits // (8 * E) + 1
 
 
 def _log_ratio(p: int, q: int, E: int) -> int:
@@ -560,8 +647,9 @@ def logsum_word(spec: ProductSpec, N: int, F: int) -> int:
     """``S(N) = sum_{n=1}^N N_w(n) * log(term_n)`` at scale ``F``, within one unit of ``2**-F``.
 
     Sums the pieces of :func:`word_edge_plan` at the working scale
-    ``E = F + g`` (``g`` fixed by ``B`` and ``N``; see the comment above)
-    and rounds the total once.  A piece's points below the series threshold
+    ``E = F + g`` (``g`` counted from the plan; see the comment above) and
+    rounds the total once.  A run of whole blocks is one Euler-Maclaurin
+    sum (:func:`_run_sum`).  A piece's points below the series threshold
     ``X0 * Q`` (those before ``m*``, the first point at or above it) enter
     as the log of the exact product ``prod (DBm + A_i)/(DBm + T_i)``,
     multiplied across pieces into chunks of about ``8E`` bits with one log
@@ -574,13 +662,11 @@ def logsum_word(spec: ProductSpec, N: int, F: int) -> int:
     if N < 1:
         return 0
     B = spec.base
-    g = _word_guard_bits(B, N)
+    g, pieces = _word_plan(spec, N, F)
     E = F + g
     Fs = E - _SERIES_GUARD  # the series' nominal scale: their Horner sums land at E
-    D = lcm(*(x.denominator for x in spec.a + spec.b))
-    A = tuple(sorted(int(x * D) for x in spec.a))
-    T = tuple(sorted(int(x * D) for x in spec.b))
-    DB, d = D * B, len(A)
+    A, T, DB = _series_shifts(spec)
+    d = len(A)
     chunk_bits = 8 * E
     limits: dict[int, int] = {}
     memo: dict[tuple[int, int], int] = {}
@@ -593,8 +679,10 @@ def logsum_word(spec: ProductSpec, N: int, F: int) -> int:
 
     total = 0
     num = den = 1  # the low products since the last chunk log
-    shape = (B, len(spec.word.digits), word_value(spec.word), d)
-    for sign, Q, first, end in word_edge_plan(*shape, N, Fs):
+    for sign, Q, first, end, h in pieces:
+        if h > 1:
+            total += sign * _run_sum(A, T, DB, Fs, Q, first, end, h, G)
+            continue
         lim = limits.get(Q)
         if lim is None:
             lim = limits[Q] = _balanced_threshold(A, T, DB * Q, Fs) * Q
@@ -624,6 +712,57 @@ def logsum_word(spec: ProductSpec, N: int, F: int) -> int:
     return rshift_round(total, g)
 
 
+def _run_sum(A, T, DB: int, Fs: int, P: int, ya: int, yc: int, h: int, G) -> int:
+    """``sum_s G_1(y_s + h) - G_1(y_s)`` over ``y_s = ya, ya + P, ... < yc``, at scale ``E = Fs + 16``.
+
+    Euler-Maclaurin over ``s`` gives ``Omega(yd) - Omega(yb) - Omega(yc) +
+    Omega(ya)`` with ``yb = ya + h``, ``yd = yc + h`` and ``Omega(y) =
+    (c_1 log y - I(y))/P - psi(y)/2 - EM(y)``: ``psi = G_1`` is the series
+    (the edges ``G(1, y)``), ``I`` the rest of its integral and ``EM(y) =
+    sum_p (P/y)^(2p-1) sum_k row_p[k] y^-k`` the corrections (see
+    ``gammafn._run_bounds``), as many as ``gammafn._run_counts`` keeps at
+    ``ya``.  The four ``c_1 log`` terms fold into one log of
+    ``yd ya / (yb yc)``.  With ``m`` rows it is within ``16 + m +
+    2|c_1|/P`` units of ``2**-E`` (``c_1`` in units of ``2**-E``): the log
+    within ``1 + 2|c_1|/P``, the integral within 3, the series' four edges
+    within 2 each and one floor for their half, and at each end the
+    corrections within one floor (``P/y^2`` scales down every error of
+    their Horner sums) plus what they drop: below ``2**-3`` units per row
+    and end, and a remainder below twice the last row's.
+    """
+    E = Fs + _SERIES_GUARD
+    X0, coeffs, cuts = _series(A, T, DB, Fs)
+    counts = _run_counts(Fs, X0, len(A), _largest_shift(A, T, DB), ya.bit_length() - 1, (ya // P).bit_length() - 1)
+    rows = _run_rows(A, T, DB, Fs)
+    integral = rows.integral
+    em_rows = [rows.row(p, n)[:n] for p, n in enumerate(counts, 1)]
+    P2 = P * P
+    yb, yd = ya + h, yc + h
+
+    def integral_part(y: int) -> int:
+        s = 0
+        for c in reversed(integral[: _terms_at(cuts, y) - 1]):
+            s = c + s // y
+        return s // y
+
+    def corrections(y: int) -> int:
+        y2 = y * y
+        acc = 0
+        for row in reversed(em_rows):
+            s = 0
+            for c in reversed(row):
+                s = c + s // y
+            acc = s + acc * P2 // y2
+        return acc * P // y2
+
+    ends = ((yd, 1), (yb, -1), (yc, -1), (ya, 1))
+    log_part = coeffs[0] * _log_ratio(yd * ya, yb * yc, E) // (P << E)
+    integral_sum = sum(e * integral_part(y) for y, e in ends) // P
+    series_sum = sum(e * G(1, y) for y, e in ends) // 2
+    em_sum = sum(e * corrections(y) for y, e in ends)
+    return log_part - integral_sum - series_sum - em_sum
+
+
 # --------------------------------------------------------------------------
 # the companion form through the word-product log-sum
 # --------------------------------------------------------------------------
@@ -647,8 +786,9 @@ def logsum_companion(lo: int, hi: int, F: int) -> int:
     The exponent is ``2*(bitlen(k) - 2*popcount(k))``, the signed digit
     balance.  The log-sum is ``P(hi) - P(lo - 1)`` with ``P(N)`` the grouped
     form's log-sum minus twice the word-``1`` log-sum (:func:`logsum_word`):
-    ``O(log N)`` log-Gammas plus ``O(sqrt N)`` series edges, the points below
-    the series threshold as exact products.
+    ``O(log N)`` log-Gammas plus about one Euler-Maclaurin run per level
+    and a few dozen pieces, the points below the series threshold as exact
+    products.
     """
     lo = max(lo, 1)
     if lo > hi:

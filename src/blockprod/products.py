@@ -3,9 +3,10 @@
 Every partial product is the exponential of an integer fixed-point log-sum
 at scale ``F = precision + GUARD_BITS``.  Word products take the
 telescoped sum of the paper's lemma (:func:`blockprod.identities.logsum_word`):
-``O(sqrt N)`` pieces, each an exact product below the series threshold and
-a balanced Gamma-ratio series above it, summed with guard bits and rounded
-once to within one unit of ``2**-F``.  The left side of ``rivoal_eq1``
+about one Euler-Maclaurin run per level over a balanced Gamma-ratio series
+plus a few dozen pieces, each an exact product below the series threshold
+and the series above it, summed with guard bits and rounded once to within
+one unit of ``2**-F``.  The left side of ``rivoal_eq1``
 (the grouped 4/pi form) adds one log-Gamma combination per dyadic block
 (:func:`blockprod.identities.logsum_rivoal_grouped`), within a few dozen
 units of ``2**-F`` of the exact log-sum, measured up to N = 10**30.  The
@@ -76,7 +77,8 @@ def eval_lhs_partial(spec: ProductSpec, N: int, precision_bits: int) -> BigReal:
 
     Exponents are the block-occurrence counts of ``spec.word``.  The log-sum
     is :func:`blockprod.identities.logsum_word`, the telescoped sum of
-    ``O(sqrt N)`` pieces, within one unit of ``2**-F`` of the exact log-sum.
+    about one Euler-Maclaurin run per level and a few dozen pieces, within
+    one unit of ``2**-F`` of the exact log-sum.
     """
     prec = _check_precision(precision_bits)
     if N < 1:

@@ -2,14 +2,16 @@
 the per-digit block-count recurrence that the chunked ``count_block`` is
 checked against, the per-term log-sums that the library's Gamma-ratio
 sums are checked against (the 4/pi family, the balanced ratio product and
-word products, with their fixed-point log series), and the plain forms of
+word products, with their fixed-point log series), the plain forms of
 the log-Gamma and of the summation lemma's left side that the library's
-faster forms must equal exactly."""
+faster forms must equal exactly, and the word-product engine before
+Euler-Maclaurin runs, which the runs are checked against."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
+from typing import Iterator
 
 import mpmath
 
@@ -17,12 +19,14 @@ from blockprod.bigreal import BigReal
 from blockprod.fixedpoint import fx_log, rshift_round
 from blockprod.gammafn import (
     _SERIES_GUARD,
+    _balanced_series,
     _balanced_threshold,
+    _series_cuts,
     _series_threshold,
     _stirling_series,
     _terms_at,
 )
-from blockprod.identities import FiniteSupportFn, _word_guard_bits, word_edge_plan
+from blockprod.identities import FiniteSupportFn, _word_plan
 from blockprod.words import Word, count_block, word_value
 
 
@@ -91,16 +95,17 @@ def mstar_cuts(spec, lo: int, hi: int, F: int, limit: int = 2) -> list[int]:
     (one point on the series, the rest exact products) and the plan at
     ``N - 1`` has none.
     """
-    B, L = spec.base, len(spec.word.digits)
+    B = spec.base
     D = lcm(*(x.denominator for x in spec.a + spec.b))
     A = tuple(sorted(int(x * D) for x in spec.a))
     T = tuple(sorted(int(x * D) for x in spec.b))
 
     def reaches(N: int) -> bool:
-        Fs = F + _word_guard_bits(B, N) - _SERIES_GUARD
-        for _, Q, first, end in word_edge_plan(B, L, word_value(spec.word), len(A), N, Fs):
+        g, pieces = _word_plan(spec, N, F)
+        Fs = F + g - _SERIES_GUARD
+        for _, Q, first, end, h in pieces:
             lim = _balanced_threshold(A, T, D * B * Q, Fs) * Q
-            if first < lim <= end - Q < lim + Q:
+            if h == 1 and first < lim <= end - Q < lim + Q:
                 return True
         return False
 
@@ -113,6 +118,39 @@ def mstar_cuts(spec, lo: int, hi: int, F: int, limit: int = 2) -> list[int]:
                 break
         before = now
     return cuts
+
+
+def run_cuts(spec, lo: int, hi: int, F: int, limit: int = 2) -> tuple[list[int], list[int]]:
+    """``(switches, edges)``: the first ``limit`` prefix lengths ``N`` in ``[lo, hi]`` of each kind.
+
+    A run is a piece with ``h > 1`` (whole blocks summed by Euler-Maclaurin).
+    At a switch a level goes between a run and pieces: the levels that take
+    a run differ from those at ``N - 1``.  At an edge a run's first block
+    starts at the first index ``N + 1``, or its last block ends at the last,
+    ``B N + B - 1``.
+    """
+    def runs(N: int) -> tuple[set[int], bool]:
+        _, pieces = _word_plan(spec, N, F)
+        top = spec.base * (N + 1) - 1
+        levels, edge = set(), False
+        for _, Q, first, end, h in pieces:
+            if h > 1:
+                levels.add(h)
+                edge |= first == N + 1 or end - Q + h - 1 == top
+        return levels, edge
+
+    switches, edges = [], []
+    before, _ = runs(lo - 1)
+    for N in range(lo, hi + 1):
+        now, edge = runs(N)
+        if now != before and len(switches) < limit:
+            switches.append(N)
+        if edge and len(edges) < limit:
+            edges.append(N)
+        if len(switches) == len(edges) == limit:
+            break
+        before = now
+    return switches, edges
 
 
 def lemma1_lhs_oracle(f: FiniteSupportFn, w: Word, base: int) -> Fraction:
@@ -284,3 +322,139 @@ def logsum_ratio_product(a: tuple, b: tuple, lo: int, hi: int, F: int) -> int:
         r = p / q
         total += fx_log_ratio(r.numerator, r.denominator, F)
     return total
+
+
+# --------------------------------------------------------------------------
+# the word-product engine before runs
+# --------------------------------------------------------------------------
+#
+# identities.logsum_word with block and class pieces only, as it stood
+# before whole-block runs were summed by Euler-Maclaurin: O(sqrt N) pieces,
+# each an exact product below the series threshold and two series edges
+# above it.
+
+
+def block_class_plan(
+    base: int, length: int, v: int, d: int, N: int, F: int
+) -> Iterator[tuple[int, int, int, int]]:
+    """``identities.word_edge_plan`` before runs: pieces ``(sign, Q, first, end)`` of ``S(N)``.
+
+    At each level the cheaper of one piece per block and one per residue
+    class, priced by the same counts; about ``2 sqrt((B-1) N / B^L)``
+    pieces in all.
+    """
+    B = base
+    X0 = _series_threshold(F)
+    cuts = _series_cuts(F, X0, d)
+    QL = B**length
+    first = v or QL
+    if first <= N:
+        yield 1, QL, first, first + QL * ((N - first) // QL + 1)
+    lo, hi = N + 1, B * N + B - 1
+    Bj = B
+    while Bj <= hi:
+        a = max(lo, Bj)  # m // B^j >= 1
+        Q = Bj * QL
+        head = v * Bj
+
+        def covered(c: int) -> int:
+            """Indices below ``c`` with ``m // B^j = v (mod B^L)``."""
+            return c // Q * Bj + min(Bj, max(0, c % Q - head))
+
+        def blocks_meeting(x: int) -> int:
+            """Blocks ``t = v (mod B^L)`` that meet ``[x, hi]``."""
+            t = x // Bj
+            t += (v - t) % QL
+            return (hi // Bj - t) // QL + 1 if t * Bj <= hi else 0
+
+        def cost(pieces: int, high: int, low_end: int, z: int) -> int:
+            low = covered(min(low_end, hi + 1)) - covered(a) if a < low_end else 0
+            return 2 * _terms_at(cuts, z) * high + 2 * d * (low + pieces)
+
+        blocks = blocks_meeting(a)
+        classes = min(Bj, covered(hi + 1) - covered(a))
+        high = min(Bj, max(0, covered(hi + 1) - covered(max(a, X0 * Q))))
+        if cost(blocks, blocks_meeting(max(a, X0)), X0, max(a, X0)) \
+                <= cost(classes, high, X0 * Q, max(a, X0 * Q) // Q):
+            for t in range(a // Bj + (v - a // Bj) % QL, hi // Bj + 1, QL):
+                yield -1, 1, max(a, t * Bj), min(hi, t * Bj + Bj - 1) + 1
+        else:
+            for r in range(head, head + Bj):
+                m0 = a + (r - a) % Q
+                if m0 <= hi:
+                    yield -1, Q, m0, hi - (hi - r) % Q + Q
+        Bj *= B
+
+
+def block_class_guard_bits(B: int, N: int) -> int:
+    """The guard bits of :func:`logsum_word_oracle`: ``8 B(N+1) bitlen(B(N+1))`` rounded up to a multiple of 8."""
+    top = B * (N + 1)
+    return -(-(8 * top * top.bit_length()).bit_length() // 8) * 8
+
+
+def _oracle_log_ratio(p: int, q: int, E: int) -> int:
+    """``log(p/q)`` at scale ``E`` for positive integers: one floored quotient, one ``fx_log``."""
+    if p < q:
+        return -_oracle_log_ratio(q, p, E)
+    return fx_log((p << E) // q, E)
+
+
+def logsum_word_oracle(spec, N: int, F: int) -> int:
+    """``identities.logsum_word`` before runs, bit for bit: block and class pieces only.
+
+    Pieces of :func:`block_class_plan` at ``E = F + block_class_guard_bits``,
+    exact low products in chunks of about ``8E`` bits, series edges above
+    the threshold, one rounding.  The runs of the library engine are checked
+    against it.
+    """
+    if N < 1:
+        return 0
+    B = spec.base
+    g = block_class_guard_bits(B, N)
+    E = F + g
+    Fs = E - _SERIES_GUARD  # the series' nominal scale: their Horner sums land at E
+    D = lcm(*(x.denominator for x in spec.a + spec.b))
+    A = tuple(sorted(int(x * D) for x in spec.a))
+    T = tuple(sorted(int(x * D) for x in spec.b))
+    DB, d = D * B, len(A)
+    chunk_bits = 8 * E
+    limits: dict[int, int] = {}
+    memo: dict[tuple[int, int], int] = {}
+
+    def G(Q: int, m: int) -> int:
+        v = memo.get((Q, m))
+        if v is None:
+            v = memo[Q, m] = _balanced_series(A, T, DB * Q, DB * m, Fs)
+        return v
+
+    total = 0
+    num = den = 1  # the low products since the last chunk log
+    shape = (B, len(spec.word.digits), word_value(spec.word), d)
+    for sign, Q, first, end in block_class_plan(*shape, N, Fs):
+        lim = limits.get(Q)
+        if lim is None:
+            lim = limits[Q] = _balanced_threshold(A, T, DB * Q, Fs) * Q
+        mstar = first
+        if first < lim:
+            mstar = min(end, first + (lim - first + Q - 1) // Q * Q)
+            step, stop = DB * Q, DB * mstar
+            span = step * max(1, chunk_bits // (d * stop.bit_length()))
+            for u in range(DB * first, stop, span):
+                u1 = min(u + span, stop)
+                p = q = 1
+                for x in A:
+                    p *= prod(range(u + x, u1 + x, step))
+                for x in T:
+                    q *= prod(range(u + x, u1 + x, step))
+                if sign < 0:
+                    p, q = q, p
+                num *= p
+                den *= q
+                if num.bit_length() > chunk_bits:
+                    total += _oracle_log_ratio(num, den, E)
+                    num = den = 1
+        if mstar < end:
+            total += sign * (G(Q, end) - G(Q, mstar))
+    if num != den:
+        total += _oracle_log_ratio(num, den, E)
+    return rshift_round(total, g)

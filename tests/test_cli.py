@@ -337,8 +337,18 @@ class TestInputCaps:
         ],
     )
     def test_per_term_terms_cap(self, capsys, argv):
-        code, _, err = run(capsys, *argv, "--terms", str(cli.MAX_PER_TERM_TERMS + 1))
+        """Word specs and the companion share the block-sum cap; ``enumerate`` keeps its own."""
+        cap = cli.MAX_PER_TERM_TERMS if argv[0] == "enumerate" else cli.MAX_BLOCK_SUM_TERMS
+        code, _, err = run(capsys, *argv, "--terms", str(cap + 1))
         assert code == 2 and "--terms must be at most" in err
+
+    @pytest.mark.parametrize("argv", [("verify", "companion"), ("verify", "--base", "2", "--word", "101")])
+    def test_word_terms_cap(self, capsys, argv):
+        """Word products and the companion run at ``N = 10^30``, the cap they share with the
+        4/pi families."""
+        assert cli.MAX_BLOCK_SUM_TERMS == 10**30
+        code, out, _ = run(capsys, *argv, "--terms", str(cli.MAX_BLOCK_SUM_TERMS))
+        assert code == 0 and f"terms_used: {10**30}" in out
 
     def test_blocks_cap(self, capsys):
         code, _, err = run(capsys, "rivoal-forms", "--blocks", str(cli.MAX_BLOCKS + 1))

@@ -554,8 +554,8 @@ class TestTermCuts:
 
 
 def test_plan_and_evaluators_share_the_count(monkeypatch):
-    """``word_edge_plan`` prices each series edge by the count the evaluators keep: both
-    call the one ``gammafn._terms_at``."""
+    """``word_edge_plan`` prices each series edge, and the series and integral of each run,
+    by the count the evaluators keep: all call the one ``gammafn._terms_at``."""
     assert identities._terms_at is gammafn._terms_at
     callers = set()
 
@@ -567,7 +567,7 @@ def test_plan_and_evaluators_share_the_count(monkeypatch):
     monkeypatch.setattr(identities, "_terms_at", spy)
     logsum_word(ProductSpec.canonical_base2(Word.parse("1", 2)), 10**4, 160)
     _loggamma_fixed(10**6 + Fraction(1, 3), 160)
-    assert callers == {"cost", "_balanced_series", "_loggamma_fixed"}
+    assert callers == {"cost", "word_edge_plan", "_balanced_series", "integral_part", "_loggamma_fixed"}
 
 
 def test_log_gamma_sizes_share_a_ladder(monkeypatch):

@@ -457,14 +457,14 @@ class TestCompanionSum:
     def test_range_splits_exactly(self):
         """Cuts where a block of the telescoped plan starts at the first index ``N + 1`` it
         sums, and on both sides of each ``N`` at which a piece of the word-``1`` sum
-        reaches ``m*``, its first point on the series.  The plan at ``F`` does so three
-        times in the range (161, 322 and 676), so the fourth is the first ``N`` at which
-        the 256-bit plan (``F = 288``) does."""
+        reaches ``m*``, its first point on the series.  The plan at ``F`` does so four
+        times in the range (153, 306, 322 and 644), and the fifth is the first ``N`` at
+        which the 256-bit plan (``F = 288``) does."""
         F = self.F
         lo, hi = 100, 5200
         mstar = helpers.mstar_cuts(_WORD_ONE, lo + 1, hi - 1, F, limit=4)
         mstar += helpers.mstar_cuts(_WORD_ONE, lo + 1, hi - 1, 256 + GUARD_BITS, limit=1)
-        assert len(mstar) == 4
+        assert len(mstar) == 5
         # word 1: level-j blocks start at (2t + 1) 2^j, so the plan for N = 3071
         # starts a block at m = 3 * 2^10; likewise 2047, 3583 and 5119
         cuts = sorted({2047, 2048, 3071, 3072, 3583, 5119, *mstar, *(N - 1 for N in mstar)})

@@ -8,9 +8,28 @@ import mpmath
 import pytest
 from helpers import to_mpf
 
+from blockprod import identities
 from blockprod.bigreal import GUARD_BITS
-from blockprod.gammafn import eval_gamma_expr
-from blockprod.identities import ProductSpec, closed_form_baseB, logsum_word
+from blockprod.fixedpoint import fx_log_frac, rshift_round
+from blockprod.gammafn import (
+    _SERIES_GUARD,
+    _balanced_series,
+    _largest_shift,
+    _run_bounds,
+    _run_counts,
+    _series,
+    _series_threshold,
+    eval_gamma_expr,
+)
+from blockprod.identities import (
+    ProductSpec,
+    _plan_values,
+    _run_sum,
+    _series_shifts,
+    _word_plan,
+    closed_form_baseB,
+    logsum_word,
+)
 from blockprod.products import (
     VerifyReport,
     default_corpus,
@@ -318,6 +337,134 @@ class TestWordEngine:
                     want[n] = mpmath.ldexp(acc, F)
             for N in Ns:
                 assert abs(logsum_word(spec, N, F) - want[N]) <= 1, N
+
+
+class TestWordRuns:
+    """Whole blocks of a level summed as one Euler-Maclaurin run, against the engine before runs."""
+
+    PREC = 128
+    F = PREC + GUARD_BITS
+
+    @pytest.mark.parametrize("base,text,a,b", ORACLE_SPECS)
+    @pytest.mark.parametrize("prec,N", [(128, 10**5), (128, 10**6), (128, 10**7), (256, 10**5)])
+    def test_against_block_class_oracle(self, prec, N, base, text, a, b):
+        """Within one unit of ``helpers.logsum_word_oracle``, the block and class engine
+        (measured: equal at every point)."""
+        spec = make_spec(base, text, a, b)
+        F = prec + GUARD_BITS
+        assert abs(logsum_word(spec, N, F) - helpers.logsum_word_oracle(spec, N, F)) <= 1
+
+    @pytest.mark.parametrize("base,text,a,b", [ORACLE_SPECS[i] for i in (0, 4, 5)])
+    @pytest.mark.parametrize("far", [1, 64])
+    def test_run_against_its_blocks(self, base, text, a, b, far):
+        """A run of 40 blocks starting at the least block index ``X1`` (``far = 1``) and at
+        ``64 X1`` is within its bound, ``16 + m + 2|c_1|/P`` units of ``2^-E`` for ``m`` rows,
+        of its blocks' series edges summed 24 bits deeper (measured: at most 1.8)."""
+        spec = make_spec(base, text, a, b)
+        A, T, DB = _series_shifts(spec)
+        Fs = self.F + 16 - _SERIES_GUARD
+        E, X = Fs + _SERIES_GUARD, 24
+        X0, coeffs, _ = _series(A, T, DB, Fs)
+        lx, ly = _run_bounds(Fs, X0, len(A))[:2]
+        B, QL, v = spec.base, spec.base ** len(spec.word.digits), helpers.word_value(spec.word)
+        for j in (1, 4):
+            h = B**j
+            P = h * QL
+            need = max(far * QL << lx, -(-max(X0, 1 << ly) // h))
+            ya = (need + (v - need) % QL) * h
+            yc = ya + 40 * P
+            got = _run_sum(A, T, DB, Fs, P, ya, yc, h, lambda Q, m: _balanced_series(A, T, DB * Q, DB * m, Fs))
+            deep = sum(_balanced_series(A, T, DB, DB * (y + h), Fs + X) - _balanced_series(A, T, DB, DB * y, Fs + X)
+                       for y in range(ya, yc, P))
+            m = len(_run_counts(Fs, X0, len(A), 0, ya.bit_length() - 1, (ya // P).bit_length() - 1))
+            bound = 16 + m + 2 * abs(coeffs[0]) // (P << E) + 1
+            assert abs((got << X) - deep) <= bound << X, (j, far)
+
+    @pytest.mark.parametrize("base,text", [(2, "1"), (10, "7")])
+    def test_range_splits_at_run_cuts(self, base, text):
+        """``S(hi) - S(lo - 1)`` splits exactly with cuts on both sides of each ``N`` at which a
+        level switches between a run and pieces, and at which a run's first block starts at
+        ``N + 1`` or its last block ends at ``B N + B - 1`` (``helpers.run_cuts``)."""
+        spec = make_spec(base, text)
+        F = self.F
+        lo, hi = 1001, 9000
+        switches, edges = helpers.run_cuts(spec, lo + 1, hi - 1, F, limit=2)
+        assert len(switches) == len(edges) == 2
+        cuts = sorted({*switches, *edges, *(N - 1 for N in switches + edges)})
+        bounds = (lo - 1, *cuts, hi)
+        S = {c: logsum_word(spec, c, F) for c in bounds}
+        parts = [S[b] - S[a] for a, b in zip(bounds, bounds[1:])]
+        assert sum(parts) == S[hi] - S[lo - 1]
+        for (a, b), part in zip(zip(bounds, bounds[1:]), parts):
+            assert abs(part - direct_logsum(spec, a + 1, b, F)) <= 1 << (F + 8 - self.PREC), (a, b)
+
+    @pytest.mark.parametrize("base,text", [(10, "7"), (2, "1")])
+    @pytest.mark.parametrize("N", [10**12, 10**12 + 7, 10**30, 7 * 10**29 + 77777])
+    def test_last_term_at_sizes_only_runs_reach(self, base, text, N):
+        """``S(N) - S(N - 1)`` is ``N_w(N) log(term_N)``, that log taken directly with ``fx_log``
+        8 bits deeper, within 2 units (at ``10^30`` the term's log is below ``2^-190``)."""
+        spec = make_spec(base, text)
+        F = self.F
+        fr = spec.factor(N)
+        want = rshift_round(count_block(spec.word, N) * fx_log_frac(fr.numerator, fr.denominator, F + 8), 8)
+        assert abs(logsum_word(spec, N, F) - logsum_word(spec, N - 1, F) - want) <= 2
+
+    @pytest.mark.parametrize("base,text", [(10, "7"), (2, "1")])
+    def test_block_pieces_at_1e30(self, base, text):
+        """The plan for ``N = 10^30``, counted but not summed, has at most ``(X1 + 2) J`` block
+        pieces over its ``J`` levels (``c = 1``): a level takes whole blocks below ``X1``,
+        one block index apart, and at most two blocks cut by the range's ends."""
+        spec = make_spec(base, text)
+        N = 10**30
+        g, pieces = _word_plan(spec, N, self.F)
+        Fs = self.F + g - _SERIES_GUARD
+        X1 = 1 << _run_bounds(Fs, _series_threshold(Fs), 2)[0]
+        levels = (base * N + base - 1).bit_length()
+        blocks = sum(1 for _, Q, _, _, h in pieces if Q == 1 and h == 1)
+        assert sum(1 for piece in pieces if piece[4] > 1) > 0
+        assert blocks <= (X1 + 2) * levels, (blocks, X1, levels)
+
+    @pytest.mark.parametrize("base,text,a,b", ORACLE_SPECS)
+    @pytest.mark.parametrize("N", [10**3, 10**6, 10**30])
+    def test_guard_counts_every_rounded_value(self, monkeypatch, base, text, a, b, N):
+        """The guard bits ``g`` come from a count of the values rounded at ``E = F + g``
+        (``identities._plan_values``, ``2^g >= 4`` times it); the count is at least the
+        series edges and chunk logs the sum takes, and each run's ``16 + m + d (1 + big^2)``
+        with ``m`` the rows it keeps."""
+        spec = make_spec(base, text, a, b)
+        g, pieces = _word_plan(spec, N, self.F)
+        seen = {"values": 0, "inner": False}  # inner: inside a run, or a log inside a log
+
+        def edge(*args):
+            seen["values"] += not seen["inner"]
+            return _balanced_series(*args)
+
+        def log_ratio(*args):
+            seen["values"] += not seen["inner"]
+            seen["inner"], was = True, seen["inner"]  # _log_ratio calls itself for p < q
+            try:
+                return log_ratio_plain(*args)
+            finally:
+                seen["inner"] = was
+
+        def run_sum(A_, T_, DB_, Fs, P, ya, yc, h, G):
+            big = _largest_shift(A_, T_, DB_)
+            counts = _run_counts(Fs, _series(A_, T_, DB_, Fs)[0], len(A_), big, ya.bit_length() - 1,
+                                 (ya // P).bit_length() - 1)
+            seen["values"] += 16 + len(counts) + len(A_) * (1 + big**2)
+            seen["inner"] = True
+            try:
+                return run_sum_plain(A_, T_, DB_, Fs, P, ya, yc, h, G)
+            finally:
+                seen["inner"] = False
+
+        log_ratio_plain, run_sum_plain = identities._log_ratio, identities._run_sum
+        monkeypatch.setattr(identities, "_balanced_series", edge)
+        monkeypatch.setattr(identities, "_log_ratio", log_ratio)
+        monkeypatch.setattr(identities, "_run_sum", run_sum)
+        logsum_word(spec, N, self.F)
+        counted = _plan_values(*_series_shifts(spec), pieces, self.F + g)
+        assert seen["values"] <= counted and 4 * counted <= 1 << g
 
 
 class TestEnumerate:
