@@ -266,6 +266,11 @@ class TestOutputDigests:
          "2b18bba2c28646c771a590442fe461a2a4320adce09a58046afe8258af40b1a2"),
         (f"verify rivoal --terms {10**30} --precision 2048",
          "0e85e0bd27eb0019cb313c0d51f866a1f0c5db5317b60c23db9dabafd65043ab"),
+        # a closed form whose Gamma(1) is dropped, and the non-integer spec, at 2048 bits
+        ("verify --base 4 --word 00 --terms 1000 --precision 2048",
+         "e69dd6f25d317b3e63d1ae6294f769f543b752bb22d8e11df78e83d98d8ad6c2"),
+        ("verify --base 3 --word 12 --a 1/2,3/2 --b 1/3,5/3 --terms 1000 --precision 2048",
+         "1b4a6a20c9786e1b0fb3fa77c97ff52b4789a31a49d875754be42e80c064fb0e"),
     ]
 
     @pytest.mark.parametrize("argv, digest", RUNS, ids=[argv for argv, _ in RUNS])
