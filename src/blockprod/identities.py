@@ -37,7 +37,7 @@ from operator import sub
 from typing import Callable, Iterator, Mapping
 
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision
-from blockprod.fixedpoint import fx_log, rshift_round
+from blockprod.fixedpoint import rshift_round
 from blockprod.gammafn import (
     _SERIES_GUARD,
     BalanceError,
@@ -45,6 +45,7 @@ from blockprod.gammafn import (
     _balanced_series,
     _balanced_threshold,
     _largest_shift,
+    _log_ratio,
     _loggamma_fixed,
     _run_bounds,
     _run_counts,
@@ -634,13 +635,6 @@ def _plan_values(A: tuple[int, ...], T: tuple[int, ...], DB: int, pieces, E: int
     top = max((end for _, _, _, end, _ in pieces), default=0)  # above every point
     factor_bits = d * (DB * top + max(A + T)).bit_length()
     return values + low * factor_bits // (8 * E) + 1
-
-
-def _log_ratio(p: int, q: int, E: int) -> int:
-    """``log(p/q)`` at scale ``E`` for positive integers: one floored quotient, one ``fx_log``."""
-    if p < q:
-        return -_log_ratio(q, p, E)
-    return fx_log((p << E) // q, E)
 
 
 def logsum_word(spec: ProductSpec, N: int, F: int) -> int:

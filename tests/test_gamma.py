@@ -20,6 +20,7 @@ from blockprod.gammafn import (
     _balanced_lgamma,
     _balanced_series,
     _bernoulli,
+    _gamma_expr_log,
     _loggamma_fixed,
     _series,
     _shift_product,
@@ -33,7 +34,13 @@ from blockprod.gammafn import (
     log_gamma,
     sin_pi,
 )
-from blockprod.identities import ProductSpec, closed_form_baseB, logsum_word
+from blockprod.identities import (
+    ProductSpec,
+    closed_form_base2,
+    closed_form_baseB,
+    companion_closed_form,
+    logsum_word,
+)
 from blockprod.words import Word
 
 
@@ -299,6 +306,83 @@ class TestGammaExpr:
             assert_close(eval_gamma_expr(expr, 1024), want, contract(1024))
 
 
+def expr_log_mpmath(expr: GammaExpr) -> mpmath.mpf:
+    """``sum lgG(num) - sum lgG(den)`` of ``expr`` in the current mpmath precision."""
+    return (mpmath.fsum(mpmath.loggamma(mpmath.mpf(x.numerator) / x.denominator) for x in expr.num)
+            - mpmath.fsum(mpmath.loggamma(mpmath.mpf(x.numerator) / x.denominator) for x in expr.den))
+
+
+class TestBalancedClosedForms:
+    """A balanced closed form is one shifted balanced series and one log; any other form
+    keeps one log-Gamma per distinct argument."""
+
+    # corpus forms of the canonical base-B spec (base 4 word 00 drops its Gamma(1)), the
+    # non-integer base-3 spec, and the base-2 word-1 form G(1/2)/G(3/4)^2, which needs padding
+    FORMS = [
+        closed_form_baseB(ProductSpec(2, Word.parse("110", 2), (1, 1), (0, 2))),
+        closed_form_baseB(ProductSpec(2, Word.parse("01101", 2), (1, 1), (0, 2))),
+        closed_form_baseB(ProductSpec(3, Word.parse("12", 3), (1, 1), (0, 2))),
+        closed_form_baseB(ProductSpec(4, Word.parse("00", 4), (1, 1), (0, 2))),
+        closed_form_baseB(ProductSpec(3, Word.parse("12", 3), (Fraction(1, 2), Fraction(3, 2)),
+                                      (Fraction(1, 3), Fraction(5, 3)))),
+        closed_form_base2(Word.parse("1", 2)),
+    ]
+
+    @pytest.mark.parametrize("F", [160, 288, 1056, 2080])
+    def test_balanced_log_against_mpmath(self, F):
+        for expr in self.FORMS:
+            with mpmath.workprec(F + 64):
+                assert abs(_gamma_expr_log(expr, F) - mpmath.ldexp(expr_log_mpmath(expr), F)) <= 1, expr
+
+    def test_padded_form_takes_the_balanced_path(self, monkeypatch):
+        expr = closed_form_base2(Word.parse("1", 2))
+        assert (expr.num, expr.den) == ((Fraction(1, 2),), (Fraction(3, 4),) * 2)
+        want = _balanced_lgamma((2, 4), (3, 3), 4, 0, 160)
+
+        def unbalanced(num, den, F):
+            raise AssertionError("a balanced form reached the single log-Gammas")
+
+        monkeypatch.setattr(gammafn, "_loggamma_sum", unbalanced)
+        assert _gamma_expr_log(expr, 160) == want
+
+    @pytest.mark.parametrize("F", [160, 1056])
+    def test_unbalanced_forms_equal_single_log_gammas(self, F):
+        exprs = [
+            companion_closed_form(),  # 8 G(3/4)^2 / G(1/4)^2: sums 3/2 and 1/2
+            closed_form_base2(Word.parse("00", 2)),
+            GammaExpr(3, num=(Fraction(1, 3),) * 3 + (Fraction(5, 4),),
+                      den=(Fraction(1, 4),) * 2 + (Fraction(7, 8),)),
+        ]
+        for expr in exprs:
+            want = (sum(helpers.loggamma_fixed_oracle(x, F) for x in expr.num)
+                    - sum(helpers.loggamma_fixed_oracle(x, F) for x in expr.den))
+            assert _gamma_expr_log(expr, F) == want, expr
+
+    def test_translates_share_one_series(self):
+        """Base 3 words 11 and 12 give G(12/27) G(14/27) / G(13/27)^2 and the same shapes
+        moved by 3/27: one series serves both."""
+        gammafn._series.cache_clear()
+        for w in ("11", "12"):
+            _gamma_expr_log(closed_form_baseB(ProductSpec(3, Word.parse(w, 3), (1, 1), (0, 2))), 160)
+        info = gammafn._series.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+    @pytest.mark.parametrize("F", [160, 1056, 2080])
+    def test_one_log_per_balanced_form(self, F, monkeypatch):
+        """Counted, not timed: a single-log-Gamma evaluation of these forms takes four to six."""
+        calls = []
+
+        def counting_log(a, E):
+            calls[-1] += 1
+            return fixedpoint.fx_log(a, E)
+
+        monkeypatch.setattr(gammafn, "fx_log", counting_log)
+        for expr in self.FORMS:
+            calls.append(0)
+            _gamma_expr_log(expr, F)
+        assert max(calls) <= 1, calls
+
+
 class TestRatioProduct:
     def test_wallis(self, mp_prec):
         """a=(1/2,3/2), b=(1,1): partial converges to 2/pi like C/N."""
@@ -355,6 +439,26 @@ class TestRatioProduct:
             ))
             assert_close(partial, want, contract(prec))
 
+    @pytest.mark.parametrize("prec", [128, 1024])
+    def test_partial_and_closed_share_g0(self, prec):
+        """``closed`` is ``exp(-G(0))`` of the ``G(0)`` in the partial's log; both meet the
+        contract against mpmath."""
+        F = prec + GUARD_BITS
+        N = 1000
+        for a, b in (((Fraction(1, 2), Fraction(3, 2)), (Fraction(1, 3), Fraction(5, 3))),
+                     ((Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(3, 2)))):
+            partial, closed = gamma_ratio_product(a, b, N, prec)
+            D = math.lcm(*(x.denominator for x in a + b))
+            g0 = _balanced_lgamma(tuple(int(x * D) for x in a), tuple(int(x * D) for x in b), D, 0, F)
+            want = BigReal.exp_of_fixed(-g0, F, prec)
+            assert (closed.man, closed.exp) == (want.man, want.exp)
+            with mpmath.workprec(prec + 64):
+                lg = mpmath.loggamma
+                args = [(mpmath.mpf(x.numerator) / x.denominator, c) for xs, c in ((a, 1), (b, -1)) for x in xs]
+                assert_close(partial, mpmath.exp(mpmath.fsum(c * (lg(N + 1 + x) - lg(x)) for x, c in args)),
+                             contract(prec))
+                assert_close(closed, mpmath.exp(-mpmath.fsum(c * lg(x) for x, c in args)), contract(prec))
+
     def test_convergence_slope(self, mp_prec):
         """The relative gap between partial and closed shrinks like C/N."""
         a = (Fraction(1, 2), Fraction(3, 2))
@@ -368,7 +472,7 @@ class TestRatioProduct:
 
 
 def per_modulus_series(A, T, W, F):
-    """``gammafn._series`` with every ``C(n, j) B_j p_(n-j)`` formed inside the Horner sum in ``W``."""
+    """``gammafn._series`` with every ``C(n, j) B_j p_(n-j)`` from ``math.comb``, in a Horner sum in ``W`` over every ``j``."""
     big = -(-max(A + T) // W)
     if big <= 1:
         big = 0
@@ -419,15 +523,17 @@ class TestBalancedSeries:
                 assert abs(_balanced_lgamma(A, T, W, u, F) - single) <= 16, (A, T, W, u)
 
     @pytest.mark.parametrize("F", [160, 1056])
-    def test_fallback_equals_single_log_gammas(self, F):
-        """Below the threshold the sum is that of the single log-Gammas, a repeated shift evaluated once."""
+    def test_fallback_against_mpmath(self, F):
+        """Below the threshold, the series at ``u + M W`` less one log of the exact shift-product
+        ratio is within one unit of ``2**-F`` of the exact sum."""
         shifts = self.SHIFTS if F < 1056 else self.SHIFTS[:2]
         for A, T, W in shifts:
             X0 = _series(A, T, W, F)[0]
             for u in (1, W, X0 * W - 1):
-                want = (sum(helpers.loggamma_fixed_oracle(Fraction(u + x, W), F) for x in A)
-                        - sum(helpers.loggamma_fixed_oracle(Fraction(u + x, W), F) for x in T))
-                assert _balanced_lgamma(A, T, W, u, F) == want, (A, T, W, u)
+                with mpmath.workprec(F + 64):
+                    want = mpmath.fsum(mpmath.loggamma(mpmath.mpf(u + x) / W) for x in A) \
+                        - mpmath.fsum(mpmath.loggamma(mpmath.mpf(u + x) / W) for x in T)
+                    assert abs(_balanced_lgamma(A, T, W, u, F) - mpmath.ldexp(want, F)) <= 1, (A, T, W, u)
 
     def test_series_against_mpmath(self, mp_prec):
         F = 160
@@ -441,8 +547,8 @@ class TestBalancedSeries:
 
     @pytest.mark.parametrize("prec", [128, 1024])
     def test_coefficients_equal_per_modulus_build(self, prec):
-        """The coefficients, built from products shared by every modulus, are the integers
-        of a build that forms each product afresh for each ``W``."""
+        """The coefficients, summed in ``W^2`` over the even ``j`` from a running Pascal row,
+        are the integers of a plain build over every ``j``."""
         F = prec + GUARD_BITS
         for A, T, W in self.SHIFTS + [((1, 1), (0, 2), 2 * 2**j) for j in range(1, 12, 5)]:
             assert _series(A, T, W, F) == per_modulus_series(A, T, W, F), (A, T, W)
