@@ -41,22 +41,16 @@ Series used (all with exact rational term generation):
 
 from __future__ import annotations
 
-from math import isqrt
-
 __all__ = [
     "rshift_round",
-    "fx_mul",
     "fx_div",
-    "fx_sqrt",
     "fx_log",
-    "fx_log_frac",
     "fx_exp_reduced",
     "fx_exp",
     "fx_sin",
     "fx_atan_inv",
     "log2_fixed",
     "pi_fixed",
-    "sqrt2pi_fixed",
 ]
 
 
@@ -70,11 +64,6 @@ def rshift_round(x: int, n: int) -> int:
     return (x + (1 << (n - 1))) >> n
 
 
-def fx_mul(a: int, b: int, F: int) -> int:
-    """Fixed-point product ``a*b / 2**F``, rounded to nearest."""
-    return rshift_round(a * b, F)
-
-
 def fx_div(a: int, b: int, F: int) -> int:
     """Fixed-point quotient ``(a/b) * 2**F``, rounded to nearest."""
     if b < 0:
@@ -84,20 +73,12 @@ def fx_div(a: int, b: int, F: int) -> int:
     return -((((-a) << (F + 1)) // b + 1) >> 1)
 
 
-def fx_sqrt(a: int, F: int) -> int:
-    """Square root of a nonnegative fixed-point value (floor of the exact root)."""
-    if a < 0:
-        raise ValueError("fx_sqrt of negative value")
-    return isqrt(a << F)
-
-
 # --------------------------------------------------------------------------
 # cached constants
 # --------------------------------------------------------------------------
 
 _LOG2_CACHE: dict[int, int] = {}
 _PI_CACHE: dict[int, int] = {}
-_SQRT2PI_CACHE: dict[int, int] = {}
 _LADDER_CACHE: dict[int, list[int]] = {}
 
 _WORK_GUARD = 16  # extra bits of the working scale of fx_log / fx_exp_reduced
@@ -178,14 +159,6 @@ def pi_fixed(F: int) -> int:
     return v
 
 
-def sqrt2pi_fixed(F: int) -> int:
-    """``sqrt(2*pi)`` at scale ``F``."""
-    v = _SQRT2PI_CACHE.get(F)
-    if v is None:
-        v = _SQRT2PI_CACHE[F] = fx_sqrt(2 * pi_fixed(F), F)
-    return v
-
-
 # --------------------------------------------------------------------------
 # log / exp / sin
 # --------------------------------------------------------------------------
@@ -220,15 +193,6 @@ def fx_log(a: int, F: int) -> int:
         u = rshift_round(u * t2, W)
         k += 2
     return rshift_round(s + 2 * series, _WORK_GUARD)
-
-
-def fx_log_frac(p: int, q: int, F: int) -> int:
-    """``log(p/q)`` for positive integers ``p, q`` of any relative size."""
-    if p <= 0 or q <= 0:
-        raise ValueError("fx_log_frac needs positive integers")
-    if q == 1:
-        return fx_log(p << F, F)
-    return fx_log(p << F, F) - fx_log(q << F, F)
 
 
 def fx_exp_reduced(r: int, F: int) -> int:

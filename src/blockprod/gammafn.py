@@ -25,13 +25,17 @@ sides, have a Stirling series with exact rational coefficients and no
 terms as its own cuts give for ``u/W``.  :func:`_balanced_lgamma` raises a
 smaller argument past the threshold by whole steps and subtracts one
 ``log`` of the exact ratio of the two sides' shift products.  The
-word-product log-sums take differences of the series above the threshold;
-:func:`gamma_ratio_product` takes ``G(N + 1) - G(0)``, and
+word-product log-sums take differences of the series above the threshold,
+and the 4/pi bit-length families sum :func:`_balanced_lgamma` at their
+block edges; :func:`gamma_ratio_product` takes ``G(N + 1) - G(0)``, and
 :func:`eval_gamma_expr` evaluates every balanced closed form as one
 ``G(0)``: one series and one ``log``, within one unit of ``2**-F`` (0.50
 measured over the 185-word corpus at ``F`` = 160, 288 and 1056, where the
-sum of single log-Gammas is off by up to 1.72).  Only expressions that are
-not balanced keep one log-Gamma per distinct argument.
+sum of single log-Gammas is off by up to 1.72).  The single log-Gamma
+:func:`_loggamma_fixed` is left to :func:`gamma`, :func:`log_gamma` and
+:func:`_loggamma_sum`, which takes the expressions that are not balanced
+or whose arguments spread wider than 1, one log-Gamma per distinct
+argument.
 """
 
 from __future__ import annotations
@@ -288,8 +292,9 @@ def _loggamma_sum(num, den, F: int) -> int:
 
     Only Gamma expressions that are not balanced come here (see
     :func:`_gamma_expr_log`), such as the all-zeros base-2 closed forms and
-    the companion's.  A repeated argument costs one call times its
-    multiplicity, which is the same integer as the calls added one by one.
+    the companion's, and balanced ones whose arguments spread wider than 1.
+    A repeated argument costs one call times its multiplicity, which is the
+    same integer as the calls added one by one.
     """
     counts = Counter(num)
     counts.subtract(den)
@@ -702,16 +707,22 @@ def _gamma_expr_log(expr: GammaExpr, F: int) -> int:
 
     The shorter side is padded with ``Gamma(1) = 1``, which
     :class:`GammaExpr` drops.  When the sides then have equal length and
-    equal sums, as every closed form of a balanced product does, the log is
-    one :func:`_balanced_lgamma` at ``u = 0``: one series, and one ``fx_log``
-    below its threshold.  Any other expression is :func:`_loggamma_sum`.
+    equal sums, as every closed form of a balanced product does, and every
+    argument lies within one of the least, the log is one
+    :func:`_balanced_lgamma` at ``u = 0``: one series, and one ``fx_log``
+    below its threshold.  A wider spread would raise the series' threshold
+    to four times the spread and its term bound with the spread's powers
+    (:func:`_series_cuts`), so it, like any other expression, is
+    :func:`_loggamma_sum`.
     """
     pad = len(expr.den) - len(expr.num)
     num = [*expr.num, *[Fraction(1)] * pad]
     den = [*expr.den, *[Fraction(1)] * -pad]
-    if not num or sum(num) != sum(den):
-        return _loggamma_sum(expr.num, expr.den, F)
-    return _balanced_lgamma(*_integer_shifts(num, den), 0, F)
+    if num and sum(num) == sum(den):
+        A, T, D = _integer_shifts(num, den)
+        if max(A + T) - min(A + T) <= D:  # _largest_shift of the translated shifts is 0
+            return _balanced_lgamma(A, T, D, 0, F)
+    return _loggamma_sum(expr.num, expr.den, F)
 
 
 def eval_gamma_expr(expr: GammaExpr, precision_bits: int) -> BigReal:

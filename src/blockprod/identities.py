@@ -17,11 +17,11 @@ Four families live here:
 * the concrete 4/pi product family: the original four-periodic form, the
   grouped form with digit-count exponents, the companion form with signed
   digit-count exponents, and the numerically estimated alternating form.
-  The three forms whose exponent depends on ``bitlen(k)`` alone are summed
-  as Gamma-ratio blocks (:func:`logsum_rivoal_grouped` and its siblings);
-  the companion form, whose exponent also depends on ``popcount(k)``, as
-  the grouped log-sum minus twice the word product of the base-2 word
-  ``1`` (:func:`logsum_companion`).
+  The forms whose exponent depends on ``bitlen(k)`` alone are summed on
+  the word products' balanced series (:func:`logsum_rivoal_grouped` and its
+  siblings); the companion form, whose exponent also depends on
+  ``popcount(k)``, as the grouped log-sum minus twice the word product of
+  the base-2 word ``1`` (:func:`logsum_companion`).
 
 Floor-log exponents are always derived from integer bit length
 (``floor(log2 k - 1) = bitlen(k) - 2`` and ``floor(log2 k + 1) = bitlen(k)``
@@ -42,11 +42,11 @@ from blockprod.gammafn import (
     _SERIES_GUARD,
     BalanceError,
     GammaExpr,
+    _balanced_lgamma,
     _balanced_series,
     _balanced_threshold,
     _largest_shift,
     _log_ratio,
-    _loggamma_fixed,
     _run_bounds,
     _run_counts,
     _run_rows,
@@ -370,90 +370,91 @@ def companion_closed_form() -> GammaExpr:
 
 
 # --------------------------------------------------------------------------
-# bit-length family log-sums as Gamma-ratio block sums
+# bit-length family log-sums on the balanced series
 # --------------------------------------------------------------------------
 #
-# Write an index as k = M*m + r.  In each family below the factor of index k
-# is prod_i (m + d_i)^c_i, so its log summed over m = a..b telescopes to
-# Phi(b + 1) - Phi(a) with Phi(x) = sum_i c_i * lgamma(x + d_i).  The
-# exponent depends on k only through r and bitlen(k), so it is constant on
-# each residue class of a dyadic block [2^(j-1), 2^j - 1], and a log-sum
-# over [lo, hi] takes O(log hi) log-Gammas.  Phi is an integer at scale F
-# that depends on x and F alone, so splitting a range adds up exactly.
-
-# A family is (M, shift, classes); classes[r] is None for residues whose
-# exponent is 0, else (sign, shape) with exponent 2 * sign * (bitlen(k) - shift)
-# and shape the pairs (c_i, d_i).
-_GROUPED = (1, 0, (
-    (1, ((2, Fraction(1, 2)), (-1, Fraction(1, 4)), (-1, Fraction(3, 4)))),
-))
-_ALTERNATING = (2, 0, (
-    (1, ((2, Fraction(1, 4)), (-1, Fraction(1, 8)), (-1, Fraction(3, 8)))),
-    (-1, ((2, Fraction(3, 4)), (-1, Fraction(5, 8)), (-1, Fraction(7, 8)))),
-))
-_ORIGINAL = (4, 2, (
-    (1, ((1, Fraction(1, 2)), (-1, Fraction(1, 4)))),
-    (-1, ((1, Fraction(3, 4)), (-1, Fraction(1, 2)))),
-    None,
-    None,
-))
+# A family is (M, W, classes).  Class r is (sign, A, T): the factor of index
+# k = M*m + r is prod_i (W*m + A_i)/(W*m + T_i) with exponent
+# 2 * sign * bitlen(k), so its log summed over m = a..b is Phi_r(b + 1) -
+# Phi_r(a), Phi_r(m) = gammafn._balanced_lgamma(A, T, W, W*m); translated,
+# every class has the shape (1, 1)/(0, 2) of the base-2 word products.  The
+# exponent is constant on a class within a dyadic block, so with x_j the
+# class's first m in block j (x_(J+1) the first past N, J = bitlen(N)) the
+# prefix telescopes to P(N) = sum_r 2 sign_r (J Phi_r(x_(J+1)) - sum_{j<=J}
+# Phi_r(x_j)).  Each Phi is within one unit of 2**-E, E = F + 16, and the
+# weights add up to 4J per class: with two classes (or the original form's
+# extra log, weight 2J) P is within 8J units of 2**-E, and rounded once
+# within one unit of 2**-F while bitlen(N) <= 4096.  P is an integer fixed
+# by (N, F), so a range is P(hi) - P(lo - 1) and ranges add up exactly.
+_GROUPED = (1, 4, ((1, (2, 2), (1, 3)),))
+_ALTERNATING = (2, 8, ((1, (2, 2), (1, 3)), (-1, (6, 6), (5, 7))))
+_FAMILY_GUARD = 16
 
 
-def _block_logsum(family, lo: int, hi: int, F: int) -> int:
-    """Sum of ``exponent(k) * log(factor(k))`` for ``k`` in ``[lo, hi]``, block by block."""
-    modulus, shift, classes = family
-    phi_cache: dict[tuple[int, int], int] = {}  # adjacent blocks share an edge
-
-    def phi(r: int, m: int) -> int:
-        v = phi_cache.get((r, m))
-        if v is None:
-            v = phi_cache[r, m] = sum(c * _loggamma_fixed(m + d, F) for c, d in classes[r][1])
-        return v
-
+def _family_prefix(family, N: int, E: int) -> int:
+    """``P(N)``: the log-sum over ``1 <= k <= N`` at scale ``E``, unrounded."""
+    if N < 1:
+        return 0
+    M, W, classes = family
+    J = N.bit_length()
     total = 0
-    j = lo.bit_length()
-    while lo <= hi:
-        end = min(hi, (1 << j) - 1)
-        for r, cls in enumerate(classes):
-            if cls is None:
-                continue
-            e = 2 * cls[0] * (j - shift)
-            a = -((r - lo) // modulus)  # first m with M*m + r >= lo
-            b = (end - r) // modulus  # last m with M*m + r <= end
-            if e and a <= b:
-                total += e * (phi(r, b + 1) - phi(r, a))
-        lo = end + 1
-        j += 1
+    for r, (sign, A, T) in enumerate(classes):
+        edges = [-((r - (1 << j)) // M) for j in range(J)]  # first m with M*m + r >= 2^j
+        last = (N - r) // M + 1
+        phi = {m: _balanced_lgamma(A, T, W, W * m, E) for m in {*edges, last}}
+        total += 2 * sign * (J * phi[last] - sum(phi[m] for m in edges))
     return total
+
+
+def _original_prefix(K: int, E: int) -> int:
+    """The original form's ``P(K)`` from the grouped one, by the paper's block grouping.
+
+    ``k = 4m`` and ``4m + 1`` carry ``(4m+2)/(4m+1)`` and ``(4m+3)/(4m+2)``
+    with exponents ``2 bitlen(m)`` and ``-2 bitlen(m)``, together the grouped
+    factor of ``m``; ``k = 2, 3 (mod 4)`` carry none.  A lone ``k = K = 4m``
+    is added as one log.
+    """
+    total = _family_prefix(_GROUPED, (K - 1) // 4, E)
+    if K > 0 and K % 4 == 0:
+        total += 2 * (K // 4).bit_length() * _log_ratio(K + 2, K + 1, E)
+    return total
+
+
+def _prefix_range(prefix, lo: int, hi: int, F: int) -> int:
+    """``P(hi) - P(lo - 1)`` at scale ``F``, each prefix summed at ``F + 16`` and rounded once."""
+    if lo > hi:
+        return 0
+    E = F + _FAMILY_GUARD
+    return (rshift_round(prefix(hi, E), _FAMILY_GUARD)
+            - rshift_round(prefix(lo - 1, E), _FAMILY_GUARD))
 
 
 def logsum_rivoal_original(lo: int, hi: int, F: int) -> int:
     """Log-sum of ``(1 + 1/(k+1))^(2*rho(k)*(bitlen(k)-2))`` for ``k`` in ``[max(lo, 2), hi]``.
 
     ``rho`` is the 4-periodic sequence 1, -1, 0, 0 and ``bitlen(k) - 2`` is
-    the exact integer value of ``floor(log2(k) - 1)`` for ``k >= 2``.  With
-    ``k = 4m + r`` the factor is ``(m + (r+2)/4) / (m + (r+1)/4)``.
+    the exact integer value of ``floor(log2(k) - 1)`` for ``k >= 2``.  The
+    prefixes come from the grouped form's (:func:`_original_prefix`).
     """
-    return _block_logsum(_ORIGINAL, max(lo, 2), hi, F)
+    return _prefix_range(_original_prefix, max(lo, 2), hi, F)
 
 
 def logsum_rivoal_grouped(lo: int, hi: int, F: int) -> int:
     """Log-sum of ``((4k+2)^2/((4k+1)(4k+3)))^(2*bitlen(k))`` for ``k`` in ``[max(lo, 1), hi]``.
 
     ``bitlen(k)`` equals the number of binary digits of ``k``, i.e. the total
-    digit-block count ``N_0(k) + N_1(k)``.  The factor is
-    ``(k + 1/2)^2 / ((k + 1/4)(k + 3/4))``.
+    digit-block count ``N_0(k) + N_1(k)``.
     """
-    return _block_logsum(_GROUPED, max(lo, 1), hi, F)
+    return _prefix_range(lambda N, E: _family_prefix(_GROUPED, N, E), max(lo, 1), hi, F)
 
 
 def logsum_alternating(lo: int, hi: int, F: int) -> int:
     """Same factors as the grouped form with exponent ``2*(-1)^k*bitlen(k)``.
 
     With ``k = 2m + r`` the factor is
-    ``(m + (2r+1)/4)^2 / ((m + (4r+1)/8)(m + (4r+3)/8))``.
+    ``(8m + 4r + 2)^2 / ((8m + 4r + 1)(8m + 4r + 3))``.
     """
-    return _block_logsum(_ALTERNATING, max(lo, 1), hi, F)
+    return _prefix_range(lambda N, E: _family_prefix(_ALTERNATING, N, E), max(lo, 1), hi, F)
 
 
 # --------------------------------------------------------------------------
@@ -763,7 +764,7 @@ def _run_sum(A, T, DB: int, Fs: int, P: int, ya: int, yc: int, h: int, G) -> int
 #
 # The companion exponent 2(N_0(k) - N_1(k)) = 2 bitlen(k) - 4 N_1(k) splits
 # the log-sum into the grouped form's (exponent 2 bitlen(k), O(log N)
-# Gamma-ratio blocks) minus twice that of the canonical base-2 product for
+# balanced series) minus twice that of the canonical base-2 product for
 # the word 1, whose term ((4k+2)^2/((4k+1)(4k+3)))^2 carries exponent
 # N_1(k).  Both are prefix sums fixed by (N, F), so a range is a difference
 # of prefixes and splits exactly.
@@ -780,7 +781,7 @@ def logsum_companion(lo: int, hi: int, F: int) -> int:
     The exponent is ``2*(bitlen(k) - 2*popcount(k))``, the signed digit
     balance.  The log-sum is ``P(hi) - P(lo - 1)`` with ``P(N)`` the grouped
     form's log-sum minus twice the word-``1`` log-sum (:func:`logsum_word`):
-    ``O(log N)`` log-Gammas plus about one Euler-Maclaurin run per level
+    ``O(log N)`` balanced series plus about one Euler-Maclaurin run per level
     and a few dozen pieces, the points below the series threshold as exact
     products.
     """

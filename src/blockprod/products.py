@@ -7,9 +7,9 @@ about one Euler-Maclaurin run per level over a balanced Gamma-ratio series
 plus a few dozen pieces, each an exact product below the series threshold
 and the series above it, summed with guard bits and rounded once to within
 one unit of ``2**-F``.  The left side of ``rivoal_eq1``
-(the grouped 4/pi form) adds one log-Gamma combination per dyadic block
-(:func:`blockprod.identities.logsum_rivoal_grouped`), within a few dozen
-units of ``2**-F`` of the exact log-sum, measured up to N = 10**30.  The
+(the grouped 4/pi form) adds one balanced series per dyadic block edge
+(:func:`blockprod.identities.logsum_rivoal_grouped`), summed with 16 guard
+bits and rounded once to within one unit of ``2**-F``.  The
 left side of ``companion_eq2`` is that grouped log-sum minus twice the
 word product of the base-2 word ``1``
 (:func:`blockprod.identities.logsum_companion`).  Each log-sum is
@@ -269,6 +269,7 @@ def verify(
     if isinstance(target, str):
         if target not in NAMED_FORMULAS:
             raise ValueError(f"unknown formula {target!r}; expected one of {NAMED_FORMULAS}")
+        tail = _tail_fraction_bitlen_form(N)
         if target == "rivoal_eq1":
             logsum = logsum_rivoal_grouped(1, N, F)
             rhs = BigReal.from_int(4, prec) / pi_value(prec)
@@ -276,11 +277,10 @@ def verify(
             logsum = logsum_companion(1, N, F)
             rhs = eval_gamma_expr(companion_closed_form(), prec)
         lhs = BigReal.exp_of_fixed(logsum, F, prec)
-        tail = _tail_fraction_bitlen_form(N)
     elif isinstance(target, ProductSpec):
+        tail = _tail_fraction(target, N)  # refuses a too small N before either side is summed
         lhs = eval_lhs_partial(target, N, prec)
         rhs = eval_gamma_expr(closed_form_baseB(target), prec)
-        tail = _tail_fraction(target, N)
     else:
         raise TypeError(f"target must be a ProductSpec or formula name, got {type(target).__name__}")
     abs_gap = abs(lhs - rhs)

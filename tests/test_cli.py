@@ -355,6 +355,22 @@ class TestInputCaps:
         code, out, _ = run(capsys, *argv, "--terms", str(cli.MAX_BLOCK_SUM_TERMS))
         assert code == 0 and f"terms_used: {10**30}" in out
 
+    def test_parameter_caps(self, capsys):
+        """``--a`` and ``--b`` take at most ``MAX_PARAMS`` parameters each, each at most
+        ``MAX_PARAM`` with a denominator of at most ``MAX_PARAM_DENOMINATOR``; at the caps the
+        spec runs."""
+        assert (cli.MAX_PARAMS, cli.MAX_PARAM, cli.MAX_PARAM_DENOMINATOR) == (8, 32, 64)
+        spec = ("verify", "--base", "2", "--word", "1", "--terms", "100")
+        code, out, _ = run(capsys, *spec, "--a", "32,1/64,1,1,1,1,1,1", "--b", "31,65/64,0,2,0,2,0,2")
+        assert code == 0 and "verdict: pass" in out
+        for a, b, message in [
+            ("33,1", "34,0", "each --a parameter must be at most 32"),
+            ("1,1", "1/65,129/65", "each --b denominator must be at most 64"),
+            ("1,1,1,1,1,1,1,1,1", "0,2,0,2,0,2,0,2,1", "the number of --a parameters must be at most 8"),
+        ]:
+            code, _, err = run(capsys, *spec, "--a", a, "--b", b)
+            assert code == 2 and message in err, err
+
     def test_blocks_cap(self, capsys):
         code, _, err = run(capsys, "rivoal-forms", "--blocks", str(cli.MAX_BLOCKS + 1))
         assert code == 2 and "--blocks must be at most" in err

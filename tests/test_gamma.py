@@ -369,6 +369,20 @@ class TestBalancedClosedForms:
         info = gammafn._series.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
 
+    def test_wide_spread_takes_single_log_gammas(self, monkeypatch):
+        """Base 2 word 1 with ``a = (1000, 1)``, ``b = (1001, 0)`` is balanced, but its
+        arguments spread over 250, which would raise the balanced series' threshold and term
+        bound with the spread: it takes the single log-Gammas, within one unit at 2048 bits."""
+        expr = closed_form_baseB(ProductSpec(2, Word.parse("1", 2), (1000, 1), (1001, 0)))
+
+        def refuse(*args):
+            raise AssertionError("a wide spread reached the balanced series")
+
+        monkeypatch.setattr(gammafn, "_balanced_lgamma", refuse)
+        F = 2048 + GUARD_BITS
+        with mpmath.workprec(F + 64):
+            assert abs(_gamma_expr_log(expr, F) - mpmath.ldexp(expr_log_mpmath(expr), F)) <= 1
+
     @pytest.mark.parametrize("F", [160, 1056, 2080])
     def test_one_log_per_balanced_form(self, F, monkeypatch):
         """Counted, not timed: a single-log-Gamma evaluation of these forms takes four to seven."""

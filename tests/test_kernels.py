@@ -13,14 +13,10 @@ from blockprod.fixedpoint import (
     fx_exp,
     fx_exp_reduced,
     fx_log,
-    fx_log_frac,
-    fx_mul,
     fx_sin,
-    fx_sqrt,
     log2_fixed,
     pi_fixed,
     rshift_round,
-    sqrt2pi_fixed,
 )
 from blockprod.identities import ProductSpec
 from blockprod.words import Word, block_counts
@@ -41,18 +37,12 @@ class TestFixedPointPrimitives:
         assert rshift_round(13, 2) == 3  # 3.25
         assert rshift_round(14, 2) == 4  # 3.5 ties toward +inf
         assert rshift_round(-14, 2) == -3  # -3.5 ties toward +inf
-        assert fx_mul(3 << F, 5 << F, F) == 15 << F
         assert fx_div(1 << F, 3 << F, F) == rshift_round((1 << (2 * F + 1)) // 3, F + 1)
         assert abs(fx_div(1 << F, 3 << F, F) - (2**F) / mpmath.mpf(3)) < 1
-
-    def test_sqrt(self):
-        assert fx_sqrt(4 << F, F) == 2 << F
-        assert fx_err(fx_sqrt(2 << F, F), mpmath.sqrt(2)) < ULPS
 
     def test_constants(self):
         assert fx_err(log2_fixed(F), mpmath.log(2)) < ULPS
         assert fx_err(pi_fixed(F), mpmath.pi) < ULPS
-        assert fx_err(sqrt2pi_fixed(F), mpmath.sqrt(2 * mpmath.pi)) < ULPS
         assert fx_err(fx_atan_inv(5, F), mpmath.atan(mpmath.mpf(1) / 5)) < ULPS
 
     def test_log_exp(self):
@@ -71,10 +61,6 @@ class TestFixedPointPrimitives:
         x = 7 << (F - 2)  # 1.75
         assert abs(fx_log(fx_exp(x, F), F) - x) < ULPS
 
-    def test_log_frac(self):
-        assert fx_err(fx_log_frac(3, 2, F), mpmath.log(mpmath.mpf(3) / 2)) < ULPS
-        assert fx_err(fx_log_frac(1, 7, F), mpmath.log(mpmath.mpf(1) / 7)) < ULPS
-
     def test_sin(self):
         pi_f = pi_fixed(F)
         for num, den in ((1, 2), (1, 3), (2, 3), (1, 7), (6, 7)):
@@ -85,8 +71,6 @@ class TestFixedPointPrimitives:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             fx_log(0, F)
-        with pytest.raises(ValueError):
-            fx_sqrt(-1, F)
         with pytest.raises(ValueError):
             fx_sin(-1, F)
 

@@ -10,11 +10,12 @@ from helpers import to_mpf
 
 from blockprod import identities
 from blockprod.bigreal import GUARD_BITS
-from blockprod.fixedpoint import fx_log_frac, rshift_round
+from blockprod.fixedpoint import rshift_round
 from blockprod.gammafn import (
     _SERIES_GUARD,
     _balanced_series,
     _largest_shift,
+    _log_ratio,
     _run_bounds,
     _run_counts,
     _series,
@@ -219,6 +220,22 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify("nonsense", N=10)
 
+    def test_small_n_refused_before_either_side(self, monkeypatch):
+        """An ``N`` below what the tail bound needs is refused before the word sum or the
+        closed form starts, so a wide parameter spread cannot stall the refusal."""
+        import blockprod.products as products_mod
+
+        def refuse(*args):
+            raise AssertionError("a side was evaluated before the tail bound")
+
+        monkeypatch.setattr(products_mod, "logsum_word", refuse)
+        monkeypatch.setattr(products_mod, "eval_gamma_expr", refuse)
+        spec = ProductSpec(2, Word.parse("1", 2), (10**6, 1), (10**6 + 1, 0))
+        with pytest.raises(ValueError, match="tail bound needs N >= 1000001"):
+            verify(spec, N=10, precision_bits=2048)
+        with pytest.raises(ValueError, match="tail bound needs N >= 2"):
+            verify("companion_eq2", N=1)
+
     def test_exponent_sum_identity(self):
         """Grouped exponent = 2*(N0+N1) = 2*bitlen, checked via digit counts."""
         w0, w1 = Word.parse("0", 2), Word.parse("1", 2)
@@ -401,12 +418,12 @@ class TestWordRuns:
     @pytest.mark.parametrize("base,text", [(10, "7"), (2, "1")])
     @pytest.mark.parametrize("N", [10**12, 10**12 + 7, 10**30, 7 * 10**29 + 77777])
     def test_last_term_at_sizes_only_runs_reach(self, base, text, N):
-        """``S(N) - S(N - 1)`` is ``N_w(N) log(term_N)``, that log taken directly with ``fx_log``
+        """``S(N) - S(N - 1)`` is ``N_w(N) log(term_N)``, that log taken directly with ``_log_ratio``
         8 bits deeper, within 2 units (at ``10^30`` the term's log is below ``2^-190``)."""
         spec = make_spec(base, text)
         F = self.F
         fr = spec.factor(N)
-        want = rshift_round(count_block(spec.word, N) * fx_log_frac(fr.numerator, fr.denominator, F + 8), 8)
+        want = rshift_round(count_block(spec.word, N) * _log_ratio(fr.numerator, fr.denominator, F + 8), 8)
         assert abs(logsum_word(spec, N, F) - logsum_word(spec, N - 1, F) - want) <= 2
 
     @pytest.mark.parametrize("base,text", [(10, "7"), (2, "1")])
