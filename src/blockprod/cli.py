@@ -51,9 +51,9 @@ FORMATS = ("text", "json", "csv")
 # companion at 10^30 terms: 0.14 s, 0.93 s at 2048 bits; the slowest word
 # seen at 2048 bits, base 10 word 7 at N = 10^8, took 1.0 s).  enumerate
 # keeps 10^7: at 2048 bits its words take about 0.4 s each at 10^7, so 512
-# words would take over three minutes.  The grouping check of rivoal-forms
-# costs O(N), about 0.2 s per 10^6 blocks (rivoal-forms takes 2.3 s at the
-# 10^7 cap).  One lemma1-fuzz trial at the default sizes costs about 0.1 ms,
+# words would take over three minutes.  rivoal-forms shares the 10^30 cap:
+# its grouping check compares O(log N) runs and its two partials are 4/pi
+# family sums.  One lemma1-fuzz trial at the default sizes costs about 0.1 ms,
 # so 10^5 trials take about 8 s.  Its support points are drawn from
 # [1, 400), so more than 400 draws add no new point; at both size caps a
 # trial takes about 1 ms.  A word sum grows with the parameters' spread and
@@ -65,7 +65,6 @@ FORMATS = ("text", "json", "csv")
 MAX_PRECISION = 2048
 MAX_BLOCK_SUM_TERMS = 10**30
 MAX_PER_TERM_TERMS = 10**7
-MAX_BLOCKS = 10**7
 MAX_TRIALS = 10**5
 MAX_SUPPORT = 400
 MAX_WORD_LEN = 64
@@ -327,7 +326,7 @@ def cmd_rivoal_forms(args) -> int:
     K = args.blocks
     if K < 1:
         raise ValueError("--blocks must be >= 1")
-    _check_cap("--blocks", K, MAX_BLOCKS)
+    _check_cap("--blocks", K, MAX_BLOCK_SUM_TERMS)
     exact = grouping_identity_holds(K)
     original = rivoal_original_partial(4 * K + 3, args.precision)
     grouped = rivoal_grouped_partial(K, args.precision)

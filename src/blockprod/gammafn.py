@@ -585,6 +585,20 @@ def _integer_shifts(a, b) -> tuple[tuple[int, ...], tuple[int, ...], int]:
             tuple(sorted(x.numerator * (D // x.denominator) for x in b)), D)
 
 
+def _ratio_log(a, b, n: int, F: int) -> int:
+    """``sum lgG(a_i + n) - sum lgG(b_i + n)`` at scale ``F``, for ``a`` and ``b`` of equal length and sum.
+
+    When every argument lies within one of the least it is one
+    :func:`_balanced_lgamma`; a wider spread would raise the series'
+    threshold to four times the spread and its term bound with the spread's
+    powers (:func:`_series_cuts`), so it is :func:`_loggamma_sum`.
+    """
+    A, T, D = _integer_shifts(a, b)
+    if max(A + T) - min(A + T) <= D:  # _largest_shift of the translated shifts is 0
+        return _balanced_lgamma(A, T, D, D * n, F)
+    return _loggamma_sum([x + n for x in a], [x + n for x in b], F)
+
+
 def gamma(x, precision_bits: int) -> BigReal:
     """``Gamma(x)`` for a positive rational (or BigReal) ``x``.
 
@@ -710,18 +724,14 @@ def _gamma_expr_log(expr: GammaExpr, F: int) -> int:
     equal sums, as every closed form of a balanced product does, and every
     argument lies within one of the least, the log is one
     :func:`_balanced_lgamma` at ``u = 0``: one series, and one ``fx_log``
-    below its threshold.  A wider spread would raise the series' threshold
-    to four times the spread and its term bound with the spread's powers
-    (:func:`_series_cuts`), so it, like any other expression, is
-    :func:`_loggamma_sum`.
+    below its threshold.  A wider spread (see :func:`_ratio_log`), like any
+    other expression, is :func:`_loggamma_sum`.
     """
     pad = len(expr.den) - len(expr.num)
     num = [*expr.num, *[Fraction(1)] * pad]
     den = [*expr.den, *[Fraction(1)] * -pad]
     if num and sum(num) == sum(den):
-        A, T, D = _integer_shifts(num, den)
-        if max(A + T) - min(A + T) <= D:  # _largest_shift of the translated shifts is 0
-            return _balanced_lgamma(A, T, D, 0, F)
+        return _ratio_log(num, den, 0, F)
     return _loggamma_sum(expr.num, expr.den, F)
 
 
@@ -759,7 +769,7 @@ def gamma_ratio_product(a, b, N: int, precision_bits: int) -> tuple[BigReal, Big
     ``n = 0..N`` and ``closed`` is ``Gamma(b_1)...Gamma(b_d) /
     (Gamma(a_1)...Gamma(a_d))``, the limit when the parameter sums balance.
     The partial's log is ``G(N+1) - G(0)`` with ``G(x) = sum_i lgG(x + a_i)
-    - lgG(x + b_i)`` (:func:`_balanced_lgamma`), and ``closed`` is
+    - lgG(x + b_i)`` (:func:`_ratio_log`), and ``closed`` is
     ``exp(-G(0))``: the one ``G(0)`` serves both.  The balance check is
     exact rational arithmetic; mismatched sums raise :class:`BalanceError`.
     """
@@ -773,7 +783,6 @@ def gamma_ratio_product(a, b, N: int, precision_bits: int) -> tuple[BigReal, Big
     if N < 0:
         raise ValueError("N must be >= 0")
     F = prec + GUARD_BITS
-    A, T, D = _integer_shifts(a_fr, b_fr)
-    g0 = _balanced_lgamma(A, T, D, 0, F)
-    partial = BigReal.exp_of_fixed(_balanced_lgamma(A, T, D, D * (N + 1), F) - g0, F, prec)
+    g0 = _ratio_log(a_fr, b_fr, 0, F)
+    partial = BigReal.exp_of_fixed(_ratio_log(a_fr, b_fr, N + 1, F) - g0, F, prec)
     return partial, BigReal.exp_of_fixed(-g0, F, prec)

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
-from operator import sub
 from typing import Callable, Iterator, Mapping
 
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision
@@ -45,6 +44,7 @@ from blockprod.gammafn import (
     _balanced_lgamma,
     _balanced_series,
     _balanced_threshold,
+    _integer_shifts,
     _largest_shift,
     _log_ratio,
     _run_bounds,
@@ -580,9 +580,8 @@ def word_edge_plan(
 
 def _series_shifts(spec: ProductSpec) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """``(A, T, DB)``: ``f(m) = sum_i log((DBm + A_i)/(DBm + T_i))`` in integers, ``D`` the parameters' common denominator."""
-    D = lcm(*(x.denominator for x in spec.a + spec.b))
-    return (tuple(sorted(int(x * D) for x in spec.a)), tuple(sorted(int(x * D) for x in spec.b)),
-            D * spec.base)
+    A, T, D = _integer_shifts(spec.a, spec.b)
+    return A, T, D * spec.base
 
 
 # The log-sum adds up, at the working scale E = F + g, values that are each
@@ -796,13 +795,18 @@ def logsum_companion(lo: int, hi: int, F: int) -> int:
 # --------------------------------------------------------------------------
 
 
+def _family_partial(logsum, K: int, least: int, precision_bits: int) -> BigReal:
+    """``exp`` of ``logsum(least, K, F)``, the partial product over ``least <= k <= K``."""
+    prec = _check_precision(precision_bits)
+    if K < least:
+        raise ValueError(f"K must be >= {least}")
+    F = prec + GUARD_BITS
+    return BigReal.exp_of_fixed(logsum(least, K, F), F, prec)
+
+
 def rivoal_original_partial(K: int, precision_bits: int) -> BigReal:
     """Product of ``(1 + 1/(k+1))^(2 rho(k) (bitlen(k)-2))`` over ``2 <= k <= K``."""
-    prec = _check_precision(precision_bits)
-    if K < 2:
-        raise ValueError("K must be >= 2")
-    F = prec + GUARD_BITS
-    return BigReal.exp_of_fixed(logsum_rivoal_original(2, K, F), F, prec)
+    return _family_partial(logsum_rivoal_original, K, 2, precision_bits)
 
 
 def rivoal_grouped_partial(K: int, precision_bits: int) -> BigReal:
@@ -810,20 +814,12 @@ def rivoal_grouped_partial(K: int, precision_bits: int) -> BigReal:
 
     The exponent is twice the binary digit count of ``k``.
     """
-    prec = _check_precision(precision_bits)
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    F = prec + GUARD_BITS
-    return BigReal.exp_of_fixed(logsum_rivoal_grouped(1, K, F), F, prec)
+    return _family_partial(logsum_rivoal_grouped, K, 1, precision_bits)
 
 
 def companion_partial(K: int, precision_bits: int) -> BigReal:
     """Same factors with exponent ``2(N_0(k) - N_1(k))`` (signed digit balance)."""
-    prec = _check_precision(precision_bits)
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    F = prec + GUARD_BITS
-    return BigReal.exp_of_fixed(logsum_companion(1, K, F), F, prec)
+    return _family_partial(logsum_companion, K, 1, precision_bits)
 
 
 def alternating_product_estimate(K: int, precision_bits: int) -> BigReal:
@@ -832,11 +828,7 @@ def alternating_product_estimate(K: int, precision_bits: int) -> BigReal:
     No closed form is known for the limit; this is a numeric estimator only,
     to be used with the Cauchy self-consistency report of the CLI.
     """
-    prec = _check_precision(precision_bits)
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    F = prec + GUARD_BITS
-    return BigReal.exp_of_fixed(logsum_alternating(1, K, F), F, prec)
+    return _family_partial(logsum_alternating, K, 1, precision_bits)
 
 
 # --------------------------------------------------------------------------
@@ -884,65 +876,63 @@ def rivoal_grouped_factors(K: int) -> dict[int, int]:
     return factors
 
 
-GROUPING_CHUNK = 4096  # integers compared per chunk, which bounds the memory the check holds
+def _original_exponent(m: int, top: int) -> int:
+    """The exponent of ``m`` in ``rivoal_original_factors(top)``.
 
-
-def _fill(arr: list[int], start: int, lo: int, hi: int, r: int, value: int) -> None:
-    """Set ``arr[m - start] = value`` for every ``m`` in ``[lo, hi)`` with ``m = r (mod 4)``."""
-    first = lo + (r - lo) % 4
-    if first < hi:
-        n = (hi - 1 - first) // 4 + 1
-        i = first - start
-        arr[i : i + 4 * n : 4] = [value] * n
-
-
-def _grouping_chunks(K: int, size: int = GROUPING_CHUNK) -> Iterator[tuple[int, list[int], list[int]]]:
-    """``(start, original, grouped)``: exponents of the integers ``m`` in ``[start, start + len)``.
-
-    The chunks cover ``[3, 4K + 6)`` in order, at most ``size`` integers
-    each; every other integer has exponent 0 in both factored forms.
-    ``original[i]`` is the exponent of ``start + i`` in
-    ``rivoal_original_factors(4K+3)``: the factor for ``k`` puts ``e(k)`` on
-    ``k+2`` and ``-e(k)`` on ``k+1``, so ``m`` carries ``e(m-2) - e(m-1)``.
-    ``grouped[i]`` is its exponent in ``rivoal_grouped_factors(K)``, read off
-    from ``divmod(m, 4)``.  Both are constant on a residue class mod 4 within
-    one bit length (of ``k``, and of ``q = m // 4``), so each class of each
-    bit length is filled by one slice assignment.
+    The factor for ``k`` puts ``e(k)`` on ``k + 2`` and ``-e(k)`` on ``k + 1``,
+    so ``m`` carries ``e(m - 2) - e(m - 1)``, where ``e(k)`` is ``2 (bitlen(k) -
+    2)`` on ``k = 0``, its negative on ``k = 1 (mod 4)``, and 0 on the other
+    classes and outside ``2 <= k <= top``.
     """
-    top = 4 * K + 3
-    for start in range(3, top + 3, size):
-        end = min(start + size, top + 3)
-        # e(k) for k in [start - 2, end - 1): 2 (bitlen(k) - 2) on k = 0, its
-        # negative on k = 1 (mod 4), for 2 <= k <= top
-        e = [0] * (end - start + 1)
-        lo, hi = max(start - 2, 2), min(end - 1, top + 1)
-        while lo < hi:
-            j = lo.bit_length()
-            block_end = min(hi, 1 << j)
-            _fill(e, start - 2, lo, block_end, 0, 2 * (j - 2))
-            _fill(e, start - 2, lo, block_end, 1, -2 * (j - 2))
-            lo = block_end
-        original = list(map(sub, e[:-1], e[1:]))
-        # m = 4q + r with 1 <= q <= K: 4 bitlen(q) at r = 2, -2 bitlen(q) at r = 1, 3
-        grouped = [0] * (end - start)
-        q, q_end = max(1, start // 4), min(K, (end - 1) // 4) + 1
-        while q < q_end:
-            j = q.bit_length()
-            block_end = min(q_end, 1 << j)
-            lo, hi = max(start, 4 * q), min(end, 4 * block_end)
-            _fill(grouped, start, lo, hi, 1, -2 * j)
-            _fill(grouped, start, lo, hi, 2, 4 * j)
-            _fill(grouped, start, lo, hi, 3, -2 * j)
-            q = block_end
-        yield start, original, grouped
+
+    def e(k: int) -> int:
+        if not 2 <= k <= top or k & 3 > 1:
+            return 0
+        return (2 - 4 * (k & 3)) * (k.bit_length() - 2)
+
+    return e(m - 2) - e(m - 1)
+
+
+def _grouped_exponent(m: int, K: int) -> int:
+    """The exponent of ``m`` in ``rivoal_grouped_factors(K)``.
+
+    With ``m = 4q + r`` and ``1 <= q <= K`` it is ``4 bitlen(q)`` at ``r = 2``,
+    ``-2 bitlen(q)`` at ``r = 1, 3``, and 0 otherwise.
+    """
+    q, r = divmod(m, 4)
+    if not 1 <= q <= K or not r:
+        return 0
+    return (4 if r == 2 else -2) * q.bit_length()
+
+
+def _factors_agree(top: int, K: int) -> bool:
+    """Whether ``rivoal_original_factors(top)`` equals ``rivoal_grouped_factors(K)``.
+
+    Both exponents vanish outside ``[3, max(top + 3, 4K + 4))``.  Inside,
+    each is a function of ``m mod 4`` between cuts: the ends of the two
+    ranges (``3``, ``4``, ``top + 2``, ``top + 3`` and ``4K + 4``) and the
+    bit-length changes of ``m - 1``, ``m - 2`` and ``m // 4`` (``2^j + 1``,
+    ``2^j + 2`` and ``4 * 2^j``).  So the first four integers of every
+    interval between consecutive cuts stand for the whole interval, and
+    ``O(log K)`` integers are compared.
+    """
+    end = max(top + 3, 4 * K + 4)
+    cuts = {3, 4, top + 2, top + 3, 4 * K + 4}
+    for j in range(end.bit_length()):
+        cuts.update((2**j + 1, 2**j + 2, 4 << j))
+    cuts = sorted(c for c in cuts if 3 <= c <= end)
+    return all(_original_exponent(m, top) == _grouped_exponent(m, K)
+               for s, t in zip(cuts, cuts[1:]) for m in range(s, min(s + 4, t)))
 
 
 def grouping_identity_holds(K: int) -> bool:
     """Whether the original partial up to ``4K+3`` equals the grouped partial up to ``K`` exactly.
 
-    Compares the exponent of every integer in both factored forms, one chunk
-    of integers at a time, without building either map.
+    Compares the exponent of every integer in both factored forms without
+    building either map: both are constant on each residue class mod 4
+    between ``O(log K)`` cuts, so a few integers per run stand for all of
+    them (:func:`_factors_agree`).
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    return all(original == grouped for _, original, grouped in _grouping_chunks(K))
+    return _factors_agree(4 * K + 3, K)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision, pi_value
-from blockprod.fixedpoint import fx_div, fx_log, log2_fixed
+from blockprod.fixedpoint import fx_div, fx_log
 from blockprod.gammafn import eval_gamma_expr
 from blockprod.identities import (
     ProductSpec,
@@ -153,14 +153,7 @@ def _tail_fraction_bitlen_form(N: int) -> Fraction:
     """
     if N < 2:
         raise ValueError("tail bound needs N >= 2")
-    log2_n = Fraction(
-        fx_div(fx_log(N << _TAIL_F, _TAIL_F), log2_fixed(_TAIL_F), _TAIL_F) + _TAIL_SLACK,
-        1 << _TAIL_F,
-    )
-    inv_ln2 = Fraction(
-        fx_div(1 << _TAIL_F, log2_fixed(_TAIL_F), _TAIL_F) + _TAIL_SLACK, 1 << _TAIL_F
-    )
-    return (log2_n + 1 + inv_ln2) / (8 * N)
+    return (_log_ratio_upper(N, 2) + 1 + _inv_ln_upper(2)) / (8 * N)
 
 
 # --------------------------------------------------------------------------

@@ -266,6 +266,8 @@ class TestOutputDigests:
          "2b18bba2c28646c771a590442fe461a2a4320adce09a58046afe8258af40b1a2"),
         (f"verify rivoal --terms {10**30} --precision 2048",
          "0e85e0bd27eb0019cb313c0d51f866a1f0c5db5317b60c23db9dabafd65043ab"),
+        (f"rivoal-forms --blocks {10**30} --precision 2048",
+         "001c93eeb4d367cc7787f1b5c9d49fe15929ddb30ae894d399376d52f0f10197"),
         # a closed form whose Gamma(1) is dropped, and the non-integer spec, at 2048 bits
         ("verify --base 4 --word 00 --terms 1000 --precision 2048",
          "e69dd6f25d317b3e63d1ae6294f769f543b752bb22d8e11df78e83d98d8ad6c2"),
@@ -372,7 +374,7 @@ class TestInputCaps:
             assert code == 2 and message in err, err
 
     def test_blocks_cap(self, capsys):
-        code, _, err = run(capsys, "rivoal-forms", "--blocks", str(cli.MAX_BLOCKS + 1))
+        code, _, err = run(capsys, "rivoal-forms", "--blocks", str(cli.MAX_BLOCK_SUM_TERMS + 1))
         assert code == 2 and "--blocks must be at most" in err
 
     def test_trials_cap(self, capsys):

@@ -455,6 +455,24 @@ class TestRatioProduct:
             ))
             assert_close(partial, want, contract(prec))
 
+    def test_wide_spread_takes_single_log_gammas(self, monkeypatch):
+        """Parameters spread over 10^5 would raise the balanced series' threshold and term bound
+        with the spread: ``G(0)`` and ``G(N+1)`` take single log-Gammas, and both values meet the
+        contract against mpmath."""
+        a, b, N, prec = (Fraction(10**5), Fraction(2)), (Fraction(10**5 + 1), Fraction(1)), 10, 128
+
+        def refuse(*args):
+            raise AssertionError("a wide spread reached the balanced series")
+
+        monkeypatch.setattr(gammafn, "_balanced_lgamma", refuse)
+        partial, closed = gamma_ratio_product(a, b, N, prec)
+        with mpmath.workprec(prec + 64):
+            n = mpmath.mpf
+            assert_close(partial, mpmath.fprod((k + 10**5) * (k + 2) / (n(k + 10**5 + 1) * (k + 1))
+                                               for k in range(N + 1)), contract(prec))
+            want = mpmath.fprod(mpmath.gamma(x) for x in b) / mpmath.fprod(mpmath.gamma(x) for x in a)
+            assert_close(closed, want, contract(prec))
+
     @pytest.mark.parametrize("prec", [128, 1024])
     def test_partial_and_closed_share_g0(self, prec):
         """``closed`` is ``exp(-G(0))`` of the ``G(0)`` in the partial's log; both meet the

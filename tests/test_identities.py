@@ -15,7 +15,6 @@ from blockprod.gammafn import BalanceError, eval_gamma_expr
 from blockprod.identities import (
     _WORD_ONE,
     FiniteSupportFn,
-    _grouping_chunks,
     ProductSpec,
     alternating_product_estimate,
     closed_form_base2,
@@ -277,51 +276,76 @@ class TestRivoalForms:
         assert abs(inc - want) <= want * Fraction(1, 2**200)
 
     def test_block_grouping_exact(self):
-        assert grouping_identity_holds(1)
-        assert grouping_identity_holds(37)
-        assert grouping_identity_holds(1000)
+        for K in (1, 37, 1000, 10**5, 10**7, 10**30):
+            assert grouping_identity_holds(K), K
 
     def test_factored_forms_match(self):
         assert rivoal_original_factors(4 * 50 + 3) == rivoal_grouped_factors(50)
         # cutting at 4K leaves the k = 4K factor unpaired (4K+2, 4K+3 are inert)
         assert rivoal_original_factors(4 * 50) != rivoal_grouped_factors(50)
 
-    @pytest.mark.parametrize("size", [8, 4096])
-    def test_chunk_exponents_match_factor_maps(self, size):
-        """The chunk arrays that grouping_identity_holds compares hold the exponents of both maps,
-        for every K up to 200 and for 4K+3 next to a power of two or a chunk edge."""
-        near_powers = [(1 << j) // 4 + d for j in range(4, 15) for d in (-1, 0)]
-        near_edges = [(n * size - 3) // 4 + d for n in (1, 2, 3) for d in (-1, 0, 1)]
-        for K in sorted(set(range(1, 201)) | set(near_powers) | set(near_edges)):
-            original, grouped = {}, {}
-            m = 3
-            for start, orig, grp in _grouping_chunks(K, size):
-                assert start == m and len(orig) == len(grp) <= size
-                original.update((start + i, e) for i, e in enumerate(orig) if e)
-                grouped.update((start + i, e) for i, e in enumerate(grp) if e)
-                m += len(orig)
-            assert m == 4 * K + 6, K  # every integer up to 4K + 5
-            assert original == rivoal_original_factors(4 * K + 3), K
-            assert grouped == rivoal_grouped_factors(K), K
+    def test_run_exponents_match_factor_maps(self):
+        """The per-integer exponents that grouping_identity_holds compares are those of both
+        factor maps at every integer, for every K up to 200 and for 4K+3 next to a power of two."""
+        near_powers = [((1 << j) - 3) // 4 + d for j in range(4, 15) for d in (-1, 0, 1)]
+        for K in sorted(set(range(1, 201)) | set(near_powers)):
+            original, grouped = rivoal_original_factors(4 * K + 3), rivoal_grouped_factors(K)
+            for m in range(4 * K + 10):
+                assert identities._original_exponent(m, 4 * K + 3) == original.get(m, 0), (K, m)
+                assert identities._grouped_exponent(m, K) == grouped.get(m, 0), (K, m)
 
-    @pytest.mark.parametrize("where", ["first", "middle", "last"])
-    def test_one_perturbed_entry_fails(self, monkeypatch, where):
-        """A single wrong exponent in one chunk makes the check fail."""
-        K, size = 300, 8
-        n_chunks = -(-(4 * K + 3) // size)
-        target = {"first": 0, "middle": n_chunks // 2, "last": n_chunks - 1}[where]
-        chunks = identities._grouping_chunks
+    def test_runs_answer_as_the_factor_maps(self):
+        """Compared on runs, the two forms agree exactly when the full factor maps do, for every
+        original length up to 4K + 11, not only the grouping's 4K + 3."""
+        for K in range(1, 41):
+            grouped = rivoal_grouped_factors(K)
+            for top in range(4 * K + 12):
+                want = rivoal_original_factors(top) == grouped
+                assert identities._factors_agree(top, K) == want, (K, top)
 
-        def perturbed(K, size=size):
-            for i, (start, orig, grp) in enumerate(chunks(K, size)):
-                if i == target:
-                    grp = list(grp)
-                    grp[len(grp) // 2] += 1
-                yield start, orig, grp
+    @pytest.mark.parametrize("K", [1, 5, 300, 2**20 + 7, 10**30])
+    def test_cut_ranges_fail(self, K):
+        """Grouped blocks that stop at K - 1, or an original range cut at 4K, make the check fail."""
+        assert identities._factors_agree(4 * K + 3, K)
+        assert not identities._factors_agree(4 * K + 3, K - 1)
+        assert not identities._factors_agree(4 * K, K)
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_one_dyadic_block_off_fails(self, monkeypatch, r, delta):
+        """One class carrying bitlen(q) + delta in a single dyadic block of q makes the check
+        fail, whichever block it is, the last one (cut by K) included."""
+        K = 300
+        exact = identities._grouped_exponent
         assert grouping_identity_holds(K)
-        monkeypatch.setattr(identities, "_grouping_chunks", perturbed)
-        assert not grouping_identity_holds(K)
+        for j in range(1, K.bit_length() + 1):
+
+            def perturbed(m, K, j=j):
+                q, rm = divmod(m, 4)
+                if rm == r and 1 <= q <= K and q.bit_length() == j:
+                    return (4 if r == 2 else -2) * (j + delta)
+                return exact(m, K)
+
+            monkeypatch.setattr(identities, "_grouped_exponent", perturbed)
+            assert not grouping_identity_holds(K), j
+
+    @pytest.mark.parametrize("c", [0, 1])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_one_original_block_off_fails(self, monkeypatch, c, delta):
+        """The same on the original side: ``e(k)`` of one class ``k = c (mod 4)`` carrying
+        ``bitlen(k) - 2 + delta`` in a single dyadic block of ``k``."""
+        K = 300
+        exact = identities._original_exponent
+        for j in range(3, (4 * K + 3).bit_length() + 1):
+
+            def off(k, top, j=j):
+                return 2 * delta * (1 - 2 * c) * (2 <= k <= top and k & 3 == c and k.bit_length() == j)
+
+            def perturbed(m, top, off=off):
+                return exact(m, top) + off(m - 2, top) - off(m - 1, top)
+
+            monkeypatch.setattr(identities, "_original_exponent", perturbed)
+            assert not grouping_identity_holds(K), j
 
     def test_numeric_agreement(self):
         a = rivoal_original_partial(4 * 200 + 3, 128)
