@@ -27,6 +27,24 @@ window ending at one of the low ``c`` digits of ``n >= B^c`` lies inside
 has at most ``2^10`` one-byte entries.  Words with ``B^L > 2^10`` have no
 tables and are counted one digit per step.
 
+Bit-parallel evaluation.  In a base ``B = 2^s`` the window ending at digit
+``i`` of ``n`` is the ``sL`` bits of ``n`` from bit ``si`` up, so all windows
+are compared at once with whole-integer bit operations:
+
+    N_w(n) = popcount(D & AND_{t < sL} (n >> t if bit t of v(w) is 1 else ~n >> t)),
+
+where ``D`` has bits ``0, s, ..., s(d-1)`` set and ``d`` is the number of
+base-``B`` digits of ``n``.  Bit ``p`` of the ``AND`` is 1 exactly when the
+``sL`` bits of ``n`` from bit ``p`` read ``v(w)``.  Python's ``~n`` flips the
+infinitely many zero bits above ``n`` as well, so bits above ``n`` are read as
+zeros: this is the zero padding of the recurrence.  ``D`` then keeps the
+windows that end at a digit of ``n`` and start on a digit boundary; without
+it an all-zeros word would match at every bit above ``n``.  So one rule covers
+every kind of word.  The cost is ``2sL + 3`` integer operations whatever the
+size of ``n``, each linear in its length.  :func:`count_block` takes this path
+for ``n >= 2^_BITWISE_BITS``; below it, the chunked loop's few steps on small
+integers are cheaper.
+
 Remark (agreement with substring counting).  A window that reaches into the
 padding starts with a padding zero, and if it also covers the leading digit
 of ``n`` it is not all zeros.  Hence:
@@ -127,6 +145,16 @@ class Word:
         """
         return _build_counter(self)
 
+    @cached_property
+    def _bit_plan(self) -> tuple | None:
+        """The constants of bit-parallel :func:`count_block`, built on first use.
+
+        ``(s, ones, zeros)`` for a base ``B = 2^s``: the offsets ``t < sL`` of
+        the one bits and of the zero bits of ``v(w)``.  ``None`` for a base
+        that is not a power of two (see the module docstring).
+        """
+        return _build_bit_plan(self)
+
     def __getstate__(self):
         # pickle the fields alone, never the tables cached by count_block
         return {"base": self.base, "digits": self.digits}
@@ -187,7 +215,11 @@ def count_block(w: Word, n: int) -> int:
     Evaluates the counting recurrence ``c`` digits per step with one table
     lookup each, and one lookup in all for ``n < B^c`` (module docstring,
     "Chunked evaluation"); words with ``B^L > 2^10`` take one digit per
-    step.  The count for ``n = 0`` is 0 for every word.
+    step.  In a power-of-two base, ``n >= 2^_BITWISE_BITS`` is counted with
+    ``2sL + 3`` whole-integer bit operations instead ("Bit-parallel
+    evaluation"), so the time is near-linear in the digit count of ``n``;
+    in other bases it is quadratic.  The count for ``n = 0`` is 0 for every
+    word.
     """
     # checks inlined: this is called once per integer in counting sweeps
     if not w.digits:
@@ -195,6 +227,17 @@ def count_block(w: Word, n: int) -> int:
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     step, window, full, top = w._counter
+    if n >= step and n >> _BITWISE_BITS and (plan := w._bit_plan):
+        s, ones, zeros = plan
+        width = -(-n.bit_length() // s) * s  # s bits for each digit of n
+        m = ((1 << width) - 1) // ((1 << s) - 1)  # D: bit s*i for each digit i
+        for t in ones:
+            m &= n >> t
+        if zeros:
+            n = ~n
+            for t in zeros:
+                m &= n >> t
+        return m.bit_count()
     c = 0
     if top is None:  # step = B, window = B^L, full = v(w)
         while n:
@@ -276,6 +319,21 @@ def _build_counter(w: Word) -> tuple:
         level[v::modulus] = level[v::modulus].translate(_INCREMENT)
         full = level
     return base**c, len(full), bytes(full), bytes(block_counts(w, 0, base**c - 1))
+
+
+# count_block counts n >= 2^_BITWISE_BITS bit-parallel in a power-of-two base;
+# the chunk loop was faster up to 48-54 bits on the corpus (BENCH_17.json)
+_BITWISE_BITS = 54
+
+
+def _build_bit_plan(w: Word) -> tuple | None:
+    """:attr:`Word._bit_plan`: the digit width and bit offsets of bit-parallel counting."""
+    s = w.base.bit_length() - 1
+    if w.base != 1 << s:
+        return None
+    v = word_value(w)
+    offsets = range(s * len(w.digits))
+    return s, tuple(t for t in offsets if v >> t & 1), tuple(t for t in offsets if not v >> t & 1)
 
 
 def all_words(base: int, max_len: int) -> list[Word]:

@@ -1,14 +1,17 @@
 """Shared test helpers: conversions to the mpmath oracle, tolerance asserts,
 the per-digit block-count recurrence that the chunked ``count_block`` is
-checked against, the per-term log-sums that the library's Gamma-ratio
-sums are checked against (the 4/pi family, the balanced ratio product and
-word products, with their fixed-point log series), the plain forms of
-the log-Gamma and of the summation lemma's left side that the library's
-faster forms must equal exactly, and the word-product engine before
-Euler-Maclaurin runs, which the runs are checked against."""
+checked against, expansions in power-of-two bases read off Python's binary
+string and a lookahead-regex occurrence count, the per-term log-sums that
+the library's Gamma-ratio sums are checked against (the 4/pi family, the
+balanced ratio product and word products, with their fixed-point log
+series), the plain forms of the log-Gamma and of the summation lemma's left
+side that the library's faster forms must equal exactly, and the
+word-product engine before Euler-Maclaurin runs, which the runs are checked
+against."""
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm, prod
 from typing import Iterator
@@ -63,6 +66,23 @@ def count_block_recurrence(w: Word, n: int) -> int:
         c += n % modulus == v
         n //= w.base
     return c
+
+
+def pow2_digits(n: int, base: int) -> str:
+    """The base-``2^s`` expansion of ``n >= 1`` as a digit string, ``s`` bits per digit of ``format(n, "b")``."""
+    s = base.bit_length() - 1
+    assert base == 1 << s and base <= 36
+    bits = format(n, "b")
+    bits = "0" * (-len(bits) % s) + bits
+    return "".join("0123456789abcdefghijklmnopqrstuvwxyz"[int(bits[i : i + s], 2)] for i in range(0, len(bits), s))
+
+
+def regex_count(word: str, text: str) -> int:
+    """Possibly overlapping occurrences of ``word`` in ``text``, padded by ``len(word) - 1``
+    zeros when ``word`` starts with 0 and is not all zeros (the counting rule's padding)."""
+    if word[0] == "0" and word.strip("0"):
+        text = "0" * (len(word) - 1) + text
+    return len(re.findall(f"(?={word})", text))
 
 
 def loggamma_fixed_oracle(x: Fraction, F: int) -> int:

@@ -5,12 +5,14 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from helpers import pow2_digits, regex_count
 from blockprod import cli
 from blockprod.cli import main
 from blockprod.identities import ProductSpec
@@ -54,6 +56,14 @@ class TestCount:
         with pytest.raises(SystemExit) as exc:
             main(["count", "--word", "11", "15"])  # missing --base
         assert exc.value.code == 2
+
+    def test_power_of_two_bases_at_4000_digits(self, capsys):
+        """A 4000-digit n, just under Python's 4300-digit int limit, in bases 2 and 4."""
+        n = random.Random(4000).randrange(10**3999, 10**4000)
+        for base, word in ((2, "101"), (4, "03")):
+            code, out, _ = run(capsys, "count", "--base", str(base), "--word", word, str(n))
+            assert code == 0
+            assert out == f"{regex_count(word, pow2_digits(n, base))}\n"
 
 
 class TestInternalError:

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_block_recurrence
+from helpers import count_block_recurrence, pow2_digits, regex_count
 from blockprod.products import default_corpus
 from blockprod.words import (
+    _BITWISE_BITS,
     ALL_ZEROS,
     STARTS_NONZERO,
     STARTS_ZERO_MIXED,
@@ -263,12 +264,77 @@ class TestChunkedCounting:
             built, fresh = Word.parse(text, base), Word.parse(text, base)
             count_block(built, 3**200)
             assert "_counter" in vars(built) and "_counter" not in vars(fresh)
+            assert "_bit_plan" in vars(built) and "_bit_plan" not in vars(fresh)
             assert built == fresh and hash(built) == hash(fresh)
             assert repr(built) == repr(fresh)
             assert pickle.dumps(built) == pickle.dumps(fresh)
             copy = pickle.loads(pickle.dumps(built))
             assert copy == fresh and count_block(copy, 3**200) == count_block(built, 3**200)
         assert [f.name for f in dataclasses.fields(Word)] == ["base", "digits"]
+
+    def test_bit_plan_reads_the_word(self):
+        """The bit plan splits the ``sL`` bit offsets of ``v(w)`` into ones and zeros; None off powers of two."""
+        for w in default_corpus() + cap_words() + [Word(1024, (5,)), Word(1025, (5,)), Word(8, (0, 7))]:
+            s = w.base.bit_length() - 1
+            if w.base != 1 << s:
+                assert w._bit_plan is None
+                continue
+            width, ones, zeros = w._bit_plan
+            assert width == s and sorted(ones + zeros) == list(range(s * len(w)))
+            assert sum(1 << t for t in ones) == word_value(w)
+
+
+POW2_BASES = (2, 4, 8, 16, 32)
+
+
+def pow2_words(base: int) -> list[Word]:
+    """Every word of length <= 3 (<= 2 for bases 16 and 32) and the cap words of ``base``."""
+    return all_words(base, 3 if base <= 8 else 2) + [w for w in cap_words() if w.base == base]
+
+
+class TestBitParallelCounting:
+    """count_block for ``n >= 2^_BITWISE_BITS`` in power-of-two bases, against the recurrence and the scan."""
+
+    @pytest.mark.parametrize("base", POW2_BASES)
+    def test_matches_recurrence_and_scan(self, base):
+        around = [2**_BITWISE_BITS - 1, 2**_BITWISE_BITS, 2**_BITWISE_BITS + 1]
+        for w in pow2_words(base):
+            text = w.render()
+            for n in edge_values(w) + around:
+                want = count_block_recurrence(w, n)
+                assert count_block(w, n) == want == naive_count(text, base, n), (text, n)
+
+    @pytest.mark.parametrize("base", POW2_BASES + (3, 10))
+    def test_huge_n(self, base):
+        """Seeded n of 3000 and 10^4 decimal digits; bases 3 and 10 pin the chunk loop."""
+        rng = random.Random(base)
+        top = (base - 1, 0, 1) if base <= 10 else (base - 1, 1)
+        words = [Word(base, (0, 0)), Word(base, (0, 1)), Word(base, (0, base - 1, 0)), Word(base, top)]
+        for digits in (3000, 10**4):
+            n = rng.randrange(10 ** (digits - 1), 10**digits)
+            text = render(n, base)
+            for w in words:
+                want = count_block_recurrence(w, n)
+                assert count_block(w, n) == want == regex_count(w.render(), text), (w.render(), digits)
+        assert all((w._bit_plan is None) == (base in (3, 10)) for w in words)
+
+
+class TestNearLinearCounting:
+    """count_block at ``n = 7^100000`` (280,736 bits) against string oracles made apart from blockprod."""
+
+    def test_base2(self):
+        n = 7**100000
+        bits = format(n, "b")
+        assert count_block(Word.parse("1", 2), n) == bits.count("1")
+        assert count_block(Word.parse("0", 2), n) == bits.count("0")
+        for word in ("101", "00", "0011", "1100"):
+            assert count_block(Word.parse(word, 2), n) == regex_count(word, bits), word
+
+    def test_base4(self):
+        n = 7**100000
+        text = pow2_digits(n, 4)  # the binary string padded to even length, read in pairs
+        for word in ("0", "00", "000", "03", "003", "123", "30", "3"):
+            assert count_block(Word.parse(word, 4), n) == regex_count(word, text), word
 
 
 RANGE_CHUNK = 1 << 16  # some ranges below straddle its multiples
