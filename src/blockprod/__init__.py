@@ -49,10 +49,8 @@ from blockprod.products import (
 )
 from blockprod.words import (
     Word,
-    WordClass,
     all_words,
     block_counts,
-    classify,
     count_block,
     to_digits,
     word_value,
@@ -69,11 +67,9 @@ __all__ = [
     "ProductSpec",
     "VerifyReport",
     "Word",
-    "WordClass",
     "all_words",
     "alternating_product_estimate",
     "block_counts",
-    "classify",
     "closed_form_base2",
     "closed_form_baseB",
     "companion_closed_form",

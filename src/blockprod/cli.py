@@ -56,7 +56,9 @@ FORMATS = ("text", "json", "csv")
 # family sums.  One lemma1-fuzz trial at the default sizes costs about 0.1 ms,
 # so 10^5 trials take about 8 s.  Its support points are drawn from
 # [1, 400), so more than 400 draws add no new point; at both size caps a
-# trial takes about 1 ms.  A word sum grows with the parameters' spread and
+# trial takes about 1 ms.  Its bases need no cap: the left side of the
+# identity groups the support by block, O(|support|) for any base.  A word
+# sum grows with the parameters' spread and
 # denominators: cold verify of base 2 word 1 at N = 10^6 and 2048 bits took
 # 7.9 s at a = 400, 1, b = 401, 0 and 1.5 s at the default a = 1, 1, and a
 # denominator of 10^300 did not finish in two minutes.  At the caps below
@@ -244,7 +246,7 @@ def cmd_lemma1_fuzz(args) -> int:
         base = bases[rng.randrange(len(bases))]
         length = rng.randrange(1, args.max_word_len + 1)
         if args.misrange and rng.randrange(2):
-            digits = (0,) * length  # exercise the all-zeros range specifically
+            digits = (0,) * length  # the word of value 0, whose range starts at B^L
         else:
             digits = tuple(rng.randrange(base) for _ in range(length))
         word = Word(base, digits)

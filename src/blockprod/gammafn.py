@@ -45,8 +45,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import lcm, prod
 from operator import neg, sub
+from threading import Lock
+from typing import Iterator
 
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision
 from blockprod.fixedpoint import fx_log, fx_sin, pi_fixed, rshift_round
@@ -92,25 +95,48 @@ def _check_gamma_arg(x: Fraction) -> Fraction:
 # --------------------------------------------------------------------------
 
 
-def _tangent_numbers(n: int) -> list[int]:
-    """``T_1..T_n`` with ``tan x = sum T_k x^(2k-1)/(2k-1)!`` (integer-only, O(n^2))."""
-    t = [0, 1] + [0] * (n - 1)
-    for k in range(2, n + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, n + 1):
-        for j in range(k, n + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t[1:]
+def _tangent_numbers() -> Iterator[int]:
+    """``T_1, T_2, ...`` with ``tan x = sum T_k x^(2k-1)/(2k-1)!`` (integer-only, O(k) each).
+
+    The triangle ``t_j <- (j - i) t_(j-1) + (j - i + 2) t_j`` for passes
+    ``i = 2..j``, from ``t_j = (j-1)!``, is walked one column at a time:
+    column ``k`` holds ``t_k`` after each pass and needs only column
+    ``k - 1``, so the sequence extends without starting over.
+    """
+    col: list[int] = []
+    for k in count(1):
+        x = (k - 1) * col[0] if col else 1
+        new = [x]
+        for i, prev in enumerate(col[1:], 2):
+            x = (k - i) * prev + (k - i + 2) * x
+            new.append(x)
+        if k > 1:
+            x *= 2  # pass i = k reads t_(k-1) with weight 0
+            new.append(x)
+        col = new
+        yield x
 
 
-@lru_cache(maxsize=8)
+# B_0..B_(2k+1) for the k tangent numbers drawn so far (see _bernoulli); the
+# lock keeps threads that grow the table at once from pairing B_2k with T_(k+1)
+_BERNOULLI = [Fraction(1), Fraction(-1, 2)]
+_TANGENTS = _tangent_numbers()
+_BERNOULLI_LOCK = Lock()
+
+
 def _bernoulli(n: int) -> tuple[Fraction, ...]:
-    """``B_0..B_n`` (``B_1 = -1/2``); ``B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))``."""
-    out = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (n - 1)
-    for k, tk in enumerate(_tangent_numbers(n // 2), 1):
-        q = 4**k
-        out[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * tk, q * (q - 1))
-    return tuple(out[: n + 1])
+    """``B_0..B_n`` (``B_1 = -1/2``); ``B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))``.
+
+    Every caller shares one table, grown to the largest ``n`` asked for one
+    tangent number at a time and sliced for each call.
+    """
+    with _BERNOULLI_LOCK:
+        while len(_BERNOULLI) <= n:
+            k = len(_BERNOULLI) // 2
+            q = 4**k
+            _BERNOULLI.append(Fraction((-1) ** (k - 1) * 2 * k * next(_TANGENTS), q * (q - 1)))
+            _BERNOULLI.append(Fraction(0))
+        return tuple(_BERNOULLI[: n + 1])
 
 
 _SERIES_GUARD = 16  # extra fraction bits of the series coefficients and Horner sums
@@ -197,22 +223,16 @@ def _stirling_series(F: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     ``|B_(2K+2)| / ((2K+2)(2K+1) X0^(2K+1))``, is below
     ``2**-(F + _SERIES_GUARD + 2)``, compared in integers; ``z_n`` is the
     least power of two at which the omitted term after ``n`` terms passes
-    the same test (see :func:`_cuts`).  The Bernoulli numbers come from one
-    :func:`_bernoulli` build, doubled while ``K`` needs more of them.
+    the same test (see :func:`_cuts`).
     """
     X0 = _series_threshold(F)
     S = F + _SERIES_GUARD
     lim = 1 << (S + 2)
-    n = 64
-    bern = _bernoulli(n)
     K = 0
     exponents = []
     while True:
         m = 2 * K + 2  # index of the first omitted Bernoulli number
-        if m > n:
-            n *= 2
-            bern = _bernoulli(n)
-        b = bern[m]
+        b = _bernoulli(m)[m]
         L, R = abs(b.numerator) * lim, b.denominator * m * (m - 1)
         if L < R * X0 ** (m - 1):
             break
@@ -220,7 +240,7 @@ def _stirling_series(F: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
             exponents.append(_least_exponent(L, R, m - 1))
         K += 1
     coeffs = tuple((b.numerator << S) // (b.denominator * 2 * k * (2 * k - 1))
-                   for k, b in enumerate(bern[2 : 2 * K + 1 : 2], 1))
+                   for k, b in enumerate(_bernoulli(2 * K)[2::2], 1))
     half_log_2pi = rshift_round(fx_log(pi_fixed(S) << 1, S), 1)
     return half_log_2pi, coeffs, _cuts(exponents, X0)
 
@@ -521,7 +541,7 @@ class _RunRows:
     def row(self, p: int, n: int) -> list[int]:
         while len(self._rows) < p:
             q = len(self._rows) + 1
-            b = _bernoulli(max(64, 1 << (2 * q).bit_length()))[2 * q]
+            b = _bernoulli(2 * q)[2 * q]
             fact = prod(range(1, 2 * q))  # (2q - 1)! = (1)_(2q-1)
             self._rows.append([])
             self._next.append((b.denominator * fact * 2 * q, b.numerator * fact))

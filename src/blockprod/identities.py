@@ -55,13 +55,7 @@ from blockprod.gammafn import (
     _series_threshold,
     _terms_at,
 )
-from blockprod.words import (
-    ALL_ZEROS,
-    Word,
-    classify,
-    count_block,
-    word_value,
-)
+from blockprod.words import Word, count_block, word_value
 
 __all__ = [
     "rho",
@@ -148,52 +142,46 @@ def _check_lemma_args(f: FiniteSupportFn, w: Word, base: int) -> None:
 def lemma1_lhs(f: FiniteSupportFn, w: Word, base: int) -> Fraction:
     """Exact value of ``sum_{n>=1} N_w(n) * (f(n) - sum_{k<B} f(Bn+k))``.
 
-    Only finitely many ``n`` contribute: those in the support of ``f`` and
-    those whose block ``[Bn, Bn+B-1]`` meets the support.  The sum runs term
-    by term in integers, over the values of ``f`` scaled to their least
-    common denominator ``D``, and is divided by ``D`` once at the end.
+    The values of ``f`` are scaled to their least common denominator ``D``
+    as integers ``g``, grouped by block: each support point ``m`` adds
+    ``g(m)`` to ``inner[m]`` and subtracts it from ``inner[m // B]``, so
+    ``inner[n] = g(n) - sum_{k<B} g(Bn+k)`` for every ``n`` that can
+    contribute, in O(|support|) steps for any base.  The sum of
+    ``N_w(n) * inner[n]`` runs in integers and is divided by ``D`` once at
+    the end.
     """
     _check_lemma_args(f, w, base)
     D = lcm(*(v.denominator for v in f.entries.values()))
-    g = {m: v.numerator * (D // v.denominator) for m, v in f.entries.items()}
-    candidates = set(g)
-    for m in g:
-        t = m // base
-        if t >= 1:
-            candidates.add(t)
+    inner: dict[int, int] = {}
+    for m, v in f.entries.items():
+        g = v.numerator * (D // v.denominator)
+        inner[m] = inner.get(m, 0) + g
+        if m >= base:
+            inner[m // base] = inner.get(m // base, 0) - g
     total = 0
-    for n in candidates:
-        inner = g.get(n, 0)
-        for m in range(base * n, base * n + base):
-            inner -= g.get(m, 0)
-        if inner:
-            c = count_block(w, n)
-            if c:
-                total += c * inner
+    for n, x in inner.items():
+        if x:
+            total += count_block(w, n) * x
     return Fraction(total, D)
 
 
 def lemma1_rhs(f: FiniteSupportFn, w: Word, base: int, misrange: bool = False) -> Fraction:
-    """Exact value of ``sum f(B^L n + v(w))``.
+    """Exact value of ``sum f(m)`` over ``m >= 1`` with ``m == v(w) (mod B^L)``.
 
-    The sum runs over ``n >= 1`` when ``w`` is all zeros and over ``n >= 0``
-    otherwise.  ``misrange=True`` deliberately swaps the two ranges; this is
-    a debug/negative-control hook (the swapped all-zeros range reads
-    ``f(0)``, which the correct identity never does).
+    One rule for every word: the shifted sum runs over the integers ``m >= 1``
+    congruent to ``v(w)`` modulo ``B^L``, so its first term is ``f(v(w))``,
+    and ``f(B^L)`` for the word of value 0.  The support keys are ``>= 1``,
+    so they give that range as they stand.  ``misrange=True`` deliberately
+    starts the range one block off; this is a debug/negative-control hook:
+    it adds ``f(0)``, which the correct identity never reads, when
+    ``v(w) = 0``, and drops ``f(v(w))`` otherwise.
     """
     _check_lemma_args(f, w, base)
     v = word_value(w)
     step = base ** len(w.digits)
-    start = 1 if classify(w).kind == ALL_ZEROS else 0
+    total = sum((x for m, x in f.entries.items() if m % step == v), Fraction(0))
     if misrange:
-        start = 1 - start
-    total = Fraction(0)
-    for m in f.support:
-        r = m - v
-        if r >= 0 and r % step == 0 and r // step >= start:
-            total += f(m)
-    if start == 0 and v == 0:
-        total += f.value_at_zero  # the n = 0 term of a mis-ranged all-zeros word
+        total += f.value_at_zero if v == 0 else -f(v)
     return total
 
 
@@ -222,14 +210,13 @@ def lemma1_residual_numeric(
             for k in range(base):
                 inner -= f(base * n + k)
             lhs += c * inner
-    v = word_value(w)
     step = base ** len(w.digits)
-    n = 1 if classify(w).kind == ALL_ZEROS else 0
+    m = word_value(w) or step
     bound = base * n_max + base - 1
     rhs = 0.0
-    while step * n + v <= bound:
-        rhs += f(step * n + v)
-        n += 1
+    while m <= bound:
+        rhs += f(m)
+        m += step
     return lhs - rhs
 
 
@@ -309,23 +296,24 @@ class ProductSpec:
 def closed_form_base2(w: Word) -> GammaExpr:
     """Closed form of the canonical base-2 product with exponent ``2 N_w(n)``.
 
-    All-zeros words of length ``j`` give
-    ``2^(j+2) G(1/2^j) / G(1/2^(j+1))^2``; every other word gives
-    ``G(v/2^L) G((v+1)/2^L) / G((2v+1)/2^(L+1))^2`` with ``v`` the word value
-    and ``L`` its length.
+    With ``v`` the word value and ``L`` its length, the word of value 0
+    gives ``2^(L+2) G(1/2^L) / G(1/2^(L+1))^2``; every other word gives
+    ``G(v/2^L) G((v+1)/2^L) / G((2v+1)/2^(L+1))^2``.  The two are one
+    formula, :func:`closed_form_baseB` at ``a = (1, 1)``, ``b = (0, 2)``;
+    for ``v = 0``, ``G(x + 1) = x G(x)`` brings its arguments below 1.
     """
     if w.base != 2:
         raise ValueError("closed_form_base2 needs a base-2 word")
-    cls = classify(w)  # raises on the empty word
-    if cls.kind == ALL_ZEROS:
-        j = cls.j
-        return GammaExpr(
-            Fraction(2 ** (j + 2)),
-            num=(Fraction(1, 2**j),),
-            den=(Fraction(1, 2 ** (j + 1)),) * 2,
-        )
+    if w.is_empty:
+        raise ValueError("closed_form_base2 needs a nonempty word")
     v = word_value(w)
     L = len(w.digits)
+    if v == 0:
+        return GammaExpr(
+            Fraction(2 ** (L + 2)),
+            num=(Fraction(1, 2**L),),
+            den=(Fraction(1, 2 ** (L + 1)),) * 2,
+        )
     return GammaExpr(
         Fraction(1),
         num=(Fraction(v, 2**L), Fraction(v + 1, 2**L)),
@@ -337,22 +325,16 @@ def closed_form_baseB(spec: ProductSpec) -> GammaExpr:
     """Closed form of a general block-exponent product (prefactor 1).
 
     Numerator arguments come from ``b``, denominator arguments from ``a``:
-    ``1 + x/B^(j+1)`` for all-zeros words of length ``j``, else
-    ``v/B^L + x/B^(L+1)``.
+    ``x/B^(L+1)`` plus ``m0/B^L``, where ``m0`` is the first ``m >= 1`` with
+    ``m == v (mod B^L)`` (the congruence rule of :func:`lemma1_rhs`): ``v``
+    itself, or ``B^L`` for the word of value 0.
     """
-    cls = classify(spec.word)
     B = spec.base
-    if cls.kind == ALL_ZEROS:
-        m = Fraction(1, B ** (cls.j + 1))
-        num = tuple(1 + bi * m for bi in spec.b)
-        den = tuple(1 + ai * m for ai in spec.a)
-    else:
-        v = word_value(spec.word)
-        L = len(spec.word.digits)
-        head = Fraction(v, B**L)
-        m = Fraction(1, B ** (L + 1))
-        num = tuple(head + bi * m for bi in spec.b)
-        den = tuple(head + ai * m for ai in spec.a)
+    L = len(spec.word.digits)
+    head = Fraction(word_value(spec.word) or B**L, B**L)
+    m = Fraction(1, B ** (L + 1))
+    num = tuple(head + bi * m for bi in spec.b)
+    den = tuple(head + ai * m for ai in spec.a)
     return GammaExpr(Fraction(1), num=num, den=den)
 
 

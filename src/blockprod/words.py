@@ -67,13 +67,8 @@ from functools import cached_property
 
 __all__ = [
     "Word",
-    "WordClass",
-    "ALL_ZEROS",
-    "STARTS_NONZERO",
-    "STARTS_ZERO_MIXED",
     "to_digits",
     "word_value",
-    "classify",
     "count_block",
     "block_counts",
     "all_words",
@@ -82,10 +77,6 @@ __all__ = [
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _CHAR_VALUES = {c: i for i, c in enumerate(_DIGIT_CHARS)}
 _MAX_RENDER_BASE = len(_DIGIT_CHARS)
-
-ALL_ZEROS = "all_zeros"
-STARTS_NONZERO = "starts_nonzero"
-STARTS_ZERO_MIXED = "starts_zero_mixed"
 
 
 @dataclass(frozen=True)
@@ -160,22 +151,6 @@ class Word:
         return {"base": self.base, "digits": self.digits}
 
 
-@dataclass(frozen=True)
-class WordClass:
-    """Classification of a nonempty word; ``j`` is set only for all-zeros words."""
-
-    kind: str
-    j: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in (ALL_ZEROS, STARTS_NONZERO, STARTS_ZERO_MIXED):
-            raise ValueError(f"unknown word class {self.kind!r}")
-        if (self.kind == ALL_ZEROS) != (self.j is not None):
-            raise ValueError("j must be given exactly for all-zeros words")
-        if self.j is not None and self.j < 1:
-            raise ValueError("j must be >= 1")
-
-
 def to_digits(n: int, base: int) -> Word:
     """Canonical base-``base`` expansion of ``n >= 0``; 0 maps to the empty word."""
     if not isinstance(base, int) or base < 2:
@@ -196,17 +171,6 @@ def word_value(w: Word) -> int:
     for d in w.digits:
         v = v * w.base + d
     return v
-
-
-def classify(w: Word) -> WordClass:
-    """Total, mutually exclusive classification of a nonempty word."""
-    if w.is_empty:
-        raise ValueError("cannot classify the empty word")
-    if all(d == 0 for d in w.digits):
-        return WordClass(ALL_ZEROS, len(w.digits))
-    if w.digits[0] != 0:
-        return WordClass(STARTS_NONZERO)
-    return WordClass(STARTS_ZERO_MIXED)
 
 
 def count_block(w: Word, n: int) -> int:

@@ -5,9 +5,10 @@ string and a lookahead-regex occurrence count, the per-term log-sums that
 the library's Gamma-ratio sums are checked against (the 4/pi family, the
 balanced ratio product and word products, with their fixed-point log
 series), the plain forms of the log-Gamma and of the summation lemma's left
-side that the library's faster forms must equal exactly, and the
-word-product engine before Euler-Maclaurin runs, which the runs are checked
-against."""
+side that the library's faster forms must equal exactly, the lemma's right
+side and the general closed form with one case per kind of word, which the
+one congruence rule must reproduce, and the word-product engine before
+Euler-Maclaurin runs, which the runs are checked against."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from blockprod.bigreal import BigReal
 from blockprod.fixedpoint import fx_log, rshift_round
 from blockprod.gammafn import (
     _SERIES_GUARD,
+    GammaExpr,
     _balanced_series,
     _balanced_threshold,
     _series_cuts,
@@ -29,7 +31,7 @@ from blockprod.gammafn import (
     _stirling_series,
     _terms_at,
 )
-from blockprod.identities import FiniteSupportFn, _word_plan
+from blockprod.identities import FiniteSupportFn, ProductSpec, _word_plan
 from blockprod.words import Word, count_block, word_value
 
 
@@ -190,6 +192,44 @@ def lemma1_lhs_oracle(f: FiniteSupportFn, w: Word, base: int) -> Fraction:
             if c:
                 total += c * inner
     return total
+
+
+def lemma1_rhs_by_class(f: FiniteSupportFn, w: Word, base: int, misrange: bool = False) -> Fraction:
+    """``sum f(B^L n + v(w))`` over ``n >= 1`` for an all-zeros word and ``n >= 0`` otherwise.
+
+    ``misrange=True`` swaps the two ranges, so an all-zeros word reads
+    ``f(0)`` and any other word drops its ``n = 0`` term.
+    """
+    v = word_value(w)
+    step = base ** len(w.digits)
+    start = 1 if not any(w.digits) else 0
+    if misrange:
+        start = 1 - start
+    total = Fraction(0)
+    for m in f.support:
+        r = m - v
+        if r >= 0 and r % step == 0 and r // step >= start:
+            total += f(m)
+    if start == 0 and v == 0:
+        total += f.value_at_zero
+    return total
+
+
+def closed_form_baseB_by_class(spec: ProductSpec) -> GammaExpr:
+    """The closed form with arguments ``1 + x/B^(j+1)`` for an all-zeros word of length ``j``
+    and ``v/B^L + x/B^(L+1)`` for any other, ``x`` from ``b`` above and ``a`` below."""
+    B = spec.base
+    L = len(spec.word.digits)
+    if not any(spec.word.digits):
+        m = Fraction(1, B ** (L + 1))
+        num = tuple(1 + bi * m for bi in spec.b)
+        den = tuple(1 + ai * m for ai in spec.a)
+    else:
+        head = Fraction(word_value(spec.word), B**L)
+        m = Fraction(1, B ** (L + 1))
+        num = tuple(head + bi * m for bi in spec.b)
+        den = tuple(head + ai * m for ai in spec.a)
+    return GammaExpr(Fraction(1), num=num, den=den)
 
 
 # --------------------------------------------------------------------------

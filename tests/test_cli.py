@@ -208,6 +208,12 @@ class TestLemma1Fuzz:
         obj = json.loads(out)
         assert obj["trials"] == 25 and obj["exact"] == 25
 
+    def test_huge_base(self, capsys):
+        """A trial costs O(|support|) whatever the base, so the base needs no cap."""
+        code, out, _ = run(capsys, "lemma1-fuzz", "--bases", "1000000000", "--trials", "20")
+        assert code == 0
+        assert out == "20/20 exact\n"
+
 
 class TestEnumerate:
     def test_csv_fourteen_rows(self, capsys):
@@ -283,13 +289,22 @@ class TestOutputDigests:
          "e69dd6f25d317b3e63d1ae6294f769f543b752bb22d8e11df78e83d98d8ad6c2"),
         ("verify --base 3 --word 12 --a 1/2,3/2 --b 1/3,5/3 --terms 1000 --precision 2048",
          "1b4a6a20c9786e1b0fb3fa77c97ff52b4789a31a49d875754be42e80c064fb0e"),
+        # words of value 0, whose shifted sums start at B^L
+        ("closed-form --base 2 --word 0",
+         "1a2fcff894c7e73e6e448c79da656ce1ace9709bc02da6012daf2dbe10882368"),
+        ("closed-form --base 3 --word 00 --a 1,1 --b 0,2 --format json",
+         "f16a7b6fd276f5cf37753675554b962856289642b9882461af26591f8442365f"),
+        ("lemma1-fuzz --trials 200 --seed 5 --misrange --format json",
+         "b3c2539034072da1ccb723bd810ed46ead1d3fa5e31e799c1bef0b1bcc7dfcd3"),
     ]
+    # the mis-ranged controls are verified failures
+    EXIT_CODES = {"lemma1-fuzz --trials 200 --seed 5 --misrange --format json": 1}
 
     @pytest.mark.parametrize("argv, digest", RUNS, ids=[argv for argv, _ in RUNS])
     def test_stdout_digest(self, capsys, monkeypatch, argv, digest):
         monkeypatch.delenv("BLOCKPROD_PRECISION", raising=False)
         code, out, _ = run(capsys, *argv.split())
-        assert code == 0
+        assert code == self.EXIT_CODES.get(argv, 0)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import threading
 from fractions import Fraction
 
 import helpers
@@ -177,14 +178,63 @@ class TestStirlingLogGamma:
             assert _loggamma_fixed(x, F) == want, x
             assert _loggamma_fixed(x, F) == want, x  # log q from the cache
 
-    def test_cold_and_warm_calls_agree(self, F):
+    def test_cold_and_warm_calls_agree(self, F, monkeypatch):
         """The value depends on ``(x, F)`` alone: a call that builds the series equals a cached one."""
         for x in (Fraction(1, 4), Fraction(253, 256), 10**6 + Fraction(1, 3)):
             _stirling_series.cache_clear()
-            _bernoulli.cache_clear()
+            fresh_bernoulli_table(monkeypatch)
             cold = _loggamma_fixed(x, F)
             assert _stirling_series.cache_info().currsize == 1
             assert _loggamma_fixed(x, F) == cold, x
+
+
+def fresh_bernoulli_table(monkeypatch) -> None:
+    """Give ``_bernoulli`` an empty table for the rest of the test."""
+    monkeypatch.setattr(gammafn, "_BERNOULLI", gammafn._BERNOULLI[:2])
+    monkeypatch.setattr(gammafn, "_TANGENTS", gammafn._tangent_numbers())
+
+
+def bernoulli_recurrence(n: int) -> list[Fraction]:
+    """``B_0..B_n`` from ``sum_{k<=m} C(m+1, k) B_k = 0`` in ``Fraction`` arithmetic."""
+    out = [Fraction(1)]
+    for m in range(1, n + 1):
+        out.append(-sum(math.comb(m + 1, k) * out[k] for k in range(m)) / (m + 1))
+    return out
+
+
+def test_bernoulli_table_in_any_order(monkeypatch):
+    """``B_0..B_n`` for ``n <= 200``, asked in shuffled order from an empty table, equal the recurrence."""
+    want = bernoulli_recurrence(200)
+    fresh_bernoulli_table(monkeypatch)
+    order = list(range(201))
+    random.Random(18).shuffle(order)
+    for n in order:
+        assert _bernoulli(n) == tuple(want[: n + 1]), n
+
+
+def test_bernoulli_table_across_threads(monkeypatch):
+    """Eight threads growing one empty table at once, with a short switch interval, all read the recurrence."""
+    want = bernoulli_recurrence(120)
+    fresh_bernoulli_table(monkeypatch)
+    got = {}
+
+    def ask(seed):
+        order = list(range(121))
+        random.Random(seed).shuffle(order)
+        got[seed] = all(_bernoulli(n) == tuple(want[: n + 1]) for n in order)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == dict.fromkeys(range(8), True)
 
 
 @pytest.mark.parametrize("M", [1, 127, 128, 129, 257, 1040])

@@ -11,7 +11,7 @@ from helpers import assert_close, to_mpf
 
 from blockprod.bigreal import GUARD_BITS
 from blockprod import gammafn, identities
-from blockprod.gammafn import BalanceError, eval_gamma_expr
+from blockprod.gammafn import BalanceError, GammaExpr, eval_gamma_expr
 from blockprod.identities import (
     _WORD_ONE,
     FiniteSupportFn,
@@ -36,7 +36,7 @@ from blockprod.identities import (
     rivoal_original_factors,
     rivoal_original_partial,
 )
-from blockprod.words import Word
+from blockprod.words import Word, all_words, word_value
 
 
 def random_fn(rng: random.Random, max_support: int = 10, key_bound: int = 300) -> FiniteSupportFn:
@@ -49,6 +49,15 @@ def random_fn(rng: random.Random, max_support: int = 10, key_bound: int = 300) -
 
 def random_word(rng: random.Random, base: int, max_len: int = 6) -> Word:
     return Word(base, tuple(rng.randrange(base) for _ in range(rng.randrange(1, max_len + 1))))
+
+
+def balanced_params(rng: random.Random) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Nonnegative ``a`` and ``b`` of one to three entries with ``sum(a) == sum(b)``."""
+    size = rng.randrange(1, 4)
+    a = tuple(Fraction(rng.randrange(0, 33), rng.randrange(1, 9)) for _ in range(size))
+    weights = [rng.randrange(1, 10) for _ in range(size)]
+    b = tuple(sum(a) * w / sum(weights) for w in weights)
+    return a, b
 
 
 class TestRho:
@@ -109,7 +118,7 @@ class TestLemma1:
             assert plain == bent == 0
 
     def test_misrange_breaks_all_zeros(self):
-        """Negative control: the swapped range reads f(0) for all-zeros words."""
+        """Negative control: the range one block off reads f(0) for the word of value 0."""
         f = FiniteSupportFn({4: Fraction(3)}, value_at_zero=Fraction(7))
         w = Word.parse("00", 2)
         assert lemma1_residual(f, w, 2) == 0
@@ -160,6 +169,21 @@ class TestLemma1:
         w = Word.parse("2", 3)
         assert lemma1_lhs(f, w, 3) == Fraction(9, 14)
         assert lemma1_rhs(f, w, 3) == Fraction(9, 14)
+
+    def test_huge_base(self):
+        """Base 10^9: the left side groups the support by block, so its cost does not grow with the base."""
+        B = 10**9
+        rng = random.Random(9)
+        for digits in ((7,), (0,), (B - 1, 0), (0, 5), (0, 0), (3, 0, 2)):
+            w = Word(B, digits)
+            step = B ** len(digits)
+            first = word_value(w) or step
+            entries = {first: Fraction(3), first + step: Fraction(-1, 7), B * first + 5: Fraction(2, 3)}
+            for _ in range(8):
+                entries[rng.randrange(1, 4 * B * B)] = Fraction(rng.randrange(1, 60), rng.randrange(1, 40))
+            f = FiniteSupportFn(entries)
+            assert lemma1_rhs(f, w, B) == Fraction(20, 7)
+            assert lemma1_lhs(f, w, B) == Fraction(20, 7)
 
     def test_base_mismatch(self):
         with pytest.raises(ValueError):
@@ -221,6 +245,46 @@ class TestClosedFormBaseB:
         # num: 1 + 0/4 (dropped as unit), 1 + 2/4; den: (1 + 1/4)^2
         assert e.num == (Fraction(3, 2),)
         assert e.den == (Fraction(5, 4), Fraction(5, 4))
+
+
+class TestOneRule:
+    """The congruence rule ``m == v(w) (mod B^L)``, ``m >= 1``, equals the per-class formulas
+    of ``helpers`` on every word of length <= 3 in bases 2..10 (<= 4 in bases 2..4): the
+    all-zeros words, whose value is 0, start their range at ``B^L``."""
+
+    WORDS = [w for base in range(2, 11) for w in all_words(base, 4 if base <= 4 else 3)]
+
+    def test_rhs_matches_per_class_ranges(self):
+        rng = random.Random(18)
+        for w in self.WORDS:
+            step = w.base ** len(w)
+            v = word_value(w)
+            for _ in range(2):
+                entries = dict(random_fn(rng, 6).entries)
+                for k in range(3):  # m = v + k B^L near the range's start; m = 0 is value_at_zero
+                    if v + k * step:
+                        entries[v + k * step] = Fraction(rng.randrange(1, 50), rng.randrange(1, 9))
+                f = FiniteSupportFn(entries, value_at_zero=Fraction(rng.randrange(1, 9)))
+                for misrange in (False, True):
+                    want = helpers.lemma1_rhs_by_class(f, w, w.base, misrange)
+                    assert lemma1_rhs(f, w, w.base, misrange) == want, (w, entries, misrange)
+
+    def test_closed_form_matches_per_class_formulas(self):
+        rng = random.Random(19)
+        for w in self.WORDS:
+            for _ in range(2):
+                spec = ProductSpec(w.base, w, *balanced_params(rng))
+                assert closed_form_baseB(spec) == helpers.closed_form_baseB_by_class(spec), spec
+
+    def test_words_of_value_zero(self):
+        for base in range(2, 11):
+            for L in (1, 2, 3):
+                w = Word(base, (0,) * L)
+                spec = ProductSpec(base, w, (Fraction(1), Fraction(1)), (Fraction(0), Fraction(2)))
+                m = Fraction(1, base ** (L + 1))
+                assert closed_form_baseB(spec) == GammaExpr(1, num=(1 + 2 * m,), den=(1 + m, 1 + m))
+        spec = ProductSpec(3, Word.parse("00", 3), (Fraction(1), Fraction(1)), (Fraction(0), Fraction(2)))
+        assert closed_form_baseB(spec).text() == "G(29/27) / (G(28/27)^2)"
 
 
 class TestProductSpec:

@@ -1,4 +1,4 @@
-"""Expansions, word values, classification, and block counting."""
+"""Expansions, word values, and block counting."""
 
 import dataclasses
 import pickle
@@ -12,13 +12,9 @@ from helpers import count_block_recurrence, pow2_digits, regex_count
 from blockprod.products import default_corpus
 from blockprod.words import (
     _BITWISE_BITS,
-    ALL_ZEROS,
-    STARTS_NONZERO,
-    STARTS_ZERO_MIXED,
     Word,
     all_words,
     block_counts,
-    classify,
     count_block,
     to_digits,
     word_value,
@@ -96,34 +92,6 @@ class TestWordValue:
         assert word_value(Word.parse("13", 4)) == 7
 
 
-class TestClassify:
-    def test_all_zeros(self):
-        c = classify(Word.parse("00", 2))
-        assert c.kind == ALL_ZEROS and c.j == 2
-
-    def test_starts_zero_mixed(self):
-        assert classify(Word.parse("001", 2)).kind == STARTS_ZERO_MIXED
-
-    def test_starts_nonzero(self):
-        assert classify(Word.parse("11", 2)).kind == STARTS_NONZERO
-        assert classify(Word.parse("20", 3)).kind == STARTS_NONZERO
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            classify(Word(2, ()))
-
-    @given(st.integers(2, 10), st.lists(st.integers(0, 9), min_size=1, max_size=8))
-    def test_total_and_exclusive(self, base, digits):
-        digits = [d % base for d in digits]
-        c = classify(Word(base, tuple(digits)))
-        if all(d == 0 for d in digits):
-            assert c.kind == ALL_ZEROS and c.j == len(digits)
-        elif digits[0] == 0:
-            assert c.kind == STARTS_ZERO_MIXED
-        else:
-            assert c.kind == STARTS_NONZERO
-
-
 class TestCountBlock:
     def test_examples(self):
         assert count_block(Word.parse("11", 2), 15) == 3
@@ -167,7 +135,7 @@ class TestCountBlock:
         """Zero-mixed words: counts stop changing once padding reaches len-1."""
         for text in ("01", "001", "0101", "010"):
             w = Word.parse(text, 2)
-            assert classify(w).kind == STARTS_ZERO_MIXED
+            assert text[0] == "0" and "1" in text
             base_pad = len(text) - 1
             expansion = render(n, 2)
             want = count_block(w, n)
