@@ -62,6 +62,20 @@ def _round_half_even(man: int, shift: int) -> int:
     return t >> 1
 
 
+def _sticky_quotient(n: int, d: int, prec: int) -> tuple[int, int]:
+    """``(q, s)`` with ``q = floor(n * 2**s / d)`` of ``prec + 2`` or ``prec + 3`` bits,
+    for positive ``n`` and ``d``.  An inexact quotient gets its low bit set (a sticky
+    bit), which keeps the later round-to-nearest decision exact."""
+    s = prec + 2 - (n.bit_length() - d.bit_length())
+    if s >= 0:
+        q, r = divmod(n << s, d)
+    else:
+        q, r = divmod(n, d << (-s))
+    if r:
+        q |= 1
+    return q, s
+
+
 class BigReal:
     """An exact dyadic real ``man * 2**exp`` carrying its working precision."""
 
@@ -104,16 +118,8 @@ class BigReal:
         n, d = fr.numerator, fr.denominator
         if n == 0:
             return cls(0, 0, prec)
-        sign = -1 if n < 0 else 1
-        n = abs(n)
-        s = prec + 2 - (n.bit_length() - d.bit_length())
-        if s >= 0:
-            q, r = divmod(n << s, d)
-        else:
-            q, r = divmod(n, d << (-s))
-        if r:
-            q |= 1  # sticky bit: keeps round-to-nearest decisions exact
-        return cls(sign * q, -s, prec)
+        q, s = _sticky_quotient(abs(n), d, prec)
+        return cls(q if n > 0 else -q, -s, prec)
 
     @classmethod
     def from_fixed(cls, value: int, scale: int, prec: int) -> "BigReal":
@@ -228,16 +234,8 @@ class BigReal:
         d = fr.denominator
         if d == 1:
             return BigReal(n, self.exp, prec)
-        sign = -1 if n < 0 else 1
-        n = abs(n)
-        s = prec + 2 - (n.bit_length() - d.bit_length())
-        if s >= 0:
-            q, r = divmod(n << s, d)
-        else:
-            q, r = divmod(n, d << (-s))
-        if r:
-            q |= 1
-        return BigReal(sign * q, self.exp - s, prec)
+        q, s = _sticky_quotient(abs(n), d, prec)
+        return BigReal(q if n > 0 else -q, self.exp - s, prec)
 
     def __truediv__(self, other):
         b = self._coerce(other)
@@ -248,17 +246,10 @@ class BigReal:
         prec = max(self.prec, b.prec)
         if self.man == 0:
             return BigReal(0, 0, prec)
-        sign = -1 if (self.man < 0) != (b.man < 0) else 1
-        n = abs(self.man)
-        d = abs(b.man)
-        s = prec + 2 - (n.bit_length() - d.bit_length())
-        if s >= 0:
-            q, r = divmod(n << s, d)
-        else:
-            q, r = divmod(n, d << (-s))
-        if r:
-            q |= 1
-        return BigReal(sign * q, self.exp - b.exp - s, prec)
+        q, s = _sticky_quotient(abs(self.man), abs(b.man), prec)
+        if (self.man < 0) != (b.man < 0):
+            q = -q
+        return BigReal(q, self.exp - b.exp - s, prec)
 
     def __rtruediv__(self, other):
         b = self._coerce(other)

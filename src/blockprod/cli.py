@@ -24,6 +24,7 @@ from fractions import Fraction
 from blockprod import __version__
 from blockprod.bigreal import GUARD_BITS, BigReal, default_decimal_digits
 from blockprod.identities import (
+    DEFAULT_PARAMS,
     FiniteSupportFn,
     ProductSpec,
     closed_form_base2,
@@ -34,7 +35,7 @@ from blockprod.identities import (
     rivoal_grouped_partial,
     rivoal_original_partial,
 )
-from blockprod.products import VerifyReport, enumerate_words, verify
+from blockprod.products import enumerate_words, verify
 from blockprod.words import Word, count_block
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
@@ -50,8 +51,9 @@ FORMATS = ("text", "json", "csv")
 # below the run threshold, so they share the 10^30 cap (cold verify
 # companion at 10^30 terms: 0.14 s, 0.93 s at 2048 bits; the slowest word
 # seen at 2048 bits, base 10 word 7 at N = 10^8, took 1.0 s).  enumerate
-# keeps 10^7: at 2048 bits its words take about 0.4 s each at 10^7, so 512
-# words would take over three minutes.  rivoal-forms shares the 10^30 cap:
+# keeps 10^7: at 2048 bits its words take about 0.4 s each at 10^7, so a
+# corpus at its cap of products.MAX_WORDS = 512 words would take over three
+# minutes.  rivoal-forms shares the 10^30 cap:
 # its grouping check compares O(log N) runs and its two partials are 4/pi
 # family sums.  One lemma1-fuzz trial at the default sizes costs about 0.1 ms,
 # so 10^5 trials take about 8 s.  Its support points are drawn from
@@ -66,7 +68,7 @@ FORMATS = ("text", "json", "csv")
 # there (a = 1892/61, 60/61, 1, ..., b = 32, 0, 0, 2, ...).
 MAX_PRECISION = 2048
 MAX_BLOCK_SUM_TERMS = 10**30
-MAX_PER_TERM_TERMS = 10**7
+MAX_ENUMERATE_TERMS = 10**7
 MAX_TRIALS = 10**5
 MAX_SUPPORT = 400
 MAX_WORD_LEN = 64
@@ -101,35 +103,33 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in text.split(","))
 
 
-def _emit_csv(columns, rows) -> str:
+def _cell(value) -> str:
+    """A string as it is; any other value as its compact JSON text."""
+    return value if isinstance(value, str) else json.dumps(value, separators=(",", ":"))
+
+
+def _lines(record: dict) -> list[str]:
+    return [f"{key}: {_cell(value)}" for key, value in record.items()]
+
+
+def _csv(records: list[dict]) -> str:
+    """A header of the first record's keys, then one row per record."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
+    writer.writerow(records[0])
+    writer.writerows([_cell(value) for value in record.values()] for record in records)
     return buf.getvalue().rstrip("\n")
 
 
-def _report_lines(report: VerifyReport) -> list[str]:
-    return [
-        f"spec: {report.spec_label()}",
-        f"terms_used: {report.terms_used}",
-        f"precision_bits: {report.precision_bits}",
-        f"lhs: {report.lhs_partial.to_decimal()}",
-        f"rhs: {report.rhs_closed.to_decimal()}",
-        f"abs_gap: {report.abs_gap.to_decimal()}",
-        f"rel_gap: {report.rel_gap.to_decimal()}",
-        f"tail_estimate: {report.tail_estimate.to_decimal()}",
-        f"verdict: {report.verdict}",
-    ]
-
-
-def _print_report(report: VerifyReport, fmt: str) -> None:
-    if fmt == "text":
-        print("\n".join(_report_lines(report)))
-    elif fmt == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
+def _emit(fmt: str, record: dict, text: list[str] | None = None, indent: int | None = 2) -> None:
+    """Print one command's record as JSON, as a CSV header and row, or as text:
+    the given lines, else one ``key: value`` line per field."""
+    if fmt == "json":
+        print(json.dumps(record, indent=indent))
+    elif fmt == "csv":
+        print(_csv([record]))
     else:
-        print(_emit_csv(VerifyReport.CSV_COLUMNS, [report.to_csv_row()]))
+        print("\n".join(_lines(record) if text is None else text))
 
 
 def _make_spec(args) -> ProductSpec:
@@ -141,8 +141,7 @@ def _make_spec(args) -> ProductSpec:
     if (a is None) != (b is None):
         raise ValueError("give both --a and --b or neither")
     if a is None:
-        a = (Fraction(1), Fraction(1))
-        b = (Fraction(0), Fraction(2))
+        a, b = DEFAULT_PARAMS
     for flag, params in (("--a", a), ("--b", b)):
         _check_cap(f"the number of {flag} parameters", len(params), MAX_PARAMS)
         for x in params:
@@ -160,12 +159,8 @@ def cmd_count(args) -> int:
     word = Word.parse(args.word, args.base)
     n = args.n
     c = count_block(word, n)
-    if args.format == "text":
-        print(c)
-    elif args.format == "json":
-        print(json.dumps({"base": args.base, "word": word.render(), "n": n, "count": c}))
-    else:
-        print(_emit_csv(("base", "word", "n", "count"), [[args.base, word.render(), n, c]]))
+    _emit(args.format, {"base": args.base, "word": word.render(), "n": n, "count": c},
+          [str(c)], indent=None)
     return 0
 
 
@@ -175,14 +170,10 @@ def cmd_closed_form(args) -> int:
         expr = closed_form_baseB(_make_spec(args))
     else:
         expr = closed_form_base2(word)
-    if args.format == "text":
-        print(expr.text())
-    elif args.format == "json":
-        obj = {"base": args.base, "word": word.render(), "text": expr.text()}
-        obj.update(expr.to_json_dict())
-        print(json.dumps(obj))
-    else:
-        print(_emit_csv(("base", "word", "text"), [[args.base, word.render(), expr.text()]]))
+    record = {"base": args.base, "word": word.render(), "text": expr.text()}
+    if args.format == "json":
+        record.update(expr.to_json_dict())
+    _emit(args.format, record, [expr.text()], indent=None)
     return 0
 
 
@@ -201,19 +192,18 @@ def cmd_verify(args) -> int:
     _check_cap("--terms", args.terms, MAX_BLOCK_SUM_TERMS)
     report = verify(target, N=args.terms, precision_bits=args.precision,
                     tolerance=Fraction(args.tolerance))
-    _print_report(report, args.format)
+    _emit(args.format, report.to_json_dict() if args.format == "json" else report.fields())
     return 0 if report.passed else 1
 
 
 def cmd_enumerate(args) -> int:
-    _check_cap("--terms", args.terms, MAX_PER_TERM_TERMS)
+    _check_cap("--terms", args.terms, MAX_ENUMERATE_TERMS)
     reports = enumerate_words(
         args.base,
         args.max_len,
         N=args.terms,
         precision_bits=args.precision,
         tolerance=Fraction(args.tolerance),
-        max_words=args.max_words,
     )
     if args.format == "text":
         for r in reports:
@@ -222,7 +212,7 @@ def cmd_enumerate(args) -> int:
     elif args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     else:
-        print(_emit_csv(VerifyReport.CSV_COLUMNS, [r.to_csv_row() for r in reports]))
+        print(_csv([r.fields() for r in reports]))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -262,25 +252,20 @@ def cmd_lemma1_fuzz(args) -> int:
             exact += 1
         elif counterexample is None:
             counterexample = (trial, base, word, f, residual)
-    ok = exact == args.trials
-    if args.format == "json":
-        obj = {"trials": args.trials, "exact": exact, "seed": args.seed,
-               "misrange": bool(args.misrange)}
-        if counterexample:
-            trial, base, word, f, residual = counterexample
-            obj["counterexample"] = {
-                "trial": trial, "base": base, "word": word.render(),
-                "f": {str(k): str(v) for k, v in sorted(f.entries.items())},
-                "f0": str(f.value_at_zero), "residual": str(residual),
-            }
-        print(json.dumps(obj, indent=2))
-    else:
-        print(f"{exact}/{args.trials} exact")
-        if counterexample:
-            trial, base, word, f, residual = counterexample
-            print(f"counterexample at trial {trial}: base={base} word={word.render()} "
-                  f"f0={f.value_at_zero} residual={residual}")
-    return 0 if ok else 1
+    record = {"trials": args.trials, "exact": exact, "seed": args.seed,
+              "misrange": bool(args.misrange)}
+    text = [f"{exact}/{args.trials} exact"]
+    if counterexample:
+        trial, base, word, f, residual = counterexample
+        c = record["counterexample"] = {
+            "trial": trial, "base": base, "word": word.render(),
+            "f": {str(k): str(v) for k, v in sorted(f.entries.items())},
+            "f0": str(f.value_at_zero), "residual": str(residual),
+        }
+        text.append(f"counterexample at trial {trial}: base={base} word={c['word']} "
+                    f"f0={c['f0']} residual={c['residual']}")
+    _emit(args.format, record, text)
+    return 0 if exact == args.trials else 1
 
 
 def cmd_alternating(args) -> int:
@@ -303,24 +288,15 @@ def cmd_alternating(args) -> int:
     g = gap2.to_fraction()
     while stable < digits and g < Fraction(1, 10 ** (stable + 1)):
         stable += 1
-    if args.format == "json":
-        print(json.dumps({
-            "terms": K,
-            "estimate": e2.to_decimal(),
-            f"estimate_at_{k1}": e1.to_decimal(),
-            f"estimate_at_{k0}": e0.to_decimal(),
-            "cauchy_gap_coarse": gap1.to_decimal(12),
-            "cauchy_gap_fine": gap2.to_decimal(12),
-            "stable_digits": stable,
-        }, indent=2))
-    else:
-        print(f"terms: {K}")
-        print(f"estimate: {e2.to_decimal()}")
-        print(f"estimate_at_{k1}: {e1.to_decimal()}")
-        print(f"estimate_at_{k0}: {e0.to_decimal()}")
-        print(f"cauchy_gap_coarse: {gap1.to_decimal(12)}")
-        print(f"cauchy_gap_fine: {gap2.to_decimal(12)}")
-        print(f"stable_digits: {stable}")
+    _emit(args.format, {
+        "terms": K,
+        "estimate": e2.to_decimal(),
+        f"estimate_at_{k1}": e1.to_decimal(),
+        f"estimate_at_{k0}": e0.to_decimal(),
+        "cauchy_gap_coarse": gap1.to_decimal(12),
+        "cauchy_gap_fine": gap2.to_decimal(12),
+        "stable_digits": stable,
+    })
     return 0
 
 
@@ -332,20 +308,16 @@ def cmd_rivoal_forms(args) -> int:
     exact = grouping_identity_holds(K)
     original = rivoal_original_partial(4 * K + 3, args.precision)
     grouped = rivoal_grouped_partial(K, args.precision)
-    if args.format == "json":
-        print(json.dumps({
-            "blocks": K,
-            "original_terms": 4 * K + 3,
-            "exact_match": exact,
-            "original_partial": original.to_decimal(),
-            "grouped_partial": grouped.to_decimal(),
-        }, indent=2))
-    else:
-        print(f"blocks: {K}")
-        print(f"original_terms: {4 * K + 3}")
-        print("exact match" if exact else "MISMATCH")
-        print(f"original_partial: {original.to_decimal()}")
-        print(f"grouped_partial: {grouped.to_decimal()}")
+    record = {
+        "blocks": K,
+        "original_terms": 4 * K + 3,
+        "exact_match": exact,
+        "original_partial": original.to_decimal(),
+        "grouped_partial": grouped.to_decimal(),
+    }
+    text = _lines(record)
+    text[2] = "exact match" if exact else "MISMATCH"
+    _emit(args.format, record, text)
     return 0 if exact else 1
 
 
@@ -401,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="verify every word up to a length bound")
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--max-words", type=int, default=512,
-                   help="corpus-size guard (default 512 words)")
     _add_common(p, terms=True)
     p.set_defaults(func=cmd_enumerate)
 

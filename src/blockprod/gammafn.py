@@ -10,8 +10,7 @@ the remainder for real ``z > 0``.  Larger arguments need fewer terms: with
 each series comes a table of cuts ``z_1 >= ... >= z_K = X0``, ``z_n`` the
 least power of two at which the same integer test passes with ``n`` terms,
 and an argument ``z`` keeps the fewest ``n`` with ``z >= z_n``
-(:func:`_terms_at`).  (It replaced Spouge's formula, SIAM J. Numer. Anal.
-1994, which needed ``2a + 32`` cancellation guard bits.)
+(:func:`_terms_at`).
 
 Everything is computed in exact integer fixed point (deterministic across
 platforms).  Against mpmath the log-Gamma is within one unit of ``2**-F``

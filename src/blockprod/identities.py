@@ -60,6 +60,7 @@ from blockprod.words import Word, count_block, word_value
 __all__ = [
     "rho",
     "FiniteSupportFn",
+    "DEFAULT_PARAMS",
     "ProductSpec",
     "lemma1_lhs",
     "lemma1_rhs",
@@ -225,6 +226,10 @@ def lemma1_residual_numeric(
 # --------------------------------------------------------------------------
 
 
+# The parameter vectors ``a = (1, 1)``, ``b = (0, 2)`` that yield the base-2 family.
+DEFAULT_PARAMS = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(2)))
+
+
 @dataclass(frozen=True)
 class ProductSpec:
     """One block-exponent infinite product: base, word, parameter vectors.
@@ -258,8 +263,8 @@ class ProductSpec:
 
     @classmethod
     def canonical_base2(cls, word: Word) -> "ProductSpec":
-        """The parameters ``a = (1, 1)``, ``b = (0, 2)`` that yield the base-2 family."""
-        return cls(2, word, (Fraction(1), Fraction(1)), (Fraction(0), Fraction(2)))
+        """The word's product with :data:`DEFAULT_PARAMS`, the base-2 family."""
+        return cls(2, word, *DEFAULT_PARAMS)
 
     def factor(self, n: int) -> Fraction:
         """Exact value of the n-th product term (before the block exponent)."""

@@ -40,6 +40,7 @@ from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision, pi_value
 from blockprod.fixedpoint import fx_div, fx_log
 from blockprod.gammafn import eval_gamma_expr
 from blockprod.identities import (
+    DEFAULT_PARAMS,
     ProductSpec,
     closed_form_baseB,
     companion_closed_form,
@@ -58,6 +59,7 @@ __all__ = [
     "default_corpus",
     "NAMED_FORMULAS",
     "TAIL_FACTOR",
+    "MAX_WORDS",
 ]
 
 NAMED_FORMULAS = ("rivoal_eq1", "companion_eq2")
@@ -65,6 +67,10 @@ NAMED_FORMULAS = ("rivoal_eq1", "companion_eq2")
 # verdict threshold is max(tolerance, TAIL_FACTOR * tail_estimate): a partial
 # product cannot be expected to sit closer to the limit than its own tail.
 TAIL_FACTOR = 2
+
+# enumerate_words refuses a larger corpus: the word count bounds its run time
+# and memory (at 2048 bits and N = 10^7 a word takes about 0.4 s).
+MAX_WORDS = 512
 
 
 # --------------------------------------------------------------------------
@@ -181,17 +187,15 @@ class VerifyReport:
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
 
-    def spec_label(self) -> str:
-        if isinstance(self.spec, str):
-            return self.spec
-        a = ",".join(str(x) for x in self.spec.a)
-        b = ",".join(str(x) for x in self.spec.b)
-        return f"base={self.spec.base} word={self.spec.word.render()} a={a} b={b}"
-
-    def to_json_dict(self) -> dict:
-        spec_obj = {"formula": self.spec} if isinstance(self.spec, str) else self.spec.to_json_dict()
+    def fields(self) -> dict:
+        """The report's columns in order, with the spec as its label (text and CSV output)."""
+        spec = self.spec
+        if not isinstance(spec, str):
+            a = ",".join(str(x) for x in spec.a)
+            b = ",".join(str(x) for x in spec.b)
+            spec = f"base={spec.base} word={spec.word.render()} a={a} b={b}"
         return {
-            "spec": spec_obj,
+            "spec": spec,
             "terms_used": self.terms_used,
             "precision_bits": self.precision_bits,
             "lhs": self.lhs_partial.to_decimal(),
@@ -199,35 +203,16 @@ class VerifyReport:
             "abs_gap": self.abs_gap.to_decimal(),
             "rel_gap": self.rel_gap.to_decimal(),
             "tail_estimate": self.tail_estimate.to_decimal(),
-            "tolerance": str(self.tolerance),
-            "tail_factor": self.tail_factor,
             "verdict": self.verdict,
         }
 
-    CSV_COLUMNS = (
-        "spec",
-        "terms_used",
-        "precision_bits",
-        "lhs",
-        "rhs",
-        "abs_gap",
-        "rel_gap",
-        "tail_estimate",
-        "verdict",
-    )
-
-    def to_csv_row(self) -> list[str]:
-        return [
-            self.spec_label(),
-            str(self.terms_used),
-            str(self.precision_bits),
-            self.lhs_partial.to_decimal(),
-            self.rhs_closed.to_decimal(),
-            self.abs_gap.to_decimal(),
-            self.rel_gap.to_decimal(),
-            self.tail_estimate.to_decimal(),
-            self.verdict,
-        ]
+    def to_json_dict(self) -> dict:
+        """:meth:`fields` with the spec as an object, and the verdict's threshold inputs."""
+        obj = self.fields()
+        obj["spec"] = {"formula": self.spec} if isinstance(self.spec, str) else self.spec.to_json_dict()
+        verdict = obj.pop("verdict")
+        obj.update(tolerance=str(self.tolerance), tail_factor=self.tail_factor, verdict=verdict)
+        return obj
 
 
 def _as_tolerance(tolerance) -> Fraction:
@@ -294,9 +279,6 @@ def verify(
     )
 
 
-DEFAULT_PARAMS = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(2)))
-
-
 def enumerate_words(
     base: int,
     max_len: int,
@@ -305,19 +287,18 @@ def enumerate_words(
     tolerance=Fraction(1, 1000),
     a=None,
     b=None,
-    max_words: int = 512,
 ) -> list[VerifyReport]:
     """One verification report per nonempty word of length <= ``max_len``.
 
     Words are processed in lexicographic order of their rendered form.  The
     parameter vectors default to ``a = (1, 1)``, ``b = (0, 2)``.  The corpus
-    is capped: ``max_len`` at 8, and the word count at ``max_words``.
+    is capped: ``max_len`` at 8, and the word count at :data:`MAX_WORDS`.
     """
     if not 1 <= max_len <= 8:
         raise ValueError("max_len must be between 1 and 8")
     count = sum(base**ell for ell in range(1, max_len + 1))
-    if count > max_words:
-        raise ValueError(f"corpus of {count} words exceeds the maximum of {max_words}")
+    if count > MAX_WORDS:
+        raise ValueError(f"corpus of {count} words exceeds the maximum of {MAX_WORDS}")
     a = DEFAULT_PARAMS[0] if a is None else tuple(Fraction(x) for x in a)
     b = DEFAULT_PARAMS[1] if b is None else tuple(Fraction(x) for x in b)
     return [

@@ -124,9 +124,6 @@ class Word:
     def is_empty(self) -> bool:
         return not self.digits
 
-    def value(self) -> int:
-        return word_value(self)
-
     @cached_property
     def _counter(self) -> tuple:
         """The constants of :func:`count_block` for this word, built on first use.
@@ -306,6 +303,8 @@ def all_words(base: int, max_len: int) -> list[Word]:
     Ordering is plain string lexicographic on the rendered form, so e.g.
     ``0 < 00 < 01 < 1 < 10`` for base 2.
     """
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     words = []

@@ -239,6 +239,17 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--base", "10", "--max-len", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("base", ["1", "0", "-2"])
+    def test_base_below_two_exit_2(self, capsys, base):
+        """An empty corpus is refused, not reported as a pass of no words."""
+        code, out, err = run(capsys, "enumerate", "--base", base, "--max-len", "3")
+        assert code == 2 and out == "" and "base must be >= 2" in err
+
+    def test_corpus_cap_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--base", "2", "--max-len", "1", "--max-words", "9"])
+        assert exc.value.code == 2
+
 
 class TestAlternating:
     def test_cauchy_report(self, capsys):
@@ -296,6 +307,27 @@ class TestOutputDigests:
          "f16a7b6fd276f5cf37753675554b962856289642b9882461af26591f8442365f"),
         ("lemma1-fuzz --trials 200 --seed 5 --misrange --format json",
          "b3c2539034072da1ccb723bd810ed46ead1d3fa5e31e799c1bef0b1bcc7dfcd3"),
+        # text, compact JSON and CSV of each command's output path
+        ("alternating",
+         "e5d15a8e7e7397799675377576c77f573399b21088210b969450c1d153b8f8ab"),
+        ("alternating --format json",
+         "f2f035d5992055b11a92c52f17d3052f295eeb66d83d4df7bcedd1b4af3af565"),
+        ("count --base 3 --word 012 12345678901234567890 --format json",
+         "e2220f9a7cfac704b99daaec0909d9b6e2874267bc69d8230dbc82b25e55f829"),
+        ("count --base 3 --word 012 12345678901234567890 --format csv",
+         "ff45a3fc59f49b1c672c7e3e9f03c3b0fcabecd12f4734893a3a1274a34561cc"),
+        ("closed-form --base 2 --word 101",
+         "e235522a41ce70055ecbe2339b66f60f0684452290143095e4e6aef0967a73a3"),
+        ("closed-form --base 2 --word 101 --format csv",
+         "97e10edf63f8a4920f07d4062f3b685b3897dfad75e55f998c84e910ff739dc7"),
+        ("verify rivoal --terms 1000 --format csv",
+         "f07c185b801742116a8df809eb70a70641bf36154bfeaac2c367349741850143"),
+        ("enumerate --base 2 --max-len 2 --terms 1000",
+         "7dc6cb11ee3bf2780fd7af0ce51d2a8ba2c1fca4940fd38b489c040e4e1a3bee"),
+        ("enumerate --base 2 --max-len 2 --terms 1000 --format json",
+         "61319f4ff804e20bd2afb782f8f70c5ec9ca72f64399a95e2f4e574e81f27c8f"),
+        ("lemma1-fuzz --trials 50 --seed 3",
+         "e21fe4dc23bda7bd587c610b5244123e0bb0b1df1ab6bda606871737709e55f9"),
     ]
     # the mis-ranged controls are verified failures
     EXIT_CODES = {"lemma1-fuzz --trials 200 --seed 5 --misrange --format json": 1}
@@ -306,6 +338,56 @@ class TestOutputDigests:
         code, out, _ = run(capsys, *argv.split())
         assert code == self.EXIT_CODES.get(argv, 0)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def json_text(value) -> str:
+    """A CSV cell's expected text: a string as it is, any other value as compact JSON."""
+    return value if isinstance(value, str) else json.dumps(value, separators=(",", ":"))
+
+
+class TestCsvMatchesJson:
+    """``--format csv`` holds the same fields as ``--format json``."""
+
+    @pytest.mark.parametrize("argv", [
+        "alternating --terms 1000",
+        "rivoal-forms --blocks 50",
+        "lemma1-fuzz --trials 50 --seed 3",
+        "lemma1-fuzz --trials 40 --seed 1 --misrange",
+        "count --base 3 --word 012 12345678901234567890",
+    ])
+    def test_header_is_the_json_keys(self, capsys, argv):
+        """One header of the JSON keys and one row of their values' text."""
+        code, out, _ = run(capsys, *argv.split(), "--format", "json")
+        obj = json.loads(out)
+        code_csv, out, _ = run(capsys, *argv.split(), "--format", "csv")
+        assert code_csv == code
+        header, row = csv.reader(io.StringIO(out))
+        assert header == list(obj)
+        assert row == [json_text(v) for v in obj.values()]
+        if "counterexample" in obj:
+            assert json.loads(row[-1]) == obj["counterexample"]
+
+    @pytest.mark.parametrize("argv", [
+        "verify rivoal --terms 500",
+        "verify --base 3 --word 12 --a 1/2,3/2 --b 1/3,5/3 --terms 500",
+        "enumerate --base 2 --max-len 2 --terms 500",
+    ])
+    def test_report_columns(self, capsys, argv):
+        """A report's CSV keeps its nine columns: the JSON keys but ``tolerance`` and
+        ``tail_factor``, with the spec as its label."""
+        code, out, _ = run(capsys, *argv.split(), "--format", "json")
+        objs = json.loads(out)
+        objs = objs if isinstance(objs, list) else [objs]
+        code_csv, out, _ = run(capsys, *argv.split(), "--format", "csv")
+        assert code_csv == code
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == [k for k in objs[0] if k not in ("tolerance", "tail_factor")]
+        assert len(rows) == len(objs)
+        for obj, row in zip(objs, rows):
+            spec = obj["spec"]
+            label = spec.get("formula") or (
+                f"base={spec['base']} word={spec['word']} a={','.join(spec['a'])} b={','.join(spec['b'])}")
+            assert row == [label if k == "spec" else json_text(obj[k]) for k in header]
 
 
 class TestDeterminismAndConfig:
@@ -370,7 +452,7 @@ class TestInputCaps:
     )
     def test_per_term_terms_cap(self, capsys, argv):
         """Word specs and the companion share the block-sum cap; ``enumerate`` keeps its own."""
-        cap = cli.MAX_PER_TERM_TERMS if argv[0] == "enumerate" else cli.MAX_BLOCK_SUM_TERMS
+        cap = cli.MAX_ENUMERATE_TERMS if argv[0] == "enumerate" else cli.MAX_BLOCK_SUM_TERMS
         code, _, err = run(capsys, *argv, "--terms", str(cap + 1))
         assert code == 2 and "--terms must be at most" in err
 

@@ -1,4 +1,4 @@
-"""Fixed-point primitive accuracy and exact splitting of the per-term kernels."""
+"""Fixed-point primitive accuracy, and exact range splitting of the per-term test oracles."""
 
 import random
 from fractions import Fraction

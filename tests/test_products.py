@@ -32,7 +32,6 @@ from blockprod.identities import (
     logsum_word,
 )
 from blockprod.products import (
-    VerifyReport,
     default_corpus,
     enumerate_words,
     eval_lhs_partial,
@@ -506,7 +505,7 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_words(2, 9)
         with pytest.raises(ValueError):
-            enumerate_words(10, 3, max_words=100)
+            enumerate_words(10, 3)  # 1110 words
 
     def test_default_corpus_shape(self):
         corpus = default_corpus()
@@ -529,10 +528,16 @@ class TestVerifyReport:
 
     def test_csv_row(self):
         report = verify("rivoal_eq1", N=10**3, precision_bits=128)
-        row = report.to_csv_row()
-        assert len(row) == len(VerifyReport.CSV_COLUMNS)
-        assert row[0] == "rivoal_eq1"
-        assert row[-1] in ("pass", "fail")
+        row = report.fields()
+        assert list(row) == [
+            "spec", "terms_used", "precision_bits", "lhs", "rhs",
+            "abs_gap", "rel_gap", "tail_estimate", "verdict",
+        ]
+        assert row["spec"] == "rivoal_eq1"
+        assert row["verdict"] in ("pass", "fail")
+        obj = report.to_json_dict()
+        assert [k for k in obj if k in row] == list(row)
+        assert all(obj[k] == row[k] for k in row if k != "spec")
 
     def test_all_fields_same_precision(self):
         report = verify("rivoal_eq1", N=10**3, precision_bits=192)

@@ -381,3 +381,9 @@ class TestAllWords:
         words = [w.render() for w in all_words(3, 2)]
         assert words == sorted(words)
         assert len(words) == 3 + 9
+
+    @pytest.mark.parametrize("base", [1, 0, -2, -3])
+    def test_base_below_two_raises(self, base):
+        """An empty corpus would read as a verified pass to ``enumerate``."""
+        with pytest.raises(ValueError, match="base must be >= 2"):
+            all_words(base, 3)
