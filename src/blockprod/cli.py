@@ -36,7 +36,7 @@ from blockprod.identities import (
     rivoal_original_partial,
 )
 from blockprod.products import enumerate_words, verify
-from blockprod.words import Word, count_block
+from blockprod.words import _MAX_RENDER_BASE, Word, count_block
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 DEFAULT_TERMS = 10**5
@@ -51,9 +51,14 @@ FORMATS = ("text", "json", "csv")
 # below the run threshold, so they share the 10^30 cap (cold verify
 # companion at 10^30 terms: 0.14 s, 0.93 s at 2048 bits; the slowest word
 # seen at 2048 bits, base 10 word 7 at N = 10^8, took 1.0 s).  enumerate
-# keeps 10^7: at 2048 bits its words take about 0.4 s each at 10^7, so a
-# corpus at its cap of products.MAX_WORDS = 512 words would take over three
-# minutes.  rivoal-forms shares the 10^30 cap:
+# shares it too: its words share their series edges, run ends and tail
+# bound (products.enumerate_words), so at 2048 bits a word of a full corpus
+# costs 0.06-0.12 s at any N.  Cold, the corpora at its cap of
+# products.MAX_WORDS = 512 words (base 2 to length 8, base 22 to length 2,
+# base 7 to length 3) took 30-62 s at 10^7 and at 10^30 in at most 107 MiB,
+# the shared values peaking at about 200,000 integers; base 2 to length 8
+# took 118 s at 10^7 with each word summed alone.  rivoal-forms shares the
+# 10^30 cap:
 # its grouping check compares O(log N) runs and its two partials are 4/pi
 # family sums.  One lemma1-fuzz trial at the default sizes costs about 0.1 ms,
 # so 10^5 trials take about 8 s.  Its support points are drawn from
@@ -68,7 +73,6 @@ FORMATS = ("text", "json", "csv")
 # there (a = 1892/61, 60/61, 1, ..., b = 32, 0, 0, 2, ...).
 MAX_PRECISION = 2048
 MAX_BLOCK_SUM_TERMS = 10**30
-MAX_ENUMERATE_TERMS = 10**7
 MAX_TRIALS = 10**5
 MAX_SUPPORT = 400
 MAX_WORD_LEN = 64
@@ -197,7 +201,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    _check_cap("--terms", args.terms, MAX_ENUMERATE_TERMS)
+    _check_cap("--terms", args.terms, MAX_BLOCK_SUM_TERMS)
     reports = enumerate_words(
         args.base,
         args.max_len,
@@ -258,7 +262,9 @@ def cmd_lemma1_fuzz(args) -> int:
     if counterexample:
         trial, base, word, f, residual = counterexample
         c = record["counterexample"] = {
-            "trial": trial, "base": base, "word": word.render(),
+            # a base above 36 has no digit characters: its word is its digit list
+            "trial": trial, "base": base,
+            "word": word.render() if base <= _MAX_RENDER_BASE else list(word.digits),
             "f": {str(k): str(v) for k, v in sorted(f.entries.items())},
             "f0": str(f.value_at_zero), "residual": str(residual),
         }

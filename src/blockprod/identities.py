@@ -640,9 +640,27 @@ def logsum_word(spec: ProductSpec, N: int, F: int) -> int:
     ``S(hi) - S(lo - 1)`` is the log-sum of any range ``[lo, hi]`` and
     ranges taken that way add up exactly.
     """
+    return _logsum_word(spec, N, F, {})
+
+
+# Values that the word sums of one corpus share.  Words of one base and
+# parameter vectors sum one series (A, T, DB), at nearby N at one scale Fs,
+# over blocks that tile the same levels, so neighbouring words meet at the
+# same series edges and run ends.  ``shared`` maps the kind of a value and
+# all it depends on but its own argument to a table of such values:
+#
+#   ("edges", A, T, DB, Fs)                   (Q, m) -> the series edge G(Q, m)
+#   ("integral", A, T, DB, Fs)                y -> I(y) at a run end (_run_sum)
+#   ("corrections", A, T, DB, Fs, P, counts)  y -> EM(y) at a run end
+#
+# Each entry is the integer the word would compute alone, so a sum that
+# draws on the tables is bit for bit the sum made without them.
+
+
+def _logsum_word(spec: ProductSpec, N: int, F: int, shared: dict) -> int:
+    """:func:`logsum_word`, its series edges and run ends read from and added to the tables of ``shared``."""
     if N < 1:
         return 0
-    B = spec.base
     g, pieces = _word_plan(spec, N, F)
     E = F + g
     Fs = E - _SERIES_GUARD  # the series' nominal scale: their Horner sums land at E
@@ -650,19 +668,19 @@ def logsum_word(spec: ProductSpec, N: int, F: int) -> int:
     d = len(A)
     chunk_bits = 8 * E
     limits: dict[int, int] = {}
-    memo: dict[tuple[int, int], int] = {}
+    edges = shared.setdefault(("edges", A, T, DB, Fs), {})
 
     def G(Q: int, m: int) -> int:
-        v = memo.get((Q, m))
+        v = edges.get((Q, m))
         if v is None:
-            v = memo[Q, m] = _balanced_series(A, T, DB * Q, DB * m, Fs)
+            v = edges[Q, m] = _balanced_series(A, T, DB * Q, DB * m, Fs)
         return v
 
     total = 0
     num = den = 1  # the low products since the last chunk log
     for sign, Q, first, end, h in pieces:
         if h > 1:
-            total += sign * _run_sum(A, T, DB, Fs, Q, first, end, h, G)
+            total += sign * _run_sum(A, T, DB, Fs, Q, first, end, h, G, shared)
             continue
         lim = limits.get(Q)
         if lim is None:
@@ -693,7 +711,7 @@ def logsum_word(spec: ProductSpec, N: int, F: int) -> int:
     return rshift_round(total, g)
 
 
-def _run_sum(A, T, DB: int, Fs: int, P: int, ya: int, yc: int, h: int, G) -> int:
+def _run_sum(A, T, DB: int, Fs: int, P: int, ya: int, yc: int, h: int, G, shared: dict) -> int:
     """``sum_s G_1(y_s + h) - G_1(y_s)`` over ``y_s = ya, ya + P, ... < yc``, at scale ``E = Fs + 16``.
 
     Euler-Maclaurin over ``s`` gives ``Omega(yd) - Omega(yb) - Omega(yc) +
@@ -709,7 +727,9 @@ def _run_sum(A, T, DB: int, Fs: int, P: int, ya: int, yc: int, h: int, G) -> int
     within 2 each and one floor for their half, and at each end the
     corrections within one floor (``P/y^2`` scales down every error of
     their Horner sums) plus what they drop: below ``2**-3`` units per row
-    and end, and a remainder below twice the last row's.
+    and end, and a remainder below twice the last row's.  The per-end terms
+    ``I(y)`` and ``EM(y)`` are read from and added to the tables of
+    ``shared`` (see :func:`_logsum_word`).
     """
     E = Fs + _SERIES_GUARD
     X0, coeffs, cuts = _series(A, T, DB, Fs)
@@ -719,22 +739,30 @@ def _run_sum(A, T, DB: int, Fs: int, P: int, ya: int, yc: int, h: int, G) -> int
     em_rows = [rows.row(p, n)[:n] for p, n in enumerate(counts, 1)]
     P2 = P * P
     yb, yd = ya + h, yc + h
+    integrals = shared.setdefault(("integral", A, T, DB, Fs), {})
+    corrected = shared.setdefault(("corrections", A, T, DB, Fs, P, counts), {})
 
     def integral_part(y: int) -> int:
-        s = 0
-        for c in reversed(integral[: _terms_at(cuts, y) - 1]):
-            s = c + s // y
-        return s // y
+        s = integrals.get(y)
+        if s is None:
+            s = 0
+            for c in reversed(integral[: _terms_at(cuts, y) - 1]):
+                s = c + s // y
+            s = integrals[y] = s // y
+        return s
 
     def corrections(y: int) -> int:
-        y2 = y * y
-        acc = 0
-        for row in reversed(em_rows):
-            s = 0
-            for c in reversed(row):
-                s = c + s // y
-            acc = s + acc * P2 // y2
-        return acc * P // y2
+        acc = corrected.get(y)
+        if acc is None:
+            y2 = y * y
+            acc = 0
+            for row in reversed(em_rows):
+                s = 0
+                for c in reversed(row):
+                    s = c + s // y
+                acc = s + acc * P2 // y2
+            acc = corrected[y] = acc * P // y2
+        return acc
 
     ends = ((yd, 1), (yb, -1), (yc, -1), (ya, 1))
     log_part = coeffs[0] * _log_ratio(yd * ya, yb * yc, E) // (P << E)

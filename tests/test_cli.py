@@ -214,6 +214,27 @@ class TestLemma1Fuzz:
         assert code == 0
         assert out == "20/20 exact\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_huge_base_counterexample(self, capsys, fmt):
+        """A verified failure in a base above 36, which has no digit characters, exits 1
+        and prints its word as the digit list."""
+        code, out, err = run(capsys, "lemma1-fuzz", "--bases", "1000000000", "--trials", "20",
+                             "--misrange", "--format", fmt)
+        assert code == 1 and err == ""
+        if fmt == "text":
+            assert out.splitlines() == [
+                "14/20 exact",
+                "counterexample at trial 7: base=1000000000 word=[0, 0, 0, 0, 0] f0=7 residual=-7",
+            ]
+            return
+        if fmt == "json":
+            record = json.loads(out)
+        else:
+            (record,) = csv.DictReader(io.StringIO(out))
+            record["counterexample"] = json.loads(record["counterexample"])
+        assert record["counterexample"]["base"] == 1000000000
+        assert record["counterexample"]["word"] == [0, 0, 0, 0, 0]
+
 
 class TestEnumerate:
     def test_csv_fourteen_rows(self, capsys):
@@ -244,6 +265,13 @@ class TestEnumerate:
         """An empty corpus is refused, not reported as a pass of no words."""
         code, out, err = run(capsys, "enumerate", "--base", base, "--max-len", "3")
         assert code == 2 and out == "" and "base must be >= 2" in err
+
+    def test_terms_at_the_shared_cap(self, capsys):
+        """``enumerate`` runs at ``N = 10^30``, the cap it shares with word products."""
+        code, out, _ = run(capsys, "enumerate", "--base", "2", "--max-len", "1",
+                           "--terms", str(cli.MAX_BLOCK_SUM_TERMS), "--format", "csv")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and [r["terms_used"] for r in rows] == [str(10**30)] * 2
 
     def test_corpus_cap_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -451,9 +479,8 @@ class TestInputCaps:
         ],
     )
     def test_per_term_terms_cap(self, capsys, argv):
-        """Word specs and the companion share the block-sum cap; ``enumerate`` keeps its own."""
-        cap = cli.MAX_ENUMERATE_TERMS if argv[0] == "enumerate" else cli.MAX_BLOCK_SUM_TERMS
-        code, _, err = run(capsys, *argv, "--terms", str(cap + 1))
+        """Word specs, the companion and ``enumerate`` share the block-sum cap."""
+        code, _, err = run(capsys, *argv, "--terms", str(cli.MAX_BLOCK_SUM_TERMS + 1))
         assert code == 2 and "--terms must be at most" in err
 
     @pytest.mark.parametrize("argv", [("verify", "companion"), ("verify", "--base", "2", "--word", "101")])

@@ -1,6 +1,7 @@
 """Truncated evaluation, tail bounds, verification reports, and the word sweep."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import helpers
@@ -8,7 +9,7 @@ import mpmath
 import pytest
 from helpers import to_mpf
 
-from blockprod import identities
+from blockprod import identities, products
 from blockprod.bigreal import GUARD_BITS
 from blockprod.fixedpoint import rshift_round
 from blockprod.gammafn import (
@@ -38,7 +39,7 @@ from blockprod.products import (
     tail_estimate,
     verify,
 )
-from blockprod.words import Word, block_counts, count_block, to_digits
+from blockprod.words import Word, all_words, block_counts, count_block, to_digits
 
 
 def mp_product(spec: ProductSpec, N: int):
@@ -389,12 +390,30 @@ class TestWordRuns:
             need = max(far * QL << lx, -(-max(X0, 1 << ly) // h))
             ya = (need + (v - need) % QL) * h
             yc = ya + 40 * P
-            got = _run_sum(A, T, DB, Fs, P, ya, yc, h, lambda Q, m: _balanced_series(A, T, DB * Q, DB * m, Fs))
+            got = _run_sum(A, T, DB, Fs, P, ya, yc, h, lambda Q, m: _balanced_series(A, T, DB * Q, DB * m, Fs), {})
             deep = sum(_balanced_series(A, T, DB, DB * (y + h), Fs + X) - _balanced_series(A, T, DB, DB * y, Fs + X)
                        for y in range(ya, yc, P))
             m = len(_run_counts(Fs, X0, len(A), 0, ya.bit_length() - 1, (ya // P).bit_length() - 1))
             bound = 16 + m + 2 * abs(coeffs[0]) // (P << E) + 1
             assert abs((got << X) - deep) <= bound << X, (j, far)
+
+    def test_run_ends_keyed_by_modulus_and_rows(self):
+        """Runs summed through one set of shared tables each equal the run summed alone when
+        they meet at the same ends with another modulus ``P`` or another least point, so other
+        kept rows: a run end's corrections are keyed by ``P`` and the rows as well as ``y``."""
+        A, T, DB = _series_shifts(make_spec(2, "1"))
+        Fs = self.F + 16 - _SERIES_GUARD
+        lx = _run_bounds(Fs, _series(A, T, DB, Fs)[0], len(A))[0]
+
+        def G(Q, m):
+            return _balanced_series(A, T, DB * Q, DB * m, Fs)
+
+        yc, h, shared = 1 << 40, 2, {}
+        runs = [(P, yc - n * P) for P, n in ((4, 40), (8, 20), (8, 40), (4, (yc >> 2) - (1 << lx)))]
+        for P, ya in runs:
+            alone = _run_sum(A, T, DB, Fs, P, ya, yc, h, G, {})
+            assert _run_sum(A, T, DB, Fs, P, ya, yc, h, G, shared) == alone, (P, ya)
+        assert len({key for key in shared if key[0] == "corrections"}) == 3
 
     @pytest.mark.parametrize("base,text", [(2, "1"), (10, "7")])
     def test_range_splits_at_run_cuts(self, base, text):
@@ -463,14 +482,14 @@ class TestWordRuns:
             finally:
                 seen["inner"] = was
 
-        def run_sum(A_, T_, DB_, Fs, P, ya, yc, h, G):
+        def run_sum(A_, T_, DB_, Fs, P, ya, yc, h, G, shared):
             big = _largest_shift(A_, T_, DB_)
             counts = _run_counts(Fs, _series(A_, T_, DB_, Fs)[0], len(A_), big, ya.bit_length() - 1,
                                  (ya // P).bit_length() - 1)
             seen["values"] += 16 + len(counts) + len(A_) * (1 + big**2)
             seen["inner"] = True
             try:
-                return run_sum_plain(A_, T_, DB_, Fs, P, ya, yc, h, G)
+                return run_sum_plain(A_, T_, DB_, Fs, P, ya, yc, h, G, shared)
             finally:
                 seen["inner"] = False
 
@@ -481,6 +500,12 @@ class TestWordRuns:
         logsum_word(spec, N, self.F)
         counted = _plan_values(*_series_shifts(spec), pieces, self.F + g)
         assert seen["values"] <= counted and 4 * counted <= 1 << g
+
+
+def exact_report(r):
+    """A report's numbers bit for bit, its verdict and its spec."""
+    fields = (r.lhs_partial, r.rhs_closed, r.abs_gap, r.rel_gap, r.tail_estimate)
+    return [(x.man, x.exp, x.prec) for x in fields] + [r.passed, r.spec]
 
 
 class TestEnumerate:
@@ -506,6 +531,55 @@ class TestEnumerate:
             enumerate_words(2, 9)
         with pytest.raises(ValueError):
             enumerate_words(10, 3)  # 1110 words
+
+    @pytest.mark.parametrize("base,max_len,N,prec,a,b", [
+        (2, 3, 10**4, 128, None, None),
+        (2, 3, 10**7, 1024, None, None),
+        (3, 2, 10**6, 1024, None, None),
+        (3, 2, 10**5, 128, ("1/2", "3/2"), ("1/3", "5/3")),
+    ])
+    def test_reports_equal_per_word_verify(self, base, max_len, N, prec, a, b):
+        """A corpus computes its shared series edges, run ends and tail bound once, and each
+        report is still exactly the one ``verify`` gives for its word alone: lhs, rhs, gaps,
+        tail and verdict, bit for bit.  Every corpus here sums Euler-Maclaurin runs."""
+        reports = enumerate_words(base, max_len, N=N, precision_bits=prec, a=a, b=b)
+        assert len(reports) == sum(base**ell for ell in range(1, max_len + 1))
+        for r in reports:
+            assert exact_report(r) == exact_report(verify(r.spec, N, prec)), r.spec.word
+
+    def test_corpus_evaluates_each_edge_once(self, monkeypatch):
+        """On the base-2 corpus of words up to length 3 at ``N = 10^4`` and 128 bits, the 14
+        words summed one by one evaluate 2143 series edges, 591 of them distinct;
+        ``enumerate_words`` evaluates each of the 591 once."""
+        calls = Counter()
+        plain = identities._balanced_series
+
+        def counting(*args):
+            calls[args] += 1
+            return plain(*args)
+
+        monkeypatch.setattr(identities, "_balanced_series", counting)
+        for w in all_words(2, 3):
+            logsum_word(ProductSpec.canonical_base2(w), 10**4, 128 + GUARD_BITS)
+        assert (sum(calls.values()), len(calls)) == (2143, 591)
+        alone = set(calls)
+        calls.clear()
+        enumerate_words(2, 3, N=10**4, precision_bits=128)
+        assert set(calls) == alone and sum(calls.values()) == 591
+
+    def test_shared_tables_key_all_they_depend_on(self):
+        """Reports made through one set of shared tables across bases, parameters, words,
+        ``N`` and precisions each equal ``verify``'s alone: a table's key holds all that its
+        values depend on (shape, scale, modulus and rows), so no value leaks between them."""
+        shared = {}
+        cases = [(make_spec(base, text, *params), N, prec)
+                 for prec in (128, 192)
+                 for N in (10**4, 10**4 + 5, 10**6)
+                 for params in ((), (("3", "0"), ("1", "2")), (("1/2", "3/2"), ("1/3", "5/3")))
+                 for base, text in ((2, "1"), (2, "01"), (2, "101"), (3, "2"), (3, "12"))]
+        for spec, N, prec in cases:
+            got = products._verify(spec, N, prec, Fraction(1, 1000), shared)
+            assert exact_report(got) == exact_report(verify(spec, N, prec)), (spec, N, prec)
 
     def test_default_corpus_shape(self):
         corpus = default_corpus()
