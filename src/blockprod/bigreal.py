@@ -104,6 +104,10 @@ class BigReal:
     def __setattr__(self, name, value):
         raise AttributeError("BigReal instances are immutable")
 
+    def __reduce__(self):
+        # the stored mantissa already has its precision, so rebuilding rounds nothing
+        return BigReal, (self.man, self.exp, self.prec)
+
     # ---- constructors ----
 
     @classmethod

@@ -13,7 +13,6 @@ overrides the default precision (an explicit ``--precision`` still wins).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -118,6 +117,8 @@ def _lines(record: dict) -> list[str]:
 
 def _csv(records: list[dict]) -> str:
     """A header of the first record's keys, then one row per record."""
+    import csv  # only --format csv needs it; keeps it off every CLI start
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(records[0])
@@ -201,6 +202,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    # every output format prints the words as digit strings
+    _check_cap("--base", args.base, _MAX_RENDER_BASE)
     _check_cap("--terms", args.terms, MAX_BLOCK_SUM_TERMS)
     reports = enumerate_words(
         args.base,

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -52,6 +51,7 @@ from typing import Iterator
 
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision
 from blockprod.fixedpoint import fx_log, fx_sin, pi_fixed, rshift_round
+from blockprod.words import _Record
 
 __all__ = [
     "PoleError",
@@ -665,14 +665,14 @@ def _normalize_args(args) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class GammaExpr:
+class GammaExpr(_Record):
     """``prefactor * prod Gamma(num_i) / prod Gamma(den_j)`` with rational args.
 
     Arguments are kept as sorted multisets with common numerator/denominator
     occurrences cancelled, so structurally equal values compare equal.
     """
 
+    _fields = ("prefactor", "num", "den")
     prefactor: Fraction
     num: tuple[Fraction, ...]
     den: tuple[Fraction, ...]
@@ -685,9 +685,7 @@ class GammaExpr:
             if arg in dens:
                 nums.remove(arg)
                 dens.remove(arg)
-        object.__setattr__(self, "prefactor", Fraction(prefactor))
-        object.__setattr__(self, "num", tuple(sorted(nums)))
-        object.__setattr__(self, "den", tuple(sorted(dens)))
+        vars(self).update(prefactor=Fraction(prefactor), num=tuple(sorted(nums)), den=tuple(sorted(dens)))
 
     @staticmethod
     def _render_side(args: tuple[Fraction, ...]) -> str:

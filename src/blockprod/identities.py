@@ -30,7 +30,6 @@ for ``k >= 1``), never from floating logarithms, so powers of two are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
 from typing import Callable, Iterator, Mapping
@@ -55,7 +54,7 @@ from blockprod.gammafn import (
     _series_threshold,
     _terms_at,
 )
-from blockprod.words import Word, count_block, word_value
+from blockprod.words import Word, _Record, count_block, word_value
 
 __all__ = [
     "rho",
@@ -99,8 +98,7 @@ def rho(k: int) -> int:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteSupportFn:
+class FiniteSupportFn(_Record):
     """A rational-valued function on the nonnegative integers, zero a.e.
 
     ``entries`` maps positive integers to nonzero rational values; the value
@@ -109,19 +107,17 @@ class FiniteSupportFn:
     what makes the range split observable).
     """
 
-    entries: Mapping[int, Fraction]
-    value_at_zero: Fraction = field(default=Fraction(0))
+    _fields = ("entries", "value_at_zero")
 
-    def __post_init__(self):
+    def __init__(self, entries: Mapping[int, Fraction], value_at_zero: Fraction = Fraction(0)) -> None:
         clean = {}
-        for k, v in dict(self.entries).items():
+        for k, v in dict(entries).items():
             if not isinstance(k, int) or k < 1:
                 raise ValueError(f"support keys must be integers >= 1, got {k!r}")
             fv = Fraction(v)
             if fv:
                 clean[k] = fv
-        object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "value_at_zero", Fraction(self.value_at_zero))
+        vars(self).update(entries=clean, value_at_zero=Fraction(value_at_zero))
 
     def __call__(self, n: int) -> Fraction:
         if n == 0:
@@ -230,36 +226,31 @@ def lemma1_residual_numeric(
 DEFAULT_PARAMS = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(2)))
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(_Record):
     """One block-exponent infinite product: base, word, parameter vectors.
 
     The parameter sums must balance exactly (rational check); that is the
     hypothesis making the product converge and collapse to a Gamma ratio.
     """
 
-    base: int
-    word: Word
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
+    _fields = ("base", "word", "a", "b")
 
-    def __post_init__(self):
-        if self.base < 2:
+    def __init__(self, base: int, word: Word, a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> None:
+        if base < 2:
             raise ValueError("base must be >= 2")
-        if self.word.is_empty:
+        if word.is_empty:
             raise ValueError("word must be nonempty")
-        if self.word.base != self.base:
-            raise ValueError(f"word base {self.word.base} != spec base {self.base}")
-        a = tuple(Fraction(x) for x in self.a)
-        b = tuple(Fraction(x) for x in self.b)
+        if word.base != base:
+            raise ValueError(f"word base {word.base} != spec base {base}")
+        a = tuple(Fraction(x) for x in a)
+        b = tuple(Fraction(x) for x in b)
         if len(a) != len(b) or not a:
             raise ValueError("parameter vectors must have equal nonzero length")
         if any(x < 0 for x in a + b):
             raise ValueError("parameters must be nonnegative rationals")
         if sum(a) != sum(b):
             raise BalanceError(f"sum(a) = {sum(a)} != sum(b) = {sum(b)}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        vars(self).update(base=base, word=word, a=a, b=b)
 
     @classmethod
     def canonical_base2(cls, word: Word) -> "ProductSpec":
@@ -558,10 +549,18 @@ def word_edge_plan(
             for t in range(a // Bj + (v - a // Bj) % QL, hi // Bj + 1, QL):
                 yield -1, 1, max(a, t * Bj), min(hi, t * Bj + Bj - 1) + 1, 1
         else:
-            for r in range(head, head + Bj):
-                m0 = a + (r - a) % Q
-                if m0 <= hi:
-                    yield -1, Q, m0, hi - (hi - r) % Q + Q, 1
+            # the class residues r in [head, head + Bj) of the m in [a, hi]: all
+            # of them, or when [a, hi] is shorter than Q the at most two runs
+            # of residues it covers, in increasing order
+            if hi - a + 1 >= Q:
+                spans = ((0, Q),)
+            elif a % Q <= hi % Q:
+                spans = ((a % Q, hi % Q + 1),)
+            else:
+                spans = ((0, hi % Q + 1), (a % Q, Q))
+            for r0, r1 in spans:
+                for r in range(max(r0, head), min(r1, head + Bj)):
+                    yield -1, Q, a + (r - a) % Q, hi - (hi - r) % Q + Q, 1
         Bj *= B
 
 

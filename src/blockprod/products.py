@@ -33,7 +33,6 @@ and ``1/ln B``, are rounded *upward* with explicit slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision, pi_value
@@ -49,7 +48,7 @@ from blockprod.identities import (
     logsum_rivoal_grouped,
     logsum_word,
 )
-from blockprod.words import Word, all_words
+from blockprod.words import Word, _Record, all_words
 
 __all__ = [
     "VerifyReport",
@@ -169,21 +168,31 @@ def _tail_fraction_bitlen_form(N: int) -> Fraction:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(_Record):
     """Outcome of comparing a truncated product against its closed form."""
 
-    spec: ProductSpec | str
-    terms_used: int
-    precision_bits: int
-    lhs_partial: BigReal
-    rhs_closed: BigReal
-    abs_gap: BigReal
-    rel_gap: BigReal
-    tail_estimate: BigReal
-    tolerance: Fraction
-    tail_factor: int
-    passed: bool
+    _fields = ("spec", "terms_used", "precision_bits", "lhs_partial", "rhs_closed", "abs_gap",
+               "rel_gap", "tail_estimate", "tolerance", "tail_factor", "passed")
+
+    def __init__(
+        self,
+        spec: ProductSpec | str,
+        terms_used: int,
+        precision_bits: int,
+        lhs_partial: BigReal,
+        rhs_closed: BigReal,
+        abs_gap: BigReal,
+        rel_gap: BigReal,
+        tail_estimate: BigReal,
+        tolerance: Fraction,
+        tail_factor: int,
+        passed: bool,
+    ) -> None:
+        vars(self).update(
+            spec=spec, terms_used=terms_used, precision_bits=precision_bits,
+            lhs_partial=lhs_partial, rhs_closed=rhs_closed, abs_gap=abs_gap, rel_gap=rel_gap,
+            tail_estimate=tail_estimate, tolerance=tolerance, tail_factor=tail_factor, passed=passed,
+        )
 
     @property
     def verdict(self) -> str:

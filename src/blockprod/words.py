@@ -62,7 +62,6 @@ of ``n`` it is not all zeros.  Hence:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 __all__ = [
@@ -79,21 +78,55 @@ _CHAR_VALUES = {c: i for i, c in enumerate(_DIGIT_CHARS)}
 _MAX_RENDER_BASE = len(_DIGIT_CHARS)
 
 
-@dataclass(frozen=True)
-class Word:
+class _Record:
+    """Base of the package's immutable records, which behave as frozen dataclasses.
+
+    A subclass names its fields in order in ``_fields``, and its ``__init__``
+    stores them in that order with ``vars(self).update``.  Records are equal
+    only to records of the same class with equal field tuples, hash as that
+    tuple and repr as ``Name(field=value, ...)``.  Assigning or deleting an
+    attribute raises ``AttributeError``.  The fields live in the instance
+    ``__dict__``, so records pickle by it and ``cached_property`` can store
+    into it.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Word(_Record):
     """An immutable digit word; digits are most-significant first."""
 
-    base: int
-    digits: tuple[int, ...]
+    _fields = ("base", "digits")
 
-    def __post_init__(self):
-        if not isinstance(self.base, int) or self.base < 2:
-            raise ValueError(f"base must be an integer >= 2, got {self.base!r}")
-        digits = tuple(self.digits)
+    def __init__(self, base: int, digits: tuple[int, ...]) -> None:
+        if not isinstance(base, int) or base < 2:
+            raise ValueError(f"base must be an integer >= 2, got {base!r}")
+        digits = tuple(digits)
         for d in digits:
-            if not isinstance(d, int) or not 0 <= d < self.base:
-                raise ValueError(f"digit {d!r} out of range for base {self.base}")
-        object.__setattr__(self, "digits", digits)
+            if not isinstance(d, int) or not 0 <= d < base:
+                raise ValueError(f"digit {d!r} out of range for base {base}")
+        vars(self).update(base=base, digits=digits)
 
     @classmethod
     def parse(cls, text: str, base: int) -> "Word":

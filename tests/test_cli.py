@@ -24,6 +24,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def source_env() -> dict:
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``, for a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 class TestCount:
     def test_paper_example(self, capsys):
         code, out, _ = run(capsys, "count", "--base", "2", "--word", "11", "15")
@@ -81,19 +87,31 @@ class TestInternalError:
 class TestClosedPipe:
     def test_reader_gone_is_not_a_crash(self):
         """Output into a pipe that nobody reads (``| true``, ``| head``): no traceback, not exit 3."""
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         read_end, write_end = os.pipe()
         os.close(read_end)  # every write to the pipe now fails
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "blockprod.cli", "count", "--base", "2", "--word", "11", "15"],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+                stdout=write_end, stderr=subprocess.PIPE, env=source_env(), timeout=120,
             )
         finally:
             os.close(write_end)
         assert proc.returncode == cli.EXIT_BROKEN_PIPE != 3
         assert proc.stderr == b""
+
+
+class TestImportContract:
+    def test_start_loads_no_dataclasses_inspect_or_csv(self):
+        """A cold ``import blockprod.cli`` leaves out ``dataclasses`` (with the ``inspect`` it
+        pulls in) and ``csv``, and ``--format csv`` still prints CSV.  ``-S`` keeps what the
+        site hooks import out of the count."""
+        code = ("import sys, blockprod.cli\n"
+                "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))\n"
+                "blockprod.cli.main(['count', '--base', '2', '--word', '11', '15', '--format', 'csv'])")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                              env=source_env(), timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "[]\nbase,word,n,count\n2,11,15,3\n"
 
 
 class TestClosedForm:
@@ -265,6 +283,22 @@ class TestEnumerate:
         """An empty corpus is refused, not reported as a pass of no words."""
         code, out, err = run(capsys, "enumerate", "--base", base, "--max-len", "3")
         assert code == 2 and out == "" and "base must be >= 2" in err
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_base_above_36_exit_2_before_summing(self, capsys, monkeypatch, fmt):
+        """Every format prints the words as digit strings, which a base above 36 lacks: the base
+        is refused before any word is summed."""
+        def summed(*args, **kwargs):
+            raise AssertionError("a word was summed")
+
+        monkeypatch.setattr(cli, "enumerate_words", summed)
+        code, out, err = run(capsys, "enumerate", "--base", "40", "--max-len", "1",
+                             "--terms", "1000", "--format", fmt)
+        assert code == 2 and out == "" and "--base must be at most 36, got 40" in err
+        monkeypatch.undo()
+        code, out, _ = run(capsys, "enumerate", "--base", "36", "--max-len", "1",
+                           "--terms", "1000", "--format", fmt)
+        assert code == 0 and "z" in out
 
     def test_terms_at_the_shared_cap(self, capsys):
         """``enumerate`` runs at ``N = 10^30``, the cap it shares with word products."""
@@ -506,6 +540,23 @@ class TestInputCaps:
         ]:
             code, _, err = run(capsys, *spec, "--a", a, "--b", b)
             assert code == 2 and message in err, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--base", "2", "--word", "1", "--terms", str(2**40), "--precision", "256"),
+            ("verify", "--base", "3", "--word", "1", "--terms", str(3**25), "--precision", "1024"),
+            ("verify", "companion", "--terms", str(2**40), "--precision", "512"),
+        ],
+    )
+    def test_word_plans_at_powers_of_the_base(self, argv):
+        """At ``N = B^k`` a level's last class pieces cover only a few indices; the plan visits
+        their residues alone, not all ``B^j`` of the level (each command finishes in under a second;
+        walking every residue ran past 15 s).  A fresh process, so a return of the walk times out
+        instead of stalling the suite."""
+        proc = subprocess.run([sys.executable, "-m", "blockprod.cli", *argv], capture_output=True,
+                              text=True, env=source_env(), timeout=60)
+        assert proc.returncode == 0 and proc.stdout.endswith("verdict: pass\n"), proc.stderr
 
     def test_blocks_cap(self, capsys):
         code, _, err = run(capsys, "rivoal-forms", "--blocks", str(cli.MAX_BLOCK_SUM_TERMS + 1))

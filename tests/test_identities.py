@@ -708,3 +708,39 @@ class TestAlternating:
         gap_fine = abs(e6 - e5)
         assert gap_fine > 0
         assert gap_coarse >= 5 * gap_fine
+
+
+class TestClassPieces:
+    """``word_edge_plan``'s class pieces: a level visits only the residues of the indices it holds."""
+
+    @staticmethod
+    def every_residue(B, QL, v, N, Q):
+        """A class level's pieces found by walking all ``B^j`` residues of the level, as the
+        plan did before; fine at small ``N``, but about ``B N`` steps at ``N = B^k``."""
+        Bj, hi = Q // QL, B * N + B - 1
+        a, head = max(N + 1, Bj), v * Bj
+        return [(-1, Q, a + (r - a) % Q, hi - (hi - r) % Q + Q, 1)
+                for r in range(head, head + Bj) if a + (r - a) % Q <= hi]
+
+    def test_equals_the_walk_over_every_residue(self):
+        """Bases 2, 3, 4 and 10, words of length 1 and 2, at ``N = B^k`` and ``B^k ± 1`` below
+        ``3·10^5`` and at random ``N`` there: every class level equals the walk, including the
+        levels whose index range is shorter than ``Q``."""
+        rng = random.Random(0)
+        levels = short = 0
+        for B, lengths in ((2, (1, 2)), (3, (1, 2)), (4, (1,)), (10, (1,))):
+            Ns = {B**k + e for k in range(1, 30) if B**k < 3 * 10**5 for e in (-1, 0, 1)}
+            Ns |= {rng.randrange(1, 3 * 10**5) for _ in range(8)}
+            for length in lengths:
+                QL = B**length
+                for v in range(QL):
+                    for F, big in ((160, 0), (544, 3)):
+                        for N in sorted(Ns):
+                            plan = list(identities.word_edge_plan(B, length, v, 2, N, F, big))
+                            classes = {Q for sign, Q, _, _, h in plan if sign < 0 and h == 1 and Q > 1}
+                            for Q in classes:
+                                got = [p for p in plan if p[0] < 0 and p[1] == Q and p[4] == 1]
+                                assert got == self.every_residue(B, QL, v, N, Q), (B, length, v, N, F)
+                                levels += 1
+                                short += B * N + B - max(N + 1, Q // QL) < Q
+        assert levels > 1000 and short > 100

@@ -1,6 +1,5 @@
 """Expansions, word values, and block counting."""
 
-import dataclasses
 import pickle
 import random
 
@@ -238,7 +237,7 @@ class TestChunkedCounting:
             assert pickle.dumps(built) == pickle.dumps(fresh)
             copy = pickle.loads(pickle.dumps(built))
             assert copy == fresh and count_block(copy, 3**200) == count_block(built, 3**200)
-        assert [f.name for f in dataclasses.fields(Word)] == ["base", "digits"]
+        assert Word._fields == ("base", "digits")
 
     def test_bit_plan_reads_the_word(self):
         """The bit plan splits the ``sL`` bit offsets of ``v(w)`` into ones and zeros; None off powers of two."""
