@@ -18,7 +18,6 @@ from blockprod.gammafn import (
     gamma,
     gamma_ratio_product,
     log_gamma,
-    sin_pi,
 )
 from blockprod.identities import (
     FiniteSupportFn,
@@ -31,7 +30,6 @@ from blockprod.identities import (
     grouping_identity_holds,
     lemma1_lhs,
     lemma1_residual,
-    lemma1_residual_numeric,
     lemma1_rhs,
     rho,
     rivoal_grouped_factors,
@@ -52,7 +50,6 @@ from blockprod.words import (
     all_words,
     block_counts,
     count_block,
-    to_digits,
     word_value,
 )
 
@@ -86,7 +83,6 @@ __all__ = [
     "kernel_backend",
     "lemma1_lhs",
     "lemma1_residual",
-    "lemma1_residual_numeric",
     "lemma1_rhs",
     "log_gamma",
     "pi_value",
@@ -95,9 +91,7 @@ __all__ = [
     "rivoal_grouped_partial",
     "rivoal_original_factors",
     "rivoal_original_partial",
-    "sin_pi",
     "tail_estimate",
-    "to_digits",
     "verify",
     "word_value",
 ]

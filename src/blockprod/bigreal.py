@@ -261,19 +261,6 @@ class BigReal:
             return NotImplemented
         return b.__truediv__(self)
 
-    def sqrt(self) -> "BigReal":
-        if self.man < 0:
-            raise ValueError("sqrt of negative BigReal")
-        if self.man == 0:
-            return BigReal(0, 0, self.prec)
-        k = 2 * self.prec + 4
-        if (self.exp - k) & 1:
-            k += 1
-        q = math.isqrt(self.man << k)
-        if q * q != self.man << k:
-            q |= 1
-        return BigReal(q, (self.exp - k) // 2, self.prec)
-
     # ---- comparisons (exact, precision-independent) ----
 
     def _cmp(self, other) -> int:
@@ -368,12 +355,6 @@ class BigReal:
     @property
     def precision_bits(self) -> int:
         return self.prec
-
-    def ulp(self) -> Fraction:
-        """One unit in the last place of this value (0 has ulp 2**-prec)."""
-        if self.man == 0:
-            return Fraction(1, 1 << self.prec)
-        return Fraction(1, 1 << -self.exp) if self.exp < 0 else Fraction(1 << self.exp)
 
 
 def pi_value(prec: int) -> BigReal:

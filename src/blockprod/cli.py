@@ -16,7 +16,6 @@ import argparse
 import io
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -69,7 +68,9 @@ FORMATS = ("text", "json", "csv")
 # 7.9 s at a = 400, 1, b = 401, 0 and 1.5 s at the default a = 1, 1, and a
 # denominator of 10^300 did not finish in two minutes.  At the caps below
 # (8 parameters, each at most 32 over at most 64) the worst seen took 2.6 s
-# there (a = 1892/61, 60/61, 1, ..., b = 32, 0, 0, 2, ...).
+# there (a = 1892/61, 60/61, 1, ..., b = 32, 0, 0, 2, ...).  A --tolerance,
+# --a or --b text longer than MAX_RATIONAL_TEXT, or with a decimal exponent
+# beyond it, is refused unparsed: Fraction("1e-99999999") builds 10^99999999.
 MAX_PRECISION = 2048
 MAX_BLOCK_SUM_TERMS = 10**30
 MAX_TRIALS = 10**5
@@ -78,6 +79,7 @@ MAX_WORD_LEN = 64
 MAX_PARAMS = 8
 MAX_PARAM = 32
 MAX_PARAM_DENOMINATOR = 64
+MAX_RATIONAL_TEXT = 1000
 
 
 def _check_cap(flag: str, value: int, cap: int) -> None:
@@ -95,9 +97,22 @@ def _default_precision() -> int:
     return 128
 
 
-def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
+def _parse_rational(flag: str, text: str) -> Fraction:
+    """``Fraction(text)``, once the text and its decimal exponent are within ``MAX_RATIONAL_TEXT``."""
+    _check_cap(f"the length of {flag}", len(text), MAX_RATIONAL_TEXT)
+    _, e, exponent = text.lower().partition("e")
     try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
+        size = abs(int(exponent)) if e else 0
+    except ValueError:  # not a decimal exponent: Fraction refuses the text
+        size = 0
+    _check_cap(f"the decimal exponent of {flag}", size, MAX_RATIONAL_TEXT)
+    return Fraction(text)
+
+
+def _parse_fraction_list(flag: str, text: str) -> tuple[Fraction, ...]:
+    _check_cap(f"the length of {flag}", len(text), MAX_RATIONAL_TEXT)
+    try:
+        return tuple(_parse_rational(flag, part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse rational list {text!r}: {exc}") from None
 
@@ -141,8 +156,8 @@ def _make_spec(args) -> ProductSpec:
     if args.base is None or args.word is None:
         raise ValueError("--base and --word are required when no formula name is given")
     word = Word.parse(args.word, args.base)
-    a = _parse_fraction_list(args.a) if args.a else None
-    b = _parse_fraction_list(args.b) if args.b else None
+    a = _parse_fraction_list("--a", args.a) if args.a else None
+    b = _parse_fraction_list("--b", args.b) if args.b else None
     if (a is None) != (b is None):
         raise ValueError("give both --a and --b or neither")
     if a is None:
@@ -196,7 +211,7 @@ def cmd_verify(args) -> int:
         target = _make_spec(args)
     _check_cap("--terms", args.terms, MAX_BLOCK_SUM_TERMS)
     report = verify(target, N=args.terms, precision_bits=args.precision,
-                    tolerance=Fraction(args.tolerance))
+                    tolerance=_parse_rational("--tolerance", args.tolerance))
     _emit(args.format, report.to_json_dict() if args.format == "json" else report.fields())
     return 0 if report.passed else 1
 
@@ -210,7 +225,7 @@ def cmd_enumerate(args) -> int:
         args.max_len,
         N=args.terms,
         precision_bits=args.precision,
-        tolerance=Fraction(args.tolerance),
+        tolerance=_parse_rational("--tolerance", args.tolerance),
     )
     if args.format == "text":
         for r in reports:
@@ -236,6 +251,8 @@ def cmd_lemma1_fuzz(args) -> int:
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
         _check_cap(flag, value, cap)
+    import random  # only lemma1-fuzz needs it; keeps it off every CLI start
+
     rng = random.Random(args.seed)
     exact = 0
     counterexample = None

@@ -11,9 +11,10 @@ Accuracy contract: ``fx_log`` and ``fx_exp_reduced`` return their
 mathematical value within one unit in the last place at scale ``F`` (the
 largest error measured against mpmath at ``F`` in {160, 288, 1056, 1900}
 is 0.5 units, and Tier-1 holds them to 1; ``fx_log`` of ``a >= 2**(F+2**14)``
-may add ``log2(a) * 2**-17`` units through its ``log 2`` constant), and
-``fx_exp`` is within two units relative to its result (1.1 measured).  The
-other functions err by at most a few hundred units.  Callers that need ``p`` good bits therefore evaluate at
+may add ``log2(a) * 2**-17`` units through its ``log 2`` constant), and the
+mantissa ``m`` of ``exp_split(x, F)`` is within two units of
+``exp(x/2**F) * 2**(F-k)``.  The other functions err by at most a few
+hundred units.  Callers that need ``p`` good bits therefore evaluate at
 ``F = p + GUARD`` (see :mod:`blockprod.bigreal`) and round once at the end.
 
 Series used (all with exact rational term generation):
@@ -31,12 +32,11 @@ Series used (all with exact rational term generation):
 * ``exp``: whole ``log 2`` steps bring ``r`` into ``[0, log 2)`` and become a
   final shift; subtracting each ``L_i`` that fits leaves less than
   ``L_R < 2**-R`` for the Taylor series, whose sum is multiplied back by
-  each ``1 + 2**-i`` as ``acc += acc >> i``.  ``fx_exp`` first reduces
+  each ``1 + 2**-i`` as ``acc += acc >> i``.  ``exp_split`` first reduces
   ``x = k*log 2 + r`` with ``|r| <= log(2)/2``.
 * ``pi``: Machin's formula ``pi = 16*atan(1/5) - 4*atan(1/239)`` with exact
   integer arctangent series.  This is the library's only source of ``pi``
   and is independent of the Gamma machinery.
-* ``sin``: Taylor series after folding into ``[0, pi/2]``.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ __all__ = [
     "fx_div",
     "fx_log",
     "fx_exp_reduced",
-    "fx_exp",
-    "fx_sin",
     "fx_atan_inv",
     "log2_fixed",
     "pi_fixed",
@@ -160,7 +158,7 @@ def pi_fixed(F: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# log / exp / sin
+# log / exp
 # --------------------------------------------------------------------------
 
 
@@ -233,29 +231,3 @@ def exp_split(x: int, F: int) -> tuple[int, int]:
     extra = k.bit_length() + 2
     r = rshift_round((x << extra) - k * log2_fixed(F + extra), extra)
     return fx_exp_reduced(r, F), int(k)
-
-
-def fx_exp(x: int, F: int) -> int:
-    """``exp(x)`` as a plain fixed-point value (may be huge for large ``x``)."""
-    m, k = exp_split(x, F)
-    return m << k if k >= 0 else rshift_round(m, -k)
-
-
-def fx_sin(x: int, F: int) -> int:
-    """``sin(x)`` for ``0 <= x <= pi`` at scale ``F``."""
-    pi_f = pi_fixed(F)
-    if x < 0 or x > pi_f + 2:
-        raise ValueError("fx_sin argument outside [0, pi]")
-    if 2 * x > pi_f:
-        x = pi_f - x
-    x2 = rshift_round(x * x, F)
-    u = x
-    s = x
-    j = 1
-    sign = -1
-    while u:
-        u = rshift_round(u * x2, F) // ((2 * j) * (2 * j + 1))
-        s += sign * u
-        sign = -sign
-        j += 1
-    return s

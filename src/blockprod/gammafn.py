@@ -39,18 +39,18 @@ argument.
 
 from __future__ import annotations
 
+from _thread import allocate_lock
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from math import lcm, prod
 from operator import neg, sub
-from threading import Lock
-from typing import Iterator
 
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision
-from blockprod.fixedpoint import fx_log, fx_sin, pi_fixed, rshift_round
+from blockprod.fixedpoint import fx_log, pi_fixed, rshift_round
 from blockprod.words import _Record
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "log_gamma",
     "eval_gamma_expr",
     "gamma_ratio_product",
-    "sin_pi",
 ]
 
 
@@ -117,10 +116,11 @@ def _tangent_numbers() -> Iterator[int]:
 
 
 # B_0..B_(2k+1) for the k tangent numbers drawn so far (see _bernoulli); the
-# lock keeps threads that grow the table at once from pairing B_2k with T_(k+1)
+# lock keeps threads that grow the table at once from pairing B_2k with T_(k+1);
+# _thread's lock is threading.Lock's, without importing threading at start
 _BERNOULLI = [Fraction(1), Fraction(-1, 2)]
 _TANGENTS = _tangent_numbers()
-_BERNOULLI_LOCK = Lock()
+_BERNOULLI_LOCK = allocate_lock()
 
 
 def _bernoulli(n: int) -> tuple[Fraction, ...]:
@@ -637,17 +637,6 @@ def log_gamma(x, precision_bits: int) -> BigReal:
     fr = _check_gamma_arg(_as_rational(x))
     F = prec + GUARD_BITS
     return BigReal.from_fixed(_loggamma_fixed(fr, F), F, prec)
-
-
-def sin_pi(z, precision_bits: int) -> BigReal:
-    """``sin(pi * z)`` for rational ``0 < z < 1`` (used by reflection checks)."""
-    prec = _check_precision(precision_bits)
-    fr = _as_rational(z)
-    if not 0 < fr < 1:
-        raise ValueError(f"sin_pi expects 0 < z < 1, got {fr}")
-    F = prec + GUARD_BITS
-    x = pi_fixed(F) * fr.numerator // fr.denominator
-    return BigReal.from_fixed(fx_sin(x, F), F, prec)
 
 
 # --------------------------------------------------------------------------

@@ -30,9 +30,9 @@ for ``k >= 1``), never from floating logarithms, so powers of two are exact.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from math import lcm, prod
-from typing import Callable, Iterator, Mapping
 
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision
 from blockprod.fixedpoint import rshift_round
@@ -64,7 +64,6 @@ __all__ = [
     "lemma1_lhs",
     "lemma1_rhs",
     "lemma1_residual",
-    "lemma1_residual_numeric",
     "closed_form_base2",
     "closed_form_baseB",
     "companion_closed_form",
@@ -185,36 +184,6 @@ def lemma1_rhs(f: FiniteSupportFn, w: Word, base: int, misrange: bool = False) -
 def lemma1_residual(f: FiniteSupportFn, w: Word, base: int, misrange: bool = False) -> Fraction:
     """``lemma1_lhs - lemma1_rhs``; exactly zero for every finite-support ``f``."""
     return lemma1_lhs(f, w, base) - lemma1_rhs(f, w, base, misrange=misrange)
-
-
-def lemma1_residual_numeric(
-    f: Callable[[int], float], w: Word, base: int, n_max: int
-) -> float:
-    """Truncated float residual for a general (decaying) ``f``.
-
-    Both sides are truncated so that ``f`` is never evaluated beyond
-    ``base * n_max + base - 1``; the residual tends to 0 as ``n_max`` grows
-    provided ``sum |f(n)| log n`` converges.  No exactness is claimed.
-    """
-    _check_lemma_args(f, w, base)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    lhs = 0.0
-    for n in range(1, n_max + 1):
-        c = count_block(w, n)
-        if c:
-            inner = f(n)
-            for k in range(base):
-                inner -= f(base * n + k)
-            lhs += c * inner
-    step = base ** len(w.digits)
-    m = word_value(w) or step
-    bound = base * n_max + base - 1
-    rhs = 0.0
-    while m <= bound:
-        rhs += f(m)
-        m += step
-    return lhs - rhs
 
 
 # --------------------------------------------------------------------------

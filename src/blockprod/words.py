@@ -66,7 +66,6 @@ from functools import cached_property
 
 __all__ = [
     "Word",
-    "to_digits",
     "word_value",
     "count_block",
     "block_counts",
@@ -179,20 +178,6 @@ class Word(_Record):
     def __getstate__(self):
         # pickle the fields alone, never the tables cached by count_block
         return {"base": self.base, "digits": self.digits}
-
-
-def to_digits(n: int, base: int) -> Word:
-    """Canonical base-``base`` expansion of ``n >= 0``; 0 maps to the empty word."""
-    if not isinstance(base, int) or base < 2:
-        raise ValueError(f"base must be an integer >= 2, got {base!r}")
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    digits = []
-    while n:
-        n, r = divmod(n, base)
-        digits.append(r)
-    digits.reverse()
-    return Word(base, tuple(digits))
 
 
 def word_value(w: Word) -> int:

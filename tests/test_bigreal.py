@@ -97,12 +97,6 @@ class TestArithmetic:
         assert (big + tiny) == big
         assert (big - tiny) == big
 
-    @given(fractions_st)
-    def test_sqrt(self, fr):
-        fr = abs(fr)
-        x = BigReal.from_fraction(fr, 128).sqrt()
-        assert abs(x.to_fraction() ** 2 - fr) <= (fr + 1) * Fraction(1, 2**120)
-
 
 class TestComparisons:
     @given(fractions_st, fractions_st)

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -103,10 +104,11 @@ class TestClosedPipe:
 class TestImportContract:
     def test_start_loads_no_dataclasses_inspect_or_csv(self):
         """A cold ``import blockprod.cli`` leaves out ``dataclasses`` (with the ``inspect`` it
-        pulls in) and ``csv``, and ``--format csv`` still prints CSV.  ``-S`` keeps what the
-        site hooks import out of the count."""
+        pulls in), ``csv``, ``typing``, ``threading`` and ``random``, and ``--format csv`` still
+        prints CSV.  ``-S`` keeps what the site hooks import out of the count."""
         code = ("import sys, blockprod.cli\n"
-                "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))\n"
+                "print(sorted({'dataclasses', 'inspect', 'csv', 'typing', 'threading', 'random'}"
+                " & set(sys.modules)))\n"
                 "blockprod.cli.main(['count', '--base', '2', '--word', '11', '15', '--format', 'csv'])")
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                               env=source_env(), timeout=120)
@@ -540,6 +542,35 @@ class TestInputCaps:
         ]:
             code, _, err = run(capsys, *spec, "--a", a, "--b", b)
             assert code == 2 and message in err, err
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    @pytest.mark.parametrize("flag", ["--tolerance", "--a", "--b"])
+    def test_rational_text_caps(self, capsys, flag, fmt):
+        """A ``--tolerance``, ``--a`` or ``--b`` text longer than ``MAX_RATIONAL_TEXT``, or with a
+        decimal exponent beyond it, exits 2 before ``Fraction`` builds its power of ten (parsing
+        ``1e-9999999`` took 9.5 s, and printing it failed); ``1e-600`` still parses."""
+        assert cli.MAX_RATIONAL_TEXT == 1000
+
+        def argv(value):
+            spec = {"--tolerance": ("rivoal", "--tolerance", value),
+                    "--a": ("--base", "2", "--word", "1", "--a", f"{value},1", "--b", "0,1"),
+                    "--b": ("--base", "2", "--word", "1", "--a", "1,1", "--b", f"0,{value}")}[flag]
+            return ("verify", *spec, "--terms", "1000", "--format", fmt)
+
+        for value, message in [
+            ("1e-9999999", f"the decimal exponent of {flag} must be at most 1000, got 9999999"),
+            ("1E+1_000_000", f"the decimal exponent of {flag} must be at most 1000, got 1000000"),
+            ("1" * 1001, f"the length of {flag} must be at most 1000, got "),
+        ]:
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv(value))
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (2, "") and message in err, err
+        code, out, err = run(capsys, *argv("1e-600"))
+        if flag == "--tolerance":
+            assert (code, err) == (0, "") and "pass" in out
+        else:  # parsed, then refused by the parameter caps as before
+            assert code == 2 and f"each {flag} denominator must be at most 64, got 1{'0' * 600}" in err
 
     @pytest.mark.parametrize(
         "argv",

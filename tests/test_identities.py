@@ -14,6 +14,7 @@ from blockprod import gammafn, identities
 from blockprod.gammafn import BalanceError, GammaExpr, eval_gamma_expr
 from blockprod.identities import (
     _WORD_ONE,
+    DEFAULT_PARAMS,
     FiniteSupportFn,
     ProductSpec,
     alternating_product_estimate,
@@ -24,12 +25,13 @@ from blockprod.identities import (
     grouping_identity_holds,
     lemma1_lhs,
     lemma1_residual,
-    lemma1_residual_numeric,
     lemma1_rhs,
     logsum_alternating,
     logsum_companion,
     logsum_rivoal_grouped,
     logsum_rivoal_original,
+    _logsum_word,
+    logsum_word,
     rho,
     rivoal_grouped_factors,
     rivoal_grouped_partial,
@@ -188,13 +190,6 @@ class TestLemma1:
     def test_base_mismatch(self):
         with pytest.raises(ValueError):
             lemma1_lhs(FiniteSupportFn({1: Fraction(1)}), Word.parse("1", 2), 3)
-
-    def test_numeric_mode_decaying_f(self):
-        """Truncated residual for f(n) = 1/n^2 shrinks as the bound grows."""
-        w = Word.parse("11", 2)
-        res = [abs(lemma1_residual_numeric(lambda n: 1.0 / n**2, w, 2, m)) for m in (100, 1000, 10000)]
-        assert res[0] > res[1] > res[2]
-        assert res[2] < 1e-3  # decays like log(n_max)/n_max
 
 
 class TestClosedFormBase2:
@@ -602,6 +597,41 @@ def mp_companion_logsum(lo: int, hi: int, H: int = 10) -> mpmath.mpf:
             d = [mpmath.mpf(4 * r + i) / (4 * M) for i in (2, 1, 3)]
             total -= 4 * bin(r).count("1") * ratio(*d, a, b)
     return total
+
+
+class TestSumRules:
+    """Each level of a number's digits matches one word of each length, so the word sums of
+    one length add up to a sum that needs no plan: a check of every word engine at any ``N``
+    and precision with no oracle library."""
+
+    @pytest.mark.parametrize(
+        "k, F",
+        [(k, F) for k in (1, 2, 10, 40, 100, 300, 1000) for F in (160, 544)] + [(40, 2080), (1000, 2080)],
+    )
+    def test_grouped_form_is_words_zero_and_one(self, k, F):
+        """The paper's proof: the grouped 4/pi form, exponent ``2 bitlen(n) = 2 (N_0(n) + N_1(n))``,
+        is the base-2 product of word ``0`` times that of word ``1``.  The family sums dyadic
+        blocks, the words their plans and runs; they share only the balanced series."""
+        w0, w1 = (ProductSpec(2, Word(2, (d,)), *DEFAULT_PARAMS) for d in (0, 1))
+        for N in (2**k - 1, 2**k, 2**k + 1) if F < 2080 else (2**k,):
+            gap = logsum_rivoal_grouped(1, N, F) - logsum_word(w0, N, F) - logsum_word(w1, N, F)
+            assert abs(gap) <= 3, (N, gap)
+
+    @pytest.mark.parametrize(
+        "params", [DEFAULT_PARAMS, ((Fraction(1, 2), Fraction(3, 2)), (Fraction(1, 3), Fraction(5, 3)))]
+    )
+    @pytest.mark.parametrize("base, lengths", [(2, (1, 2, 3)), (3, (1, 2)), (4, (1, 2)), (10, (1,))])
+    def test_words_of_one_length_sum_to_digit_logsum(self, base, lengths, params):
+        """For each length ``L`` the ``B^L`` word sums add up to ``D_B(N)`` within one unit per
+        word and two more, at ``N = B^12`` and its neighbour as well as round ``N``."""
+        for F, Ns in ((160, (10**4, base**12 - 1, base**12, 10**30)), (1056, (base**12,))):
+            for N in Ns:
+                want = helpers.digit_logsum(base, *params, N, F)
+                for L in lengths:
+                    shared = {}
+                    words = [w for w in all_words(base, L) if len(w) == L]
+                    got = sum(_logsum_word(ProductSpec(base, w, *params), N, F, shared) for w in words)
+                    assert abs(got - want) <= base**L + 2, (F, N, L, got - want)
 
 
 class TestCompanionSum:

@@ -9,11 +9,10 @@ import pytest
 
 from blockprod.fixedpoint import (
     fx_atan_inv,
+    exp_split,
     fx_div,
-    fx_exp,
     fx_exp_reduced,
     fx_log,
-    fx_sin,
     log2_fixed,
     pi_fixed,
     rshift_round,
@@ -53,38 +52,29 @@ class TestFixedPointPrimitives:
             want = mpmath.log(mpmath.mpf(fr.numerator) / fr.denominator)
             assert fx_err(fx_log(x, F), want) < ULPS
         for value in (-5, -1, 0, 1, 3, 20):
-            got = fx_exp(value << F, F)
-            want = mpmath.e**value * 2**F
-            assert abs(got / want - 1) < ULPS * mpmath.mpf(2) ** -F
+            m, k = exp_split(value << F, F)
+            assert fx_err(m, mpmath.e**value * mpmath.mpf(2) ** -k) < ULPS
 
     def test_exp_log_round_trip(self):
         x = 7 << (F - 2)  # 1.75
-        assert abs(fx_log(fx_exp(x, F), F) - x) < ULPS
-
-    def test_sin(self):
-        pi_f = pi_fixed(F)
-        for num, den in ((1, 2), (1, 3), (2, 3), (1, 7), (6, 7)):
-            x = pi_f * num // den
-            want = mpmath.sin(mpmath.pi * num / den)
-            assert fx_err(fx_sin(x, F), want) < ULPS
+        m, k = exp_split(x, F)
+        assert abs(fx_log(m << k, F) - x) < ULPS
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             fx_log(0, F)
-        with pytest.raises(ValueError):
-            fx_sin(-1, F)
 
 
 # working scales of Gamma: F = precision + 32 at 128, 256 and 1024 bits, and
 # 1900, between the 1024- and 2048-bit scales
 GAMMA_SCALES = [160, 288, 1056, 1900]
 LOG_EXP_ULPS = 1  # fx_log, fx_exp_reduced: absolute error, in units of 2**-F
-FX_EXP_ULPS = 2  # fx_exp: error relative to max(result, 1), in units of 2**-F
+EXP_SPLIT_ULPS = 2  # exp_split: absolute error of the mantissa, in units of 2**-F
 
 
 @pytest.mark.parametrize("F", GAMMA_SCALES)
 class TestLogExpAtGammaScales:
-    """``fx_log``/``fx_exp`` against mpmath at the scales the Gamma code runs at."""
+    """``fx_log``/``exp_split`` against mpmath at the scales the Gamma code runs at."""
 
     @staticmethod
     def log_err(a, F):
@@ -133,17 +123,19 @@ class TestLogExpAtGammaScales:
         scale = mpmath.mpf(2) ** F
         with mp_prec(F):
             for x in args:
-                want = mpmath.exp(mpmath.mpf(x) / scale) * scale
-                err = abs(fx_exp(x, F) - want) / max(want / scale, 1)
-                assert err <= FX_EXP_ULPS, x
+                m, k = exp_split(x, F)
+                want = mpmath.exp(mpmath.mpf(x) / scale) * mpmath.mpf(2) ** (F - k)
+                assert abs(m - want) <= EXP_SPLIT_ULPS, x
 
     def test_round_trips(self, F):
         rng = random.Random(F + 2)
         for _ in range(20):
-            x = rng.randrange(0, 20 << F)  # exp(x) >= 1: its error is relative
-            assert abs(fx_log(fx_exp(x, F), F) - x) <= LOG_EXP_ULPS + FX_EXP_ULPS
+            x = rng.randrange(0, 20 << F)  # exp(x) >= 1, so k >= 0
+            m, k = exp_split(x, F)
+            assert abs(fx_log(m << k, F) - x) <= LOG_EXP_ULPS + EXP_SPLIT_ULPS
             a = rng.getrandbits(F + 8) | (1 << F)
-            assert abs(fx_exp(fx_log(a, F), F) - a) <= (LOG_EXP_ULPS + FX_EXP_ULPS) * (a >> F)
+            m, k = exp_split(fx_log(a, F), F)
+            assert abs((m << k) - a) <= (LOG_EXP_ULPS + EXP_SPLIT_ULPS) * (a >> F)
 
 
 class TestSplitting:

@@ -15,7 +15,6 @@ from blockprod.words import (
     all_words,
     block_counts,
     count_block,
-    to_digits,
     word_value,
 )
 
@@ -52,33 +51,6 @@ def naive_count(word: str, base: int, n: int) -> int:
     return scan(text, word)
 
 
-class TestToDigits:
-    def test_zero_is_empty_word(self):
-        assert to_digits(0, 2).digits == ()
-        assert to_digits(0, 10).is_empty
-
-    def test_four_binary(self):
-        assert to_digits(4, 2).render() == "100"
-
-    def test_twentyone_binary(self):
-        # oracle: repeated division-by-2 gives 10101
-        assert to_digits(21, 2).render() == "10101"
-
-    def test_rejects_bad_base(self):
-        with pytest.raises(ValueError):
-            to_digits(5, 1)
-        with pytest.raises(ValueError):
-            to_digits(-1, 2)
-
-    @given(st.integers(0, 10**18), st.integers(2, 36))
-    def test_round_trip(self, n, base):
-        assert word_value(to_digits(n, base)) == n
-
-    @given(st.integers(1, 10**12), st.integers(2, 36))
-    def test_no_leading_zeros(self, n, base):
-        assert to_digits(n, base).digits[0] != 0
-
-
 class TestWordValue:
     def test_leading_zeros_inert(self):
         assert word_value(Word.parse("0010", 2)) == 2
@@ -89,6 +61,11 @@ class TestWordValue:
 
     def test_base4(self):
         assert word_value(Word.parse("13", 4)) == 7
+
+    @given(st.integers(2, 36), st.data())
+    def test_round_trip(self, base, data):
+        text = data.draw(st.text("0123456789abcdefghijklmnopqrstuvwxyz"[:base], min_size=1, max_size=20))
+        assert word_value(Word.parse(text, base)) == int(text, base)
 
 
 class TestCountBlock:
@@ -114,7 +91,18 @@ class TestCountBlock:
         w0, w1 = Word.parse("0", 2), Word.parse("1", 2)
         for n in range(1, 2000):
             total = count_block(w0, n) + count_block(w1, n)
-            assert total == len(to_digits(n, 2)) == n.bit_length()
+            assert total == n.bit_length()
+
+    @pytest.mark.parametrize("base", [2, 3, 4, 10])
+    def test_counts_of_one_length_sum_to_digit_count(self, base):
+        """Each level ``j`` with ``n // B^j >= 1`` matches exactly one word of each length ``L``,
+        so the counts of the ``B^L`` words of length ``L`` add up to the digit count of ``n``."""
+        rng = random.Random(base)
+        ns = list(range(1000)) + [rng.randrange(10**40) for _ in range(100)]
+        for L in (1, 2, 3):
+            words = [w for w in all_words(base, L) if len(w) == L]
+            for n in ns:
+                assert sum(count_block(w, n) for w in words) == len(render(n, base)), (L, n)
 
     @given(st.integers(0, 10**6))
     def test_oracle_equivalence_base2(self, n):
