@@ -20,16 +20,16 @@ import sys
 from fractions import Fraction
 
 from blockprod import __version__
-from blockprod.bigreal import GUARD_BITS, BigReal, default_decimal_digits
+from blockprod.bigreal import default_decimal_digits
 from blockprod.identities import (
     DEFAULT_PARAMS,
     FiniteSupportFn,
     ProductSpec,
+    alternating_product_estimate,
     closed_form_base2,
     closed_form_baseB,
     grouping_identity_holds,
     lemma1_residual,
-    logsum_alternating,
     rivoal_grouped_partial,
     rivoal_original_partial,
 )
@@ -300,12 +300,8 @@ def cmd_alternating(args) -> int:
         raise ValueError("--terms must be at least 100 for a Cauchy report")
     _check_cap("--terms", K, MAX_BLOCK_SUM_TERMS)
     prec = args.precision
-    F = prec + GUARD_BITS
     k0, k1 = K // 100, K // 10
-    s0, s1, s2 = (logsum_alternating(1, k, F) for k in (k0, k1, K))
-    e0 = BigReal.exp_of_fixed(s0, F, prec)
-    e1 = BigReal.exp_of_fixed(s1, F, prec)
-    e2 = BigReal.exp_of_fixed(s2, F, prec)
+    e0, e1, e2 = (alternating_product_estimate(k, prec) for k in (k0, k1, K))
     gap1 = abs(e1 - e0)
     gap2 = abs(e2 - e1)
     # a zero gap means every printed digit is stable
@@ -352,13 +348,14 @@ def cmd_rivoal_forms(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *, terms: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, *, terms: bool = False, tolerance: bool = False) -> None:
     p.add_argument("--precision", type=int, default=_default_precision(),
                    help="working precision in bits (default 128, env BLOCKPROD_PRECISION)")
     p.add_argument("--format", choices=FORMATS, default="text", help="output format")
     if terms:
         p.add_argument("--terms", "-N", type=int, default=DEFAULT_TERMS,
                        help=f"number of product terms (default {DEFAULT_TERMS})")
+    if tolerance:
         p.add_argument("--tolerance", default=DEFAULT_TOLERANCE,
                        help="relative tolerance as a rational or decimal string")
 
@@ -393,13 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word")
     p.add_argument("--a")
     p.add_argument("--b")
-    _add_common(p, terms=True)
+    _add_common(p, terms=True, tolerance=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("enumerate", help="verify every word up to a length bound")
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--max-len", type=int, required=True)
-    _add_common(p, terms=True)
+    _add_common(p, terms=True, tolerance=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("lemma1-fuzz", help="exact randomized checks of the summation identity")

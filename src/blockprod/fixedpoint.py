@@ -41,6 +41,8 @@ Series used (all with exact rational term generation):
 
 from __future__ import annotations
 
+from functools import cache
+
 __all__ = [
     "rshift_round",
     "fx_div",
@@ -75,10 +77,6 @@ def fx_div(a: int, b: int, F: int) -> int:
 # cached constants
 # --------------------------------------------------------------------------
 
-_LOG2_CACHE: dict[int, int] = {}
-_PI_CACHE: dict[int, int] = {}
-_LADDER_CACHE: dict[int, list[int]] = {}
-
 _WORK_GUARD = 16  # extra bits of the working scale of fx_log / fx_exp_reduced
 
 
@@ -102,6 +100,7 @@ def _log1p_pow2(i: int, F: int) -> int:
     return rshift_round(s, 16)
 
 
+@cache
 def log2_fixed(F: int) -> int:
     """``log 2`` at scale ``F``, computed as ``2*atanh(1/3)`` (exact series).
 
@@ -109,26 +108,19 @@ def log2_fixed(F: int) -> int:
     unit in the last place; ``exp``/``log`` multiply this constant by binary
     exponents, which would otherwise amplify the series' floor bias.
     """
-    v = _LOG2_CACHE.get(F)
-    if v is None:
-        v = _LOG2_CACHE[F] = _log1p_pow2(0, F)
-    return v
+    return _log1p_pow2(0, F)
 
 
-def _ladder(F: int) -> list[int]:
-    """``[log(1 + 2**-i) for i in 0..R]`` at scale ``F`` (entry 0 is ``log 2``).
+@cache
+def _ladder(F: int) -> tuple[int, ...]:
+    """``(log(1 + 2**-i) for i in 0..R)`` at scale ``F`` (entry 0 is ``log 2``).
 
     ``R = max(24, F // 16)``: each rung is one shift-and-add, each series
     term one full-width product, and the series needs about ``F / R`` terms
     after the ladder, so the best ``R`` grows with ``F``.
     """
-    table = _LADDER_CACHE.get(F)
-    if table is None:
-        depth = max(24, F // 16)
-        table = _LADDER_CACHE[F] = [log2_fixed(F)] + [
-            _log1p_pow2(i, F) for i in range(1, depth + 1)
-        ]
-    return table
+    depth = max(24, F // 16)
+    return (log2_fixed(F), *(_log1p_pow2(i, F) for i in range(1, depth + 1)))
 
 
 def fx_atan_inv(c: int, F: int) -> int:
@@ -147,14 +139,11 @@ def fx_atan_inv(c: int, F: int) -> int:
     return s
 
 
+@cache
 def pi_fixed(F: int) -> int:
     """``pi`` at scale ``F`` via Machin's two-arctangent formula."""
-    v = _PI_CACHE.get(F)
-    if v is None:
-        w = F + 16  # absorb the 16x/4x magnification of series truncation
-        v = 16 * fx_atan_inv(5, w) - 4 * fx_atan_inv(239, w)
-        v = _PI_CACHE[F] = rshift_round(v, 16)
-    return v
+    w = F + 16  # absorb the 16x/4x magnification of series truncation
+    return rshift_round(16 * fx_atan_inv(5, w) - 4 * fx_atan_inv(239, w), 16)
 
 
 # --------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import count, islice
 from math import lcm, prod
 from operator import neg, sub
 
@@ -93,14 +93,40 @@ def _check_gamma_arg(x: Fraction) -> Fraction:
 # --------------------------------------------------------------------------
 
 
-def _tangent_numbers() -> Iterator[int]:
-    """``T_1, T_2, ...`` with ``tan x = sum T_k x^(2k-1)/(2k-1)!`` (integer-only, O(k) each).
+class _LazyTable:
+    """The items of a generator, drawn once, only as far as a read asks, and shared.
 
-    The triangle ``t_j <- (j - i) t_(j-1) + (j - i + 2) t_j`` for passes
-    ``i = 2..j``, from ``t_j = (j-1)!``, is walked one column at a time:
-    column ``k`` holds ``t_k`` after each pass and needs only column
-    ``k - 1``, so the sequence extends without starting over.
+    ``table[:n]`` draws the first ``n`` items under the table's lock (from
+    ``_thread``: ``threading.Lock``'s, without importing ``threading`` at
+    start) and returns them as a tuple.  A generator that ends first, or
+    that an exception ended, raises ``IndexError``: no read gets fewer.
     """
+
+    def __init__(self, source: Iterator):
+        self._items, self._source, self._lock = [], source, allocate_lock()
+
+    def __getitem__(self, s: slice) -> tuple:
+        items = self._items
+        if len(items) < s.stop:  # items only grow, under the lock: a drawn prefix needs none
+            with self._lock:
+                items.extend(islice(self._source, max(0, s.stop - len(items))))
+                if len(items) < s.stop:
+                    raise IndexError(f"a table of {len(items)} items read to {s.stop}")
+        return tuple(items[s])
+
+
+def _bernoulli_numbers() -> Iterator[Fraction]:
+    """``B_0, B_1, ...`` (``B_1 = -1/2``), ``B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))``.
+
+    The tangent numbers ``T_k``, ``tan x = sum T_k x^(2k-1)/(2k-1)!``, come
+    from the triangle ``t_j <- (j - i) t_(j-1) + (j - i + 2) t_j`` for
+    passes ``i = 2..j``, from ``t_j = (j-1)!``, walked one column at a time
+    (integer-only, O(k) each): column ``k`` holds ``t_k = T_k`` after each
+    pass and needs only column ``k - 1``, so the sequence extends without
+    starting over.
+    """
+    yield Fraction(1)
+    yield Fraction(-1, 2)
     col: list[int] = []
     for k in count(1):
         x = (k - 1) * col[0] if col else 1
@@ -112,30 +138,17 @@ def _tangent_numbers() -> Iterator[int]:
             x *= 2  # pass i = k reads t_(k-1) with weight 0
             new.append(x)
         col = new
-        yield x
+        q = 4**k
+        yield Fraction((-1) ** (k - 1) * 2 * k * x, q * (q - 1))
+        yield Fraction(0)
 
 
-# B_0..B_(2k+1) for the k tangent numbers drawn so far (see _bernoulli); the
-# lock keeps threads that grow the table at once from pairing B_2k with T_(k+1);
-# _thread's lock is threading.Lock's, without importing threading at start
-_BERNOULLI = [Fraction(1), Fraction(-1, 2)]
-_TANGENTS = _tangent_numbers()
-_BERNOULLI_LOCK = allocate_lock()
+_BERNOULLI = _LazyTable(_bernoulli_numbers())  # shared by every caller
 
 
 def _bernoulli(n: int) -> tuple[Fraction, ...]:
-    """``B_0..B_n`` (``B_1 = -1/2``); ``B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))``.
-
-    Every caller shares one table, grown to the largest ``n`` asked for one
-    tangent number at a time and sliced for each call.
-    """
-    with _BERNOULLI_LOCK:
-        while len(_BERNOULLI) <= n:
-            k = len(_BERNOULLI) // 2
-            q = 4**k
-            _BERNOULLI.append(Fraction((-1) ** (k - 1) * 2 * k * next(_TANGENTS), q * (q - 1)))
-            _BERNOULLI.append(Fraction(0))
-        return tuple(_BERNOULLI[: n + 1])
+    """``B_0..B_n``."""
+    return _BERNOULLI[: n + 1]
 
 
 _SERIES_GUARD = 16  # extra fraction bits of the series coefficients and Horner sums
@@ -447,7 +460,9 @@ def _balanced_series(A: tuple[int, ...], T: tuple[int, ...], W: int, u: int, F: 
 # y >= 2**ly bounds every term by bit lengths.  |B_2p|/(2p)! = 2 zeta(2p)/
 # (2 pi)^(2p), so keeping rows 1..m leaves a remainder of at most twice the
 # magnitude of row m at the least point (the integral of |psi^(2m)| from y_a
-# on): the rows are summed until one is negligible there.
+# on): the rows are summed until one is negligible there.  The rows of one
+# series (_run_rows) are a _LazyTable of _LazyTable rows, shared by every run
+# over it and grown, under their locks, only as far as a run asks.
 
 _RUN_TOL = 4  # a run drops Euler-Maclaurin terms below 2**-_RUN_TOL units of its scale
 
@@ -523,41 +538,27 @@ def _run_counts(F: int, X0: int, d: int, big: int, ly: int, lx: int) -> tuple[in
     return tuple(counts)
 
 
-class _RunRows:
-    """The coefficients of runs over one balanced series, at its scale ``F + _SERIES_GUARD``.
-
-    ``integral[j-1] = c_(j+1) // j`` gives ``int psi = c_1 log y - sum_j
-    integral[j-1] y^-j``; ``row(p, n)`` holds ``B_2p/(2p)! (k)_(2p-1) c_k``
-    for ``k = 1..n``, each row built only as far as a run has asked.
-    """
-
-    def __init__(self, coeffs: tuple[int, ...]):
-        self.coeffs = coeffs
-        self.integral = tuple(c // j for j, c in enumerate(coeffs[1:], 1))
-        self._rows: list[list[int]] = []
-        self._next: list[tuple[int, int]] = []  # (denominator, numerator for the next k) per row
-
-    def row(self, p: int, n: int) -> list[int]:
-        while len(self._rows) < p:
-            q = len(self._rows) + 1
-            b = _bernoulli(2 * q)[2 * q]
-            fact = prod(range(1, 2 * q))  # (2q - 1)! = (1)_(2q-1)
-            self._rows.append([])
-            self._next.append((b.denominator * fact * 2 * q, b.numerator * fact))
-        row = self._rows[p - 1]
-        den, m = self._next[p - 1]
-        while len(row) < n:
-            k = len(row) + 1
-            row.append(self.coeffs[k - 1] * m // den)
-            m = m * (k + 2 * p - 1) // k
-        self._next[p - 1] = den, m
-        return row
+def _run_row(coeffs: tuple[int, ...], p: int) -> Iterator[int]:
+    """Row ``p`` of the corrections: ``B_2p/(2p)! (k)_(2p-1) c_k`` for ``k = 1..K``, floored."""
+    b = _bernoulli(2 * p)[2 * p]
+    fact = prod(range(1, 2 * p))  # (2p - 1)! = (1)_(2p-1)
+    den, m = b.denominator * fact * 2 * p, b.numerator * fact
+    for k, c in enumerate(coeffs, 1):
+        yield c * m // den
+        m = m * (k + 2 * p - 1) // k
 
 
 @lru_cache(maxsize=8)
-def _run_rows(A: tuple[int, ...], T: tuple[int, ...], W: int, F: int) -> _RunRows:
-    """The :class:`_RunRows` of the series of :func:`_series` ``(A, T, W, F)``, made when a run is summed."""
-    return _RunRows(_series(A, T, W, F)[1])
+def _run_rows(A: tuple[int, ...], T: tuple[int, ...], W: int, F: int) -> tuple[tuple[int, ...], _LazyTable]:
+    """``(integral, rows)``: the coefficients of runs over the series of :func:`_series` ``(A, T, W, F)``, at its scale.
+
+    ``integral[j-1] = c_(j+1) // j`` gives ``int psi = c_1 log y - sum_j
+    integral[j-1] y^-j``; ``rows[:p][p-1]`` is the :class:`_LazyTable` of
+    row ``p`` (:func:`_run_row`), each row built only as far as a run asks.
+    """
+    coeffs = _series(A, T, W, F)[1]
+    integral = tuple(c // j for j, c in enumerate(coeffs[1:], 1))
+    return integral, _LazyTable(_LazyTable(_run_row(coeffs, p)) for p in count(1))
 
 
 def _balanced_lgamma(A: tuple[int, ...], T: tuple[int, ...], W: int, u: int, F: int) -> int:

@@ -702,9 +702,8 @@ def _run_sum(A, T, DB: int, Fs: int, P: int, ya: int, yc: int, h: int, G, shared
     E = Fs + _SERIES_GUARD
     X0, coeffs, cuts = _series(A, T, DB, Fs)
     counts = _run_counts(Fs, X0, len(A), _largest_shift(A, T, DB), ya.bit_length() - 1, (ya // P).bit_length() - 1)
-    rows = _run_rows(A, T, DB, Fs)
-    integral = rows.integral
-    em_rows = [rows.row(p, n)[:n] for p, n in enumerate(counts, 1)]
+    integral, rows = _run_rows(A, T, DB, Fs)
+    em_rows = [row[:n] for row, n in zip(rows[: len(counts)], counts)]
     P2 = P * P
     yb, yd = ya + h, yc + h
     integrals = shared.setdefault(("integral", A, T, DB, Fs), {})

@@ -328,6 +328,13 @@ class TestAlternating:
         code, _, _ = run(capsys, "alternating", "--terms", "50")
         assert code == 2
 
+    def test_takes_no_tolerance(self, capsys):
+        """The report has no verdict to hold to a tolerance, so the flag is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["alternating", "--terms", "1000", "--tolerance", "1/10"])
+        assert exc.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+
 
 class TestRivoalForms:
     def test_exact_match(self, capsys):

@@ -23,6 +23,7 @@ from blockprod.gammafn import (
     _bernoulli,
     _gamma_expr_log,
     _loggamma_fixed,
+    _run_rows,
     _series,
     _shift_product,
     _series_cuts,
@@ -35,6 +36,7 @@ from blockprod.gammafn import (
     log_gamma,
 )
 from blockprod.identities import (
+    DEFAULT_PARAMS,
     ProductSpec,
     closed_form_base2,
     closed_form_baseB,
@@ -189,8 +191,7 @@ class TestStirlingLogGamma:
 
 def fresh_bernoulli_table(monkeypatch) -> None:
     """Give ``_bernoulli`` an empty table for the rest of the test."""
-    monkeypatch.setattr(gammafn, "_BERNOULLI", gammafn._BERNOULLI[:2])
-    monkeypatch.setattr(gammafn, "_TANGENTS", gammafn._tangent_numbers())
+    monkeypatch.setattr(gammafn, "_BERNOULLI", gammafn._LazyTable(gammafn._bernoulli_numbers()))
 
 
 def bernoulli_recurrence(n: int) -> list[Fraction]:
@@ -211,6 +212,21 @@ def test_bernoulli_table_in_any_order(monkeypatch):
         assert _bernoulli(n) == tuple(want[: n + 1]), n
 
 
+def in_threads(target, args) -> None:
+    """``target(arg)`` for each of ``args`` in a thread of its own, all at once, with a short switch interval."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=target, args=(arg,)) for arg in args]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
 def test_bernoulli_table_across_threads(monkeypatch):
     """Eight threads growing one empty table at once, with a short switch interval, all read the recurrence."""
     want = bernoulli_recurrence(120)
@@ -222,18 +238,78 @@ def test_bernoulli_table_across_threads(monkeypatch):
         random.Random(seed).shuffle(order)
         got[seed] = all(_bernoulli(n) == tuple(want[: n + 1]) for n in order)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    in_threads(ask, range(8))
     assert got == dict.fromkeys(range(8), True)
+
+
+def cold_run_tables(monkeypatch) -> None:
+    """Empty the Bernoulli table and the caches of the series and their run rows."""
+    fresh_bernoulli_table(monkeypatch)
+    _series.cache_clear()
+    _run_rows.cache_clear()
+
+
+def test_run_rows_across_threads(monkeypatch):
+    """Eight threads reading rows ``p`` to ``n`` terms of one cold table, each in its own shuffled
+    order and with a short switch interval, all read ``floor(B_2p/(2p)! (k)_(2p-1) c_k)``."""
+    key = ((1, 1), (0, 2), 10, 544)  # the series of the runs of base-10 words at F = 544
+    P = 68  # the most rows those runs keep at N = 10**8
+    coeffs = _series(*key)[1]
+    bern = bernoulli_recurrence(2 * P)
+    want = [[math.floor(c * bern[2 * p] * Fraction(math.prod(range(k, k + 2 * p - 1)), math.factorial(2 * p)))
+             for k, c in enumerate(coeffs, 1)] for p in range(1, P + 1)]
+    cold_run_tables(monkeypatch)
+    integral, rows = _run_rows(*key)
+    assert integral == tuple(c // j for j, c in enumerate(coeffs[1:], 1))
+    asks = [(p, n) for p in range(1, P + 1) for n in range(1, len(coeffs) + 1, 7)]
+    got = {}
+
+    def ask(seed):
+        order = asks[:]
+        random.Random(seed).shuffle(order)
+        rows = _run_rows(*key)[1]
+        got[seed] = all(rows[:p][p - 1][:n] == tuple(want[p - 1][:n]) for p, n in order)
+
+    in_threads(ask, range(8))
+    assert got == dict.fromkeys(range(8), True)
+    with pytest.raises(IndexError):
+        rows[:1][0][: len(coeffs) + 1]
+
+
+def test_word_logsums_across_threads(monkeypatch):
+    """Four threads summing base-10 words from cold tables at once equal the words summed one by one."""
+    specs = [ProductSpec(10, Word.parse(w, 10), *DEFAULT_PARAMS) for w in "01234567"]
+    N, F = 10**8, 544
+    cold_run_tables(monkeypatch)
+    want = [logsum_word(spec, N, F) for spec in specs]
+    cold_run_tables(monkeypatch)
+    got = {}
+
+    def ask(seed):
+        got[seed] = [logsum_word(spec, N, F) for spec in specs[seed:] + specs[:seed]]
+
+    in_threads(ask, range(4))
+    assert got == {seed: want[seed:] + want[:seed] for seed in range(4)}
+
+
+def test_lazy_table_never_reads_short():
+    """A read past the items a generator can give raises, also after the generator was interrupted."""
+    table = gammafn._LazyTable(iter(range(3)))
+    assert table[:2] == (0, 1)
+    with pytest.raises(IndexError):
+        table[:4]
+    assert table[:3] == (0, 1, 2)
+
+    def interrupted():
+        yield 0
+        raise KeyboardInterrupt
+
+    table = gammafn._LazyTable(interrupted())
+    with pytest.raises(KeyboardInterrupt):
+        table[:2]
+    with pytest.raises(IndexError):
+        table[:2]
+    assert table[:1] == (0,)
 
 
 @pytest.mark.parametrize("M", [1, 127, 128, 129, 257, 1040])
@@ -759,14 +835,14 @@ def test_plan_and_evaluators_share_the_count(monkeypatch):
     assert callers == {"cost", "word_edge_plan", "_balanced_series", "integral_part", "_loggamma_fixed"}
 
 
-def test_log_gamma_sizes_share_a_ladder(monkeypatch):
+def test_log_gamma_sizes_share_a_ladder():
     """``bitlen(z) + 4`` rounds up to a multiple of 16: ``z`` of 20 and 28 bits share one
     ``fx_log`` ladder, and ``z`` of 29 bits takes the next."""
     F = 160
     _stirling_series(F)
-    monkeypatch.setattr(fixedpoint, "_LADDER_CACHE", {})
+    fixedpoint._ladder.cache_clear()
     _loggamma_fixed(10**6 + Fraction(1, 3), F)
     _loggamma_fixed(2**27 + Fraction(1, 3), F)
-    assert len(fixedpoint._LADDER_CACHE) == 1
+    assert fixedpoint._ladder.cache_info().currsize == 1
     _loggamma_fixed(2**28 + Fraction(1, 3), F)
-    assert len(fixedpoint._LADDER_CACHE) == 2
+    assert fixedpoint._ladder.cache_info().currsize == 2
