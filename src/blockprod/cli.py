@@ -6,8 +6,7 @@ exception; its traceback goes to stderr), 141 when the reader of stdout
 closes the pipe early (128 + SIGPIPE, as a shell reports a writer that
 signal stopped; nothing is printed).  All randomized behaviour
 flows from the explicit ``--seed``; identical invocations produce
-byte-identical output.  The environment variable ``BLOCKPROD_PRECISION``
-overrides the default precision (an explicit ``--precision`` still wins).
+byte-identical output.  Each command takes only the options it reads.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from blockprod.products import enumerate_words, verify
 from blockprod.words import _MAX_RENDER_BASE, Word, count_block
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
+DEFAULT_PRECISION = 128
 DEFAULT_TERMS = 10**5
 DEFAULT_TOLERANCE = "1/1000"
 FORMATS = ("text", "json", "csv")
@@ -85,16 +85,6 @@ MAX_RATIONAL_TEXT = 1000
 def _check_cap(flag: str, value: int, cap: int) -> None:
     if value > cap:
         raise ValueError(f"{flag} must be at most {cap}, got {value}")
-
-
-def _default_precision() -> int:
-    env = os.environ.get("BLOCKPROD_PRECISION")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"BLOCKPROD_PRECISION must be an integer, got {env!r}") from None
-    return 128
 
 
 def _parse_rational(flag: str, text: str) -> Fraction:
@@ -185,12 +175,12 @@ def cmd_count(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
-    word = Word.parse(args.word, args.base)
-    if args.a or args.b or args.base != 2:
-        expr = closed_form_baseB(_make_spec(args))
+    spec = _make_spec(args)
+    if spec.base == 2 and (sorted(spec.a), sorted(spec.b)) == tuple(map(sorted, DEFAULT_PARAMS)):
+        expr = closed_form_base2(spec.word)  # the paper's form of the base-2 family
     else:
-        expr = closed_form_base2(word)
-    record = {"base": args.base, "word": word.render(), "text": expr.text()}
+        expr = closed_form_baseB(spec)
+    record = {"base": args.base, "word": spec.word.render(), "text": expr.text()}
     if args.format == "json":
         record.update(expr.to_json_dict())
     _emit(args.format, record, [expr.text()], indent=None)
@@ -203,10 +193,11 @@ _FORMULA_ALIASES = {"rivoal": "rivoal_eq1", "rivoal_eq1": "rivoal_eq1",
 
 def cmd_verify(args) -> int:
     if args.formula:
-        tag = _FORMULA_ALIASES.get(args.formula)
-        if tag is None:
+        target = _FORMULA_ALIASES.get(args.formula)
+        if target is None:
             raise ValueError(f"unknown formula {args.formula!r}; expected rivoal or companion")
-        target = tag
+        if any(x is not None for x in (args.base, args.word, args.a, args.b)):
+            raise ValueError("a named formula takes no --base, --word, --a or --b")
     else:
         target = _make_spec(args)
     _check_cap("--terms", args.terms, MAX_BLOCK_SUM_TERMS)
@@ -348,9 +339,11 @@ def cmd_rivoal_forms(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *, terms: bool = False, tolerance: bool = False) -> None:
-    p.add_argument("--precision", type=int, default=_default_precision(),
-                   help="working precision in bits (default 128, env BLOCKPROD_PRECISION)")
+def _add_common(p: argparse.ArgumentParser, *, precision: bool = False, terms: bool = False,
+                tolerance: bool = False) -> None:
+    if precision:
+        p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+                       help=f"working precision in bits (default {DEFAULT_PRECISION})")
     p.add_argument("--format", choices=FORMATS, default="text", help="output format")
     if terms:
         p.add_argument("--terms", "-N", type=int, default=DEFAULT_TERMS,
@@ -390,13 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word")
     p.add_argument("--a")
     p.add_argument("--b")
-    _add_common(p, terms=True, tolerance=True)
+    _add_common(p, precision=True, terms=True, tolerance=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("enumerate", help="verify every word up to a length bound")
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--max-len", type=int, required=True)
-    _add_common(p, terms=True, tolerance=True)
+    _add_common(p, precision=True, terms=True, tolerance=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("lemma1-fuzz", help="exact randomized checks of the summation identity")
@@ -411,12 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lemma1_fuzz)
 
     p = sub.add_parser("alternating", help="Cauchy self-consistency estimate of the alternating product")
-    _add_common(p, terms=True)
+    _add_common(p, precision=True, terms=True)
     p.set_defaults(func=cmd_alternating)
 
     p = sub.add_parser("rivoal-forms", help="exact block-grouping identity between the two 4/pi forms")
     p.add_argument("--blocks", type=int, default=1000)
-    _add_common(p)
+    _add_common(p, precision=True)
     p.set_defaults(func=cmd_rivoal_forms)
 
     return parser
@@ -426,7 +419,8 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        _check_cap("--precision", args.precision, MAX_PRECISION)
+        if "precision" in args:
+            _check_cap("--precision", args.precision, MAX_PRECISION)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code

@@ -154,14 +154,14 @@ def _bernoulli(n: int) -> tuple[Fraction, ...]:
 _SERIES_GUARD = 16  # extra fraction bits of the series coefficients and Horner sums
 
 
-def _series_threshold(F: int) -> int:
+def _series_threshold(F: int, big: int = 0) -> int:
     """Smallest ``z`` at which the Stirling series are summed at scale ``F``.
 
-    :func:`_loggamma_fixed` shifts smaller arguments up to it;
-    :func:`_balanced_lgamma` raises it to four times shifts above 1 (see
-    :func:`_series_cuts`).
+    :func:`_loggamma_fixed` shifts smaller arguments up to ``F // 2``; a
+    balanced series whose largest shift rounds up to ``big > 1`` starts at
+    ``4 big`` if that is larger (see :func:`_series_cuts`).
     """
-    return F // 2
+    return max(F // 2, 4 * big)
 
 
 # --------------------------------------------------------------------------
@@ -355,16 +355,18 @@ def _loggamma_sum(num, den, F: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _series_cuts(F: int, X0: int, d: int, big: int = 0) -> tuple[int, ...]:
+def _series_cuts(F: int, d: int, big: int = 0) -> tuple[int, ...]:
     """Cuts ``(z_1..z_K)`` of the balanced series: after ``n`` terms, at ``z >= z_n``, the first omitted term is below ``2**-(F + _SERIES_GUARD + 4)``.
 
-    ``K`` is the fewest terms that pass at ``z = X0`` (``z_K = X0``), and
-    ``d`` the number of shifts on each side.  Bounds the omitted ``c_k/z^k``
-    by ``8d (k-1)!/(6^(k+1) z^k)`` for shifts in ``[0, 1]`` plus
+    ``K`` is the fewest terms that pass at ``z = X0``, the
+    :func:`_series_threshold` of ``(F, big)`` (``z_K = X0``), and ``d`` the
+    number of shifts on each side.  Bounds the omitted ``c_k/z^k`` by
+    ``8d (k-1)!/(6^(k+1) z^k)`` for shifts in ``[0, 1]`` plus
     ``2d big^(k+1)/(k z^k)`` when the largest shift rounds up to ``big > 1``
     (a conservative rendering of the term bound above); integer comparisons
     only, the cuts by :func:`_cuts`.
     """
+    X0 = _series_threshold(F, big)
     lim = 1 << (F + _SERIES_GUARD + 4)
     k = 1
     fact = 1  # (k - 1)!
@@ -388,14 +390,14 @@ def _largest_shift(A: tuple[int, ...], T: tuple[int, ...], W: int) -> int:
 
 def _balanced_threshold(A: tuple[int, ...], T: tuple[int, ...], W: int, F: int) -> int:
     """``X0`` of :func:`_series`, found without building its coefficients."""
-    return max(_series_threshold(F), 4 * _largest_shift(A, T, W))
+    return _series_threshold(F, _largest_shift(A, T, W))
 
 
 @lru_cache(maxsize=64)
 def _series(
     A: tuple[int, ...], T: tuple[int, ...], W: int, F: int
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """``(X0, coefficients, cuts)``: ``c_1..c_K`` of ``G`` at scale ``F + _SERIES_GUARD``, from power sums, and their :func:`_series_cuts`.
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(coefficients, cuts)``: ``c_1..c_K`` of ``G`` at scale ``F + _SERIES_GUARD``, from power sums, and their :func:`_series_cuts`.
 
     ``c_k`` is ``(-1)^(k+1) y_n / (k n lam W^n)`` with ``n = k + 1``, ``lam``
     the lcm of the denominators of ``B_0..B_(K+1)`` and ``y_n = W^n lam
@@ -406,8 +408,7 @@ def _series(
     ``O(K)`` integers are alive at a time, where a table of every entry
     would hold ``O(K^2)``.
     """
-    X0 = _balanced_threshold(A, T, W, F)
-    cuts = _series_cuts(F, X0, len(A), _largest_shift(A, T, W))
+    cuts = _series_cuts(F, len(A), _largest_shift(A, T, W))
     K = len(cuts)
     bern = _bernoulli(K + 1)
     lam = lcm(*(b.denominator for b in bern))
@@ -429,7 +430,7 @@ def _series(
         coeffs.append((y << S) // (k * n * lam * w_n))
         w_n *= W
         binom = [1, *[x + z for x, z in zip(binom, binom[1:])], 1]
-    return X0, tuple(coeffs), cuts
+    return tuple(coeffs), cuts
 
 
 def _balanced_series(A: tuple[int, ...], T: tuple[int, ...], W: int, u: int, F: int) -> int:
@@ -439,7 +440,7 @@ def _balanced_series(A: tuple[int, ...], T: tuple[int, ...], W: int, u: int, F: 
     (:func:`_terms_at`): with its floored coefficients and steps and the
     omitted terms it is within two units of its scale of the exact ``G(u)``.
     """
-    _, coeffs, cuts = _series(A, T, W, F)
+    coeffs, cuts = _series(A, T, W, F)
     acc = 0
     for c in reversed(coeffs[: _terms_at(cuts, u // W)]):
         acc = c + acc * W // u
@@ -468,8 +469,8 @@ _RUN_TOL = 4  # a run drops Euler-Maclaurin terms below 2**-_RUN_TOL units of it
 
 
 @lru_cache(maxsize=64)
-def _run_bounds(F: int, X0: int, d: int, big: int = 0) -> tuple:
-    """``(lx, ly, beta, fact, col)``: where runs over the balanced series of :func:`_series_cuts` ``(F, X0, d, big)`` may start, and their term bounds.
+def _run_bounds(F: int, d: int, big: int = 0) -> tuple:
+    """``(lx, ly, beta, fact, col)``: where runs over the balanced series of :func:`_series_cuts` ``(F, d, big)`` may start, and their term bounds.
 
     The term of row ``p`` and index ``k`` is below ``2**ub`` units of
     ``2**-(F + _SERIES_GUARD)`` over ``P^k x^(k+2p-1)``, with ``ub =
@@ -485,7 +486,7 @@ def _run_bounds(F: int, X0: int, d: int, big: int = 0) -> tuple:
     a row omits add up to less than twice its first omitted one.
     """
     S = F + _SERIES_GUARD
-    K = len(_series_cuts(F, X0, d, big))
+    K = len(_series_cuts(F, d, big))
     col = [(8 * d).bit_length() + 1 - (6 ** (k + 1)).bit_length() for k in range(1, K + 1)]
     fact, fact_bits = 1, [1]  # bitlen(n!) for n = 0, 1, ...
     if big:
@@ -514,15 +515,15 @@ def _run_bounds(F: int, X0: int, d: int, big: int = 0) -> tuple:
 
 
 @lru_cache(maxsize=1024)
-def _run_counts(F: int, X0: int, d: int, big: int, ly: int, lx: int) -> tuple[int, ...]:
+def _run_counts(F: int, d: int, big: int, ly: int, lx: int) -> tuple[int, ...]:
     """Terms ``(K_1, ..., K_m)`` a run keeps of rows ``1..m`` at ``y >= 2**ly``, ``x >= 2**lx``.
 
     Row ``p`` keeps its leading terms whose bound (see :func:`_run_bounds`
-    ``(F, X0, d, big)``) is at least ``2**-_RUN_TOL``; the first row none of
+    ``(F, d, big)``) is at least ``2**-_RUN_TOL``; the first row none of
     whose terms passes ends the list.  ``ly`` and ``lx`` must be at least
     those of the bounds.
     """
-    _, _, beta, fact, col = _run_bounds(F, X0, d, big)
+    _, _, beta, fact, col = _run_bounds(F, d, big)
     counts = []
     for p, b in enumerate(beta):
         lim = (2 * p + 1) * lx - _RUN_TOL - b
@@ -556,7 +557,7 @@ def _run_rows(A: tuple[int, ...], T: tuple[int, ...], W: int, F: int) -> tuple[t
     integral[j-1] y^-j``; ``rows[:p][p-1]`` is the :class:`_LazyTable` of
     row ``p`` (:func:`_run_row`), each row built only as far as a run asks.
     """
-    coeffs = _series(A, T, W, F)[1]
+    coeffs = _series(A, T, W, F)[0]
     integral = tuple(c // j for j, c in enumerate(coeffs[1:], 1))
     return integral, _LazyTable(_LazyTable(_run_row(coeffs, p)) for p in count(1))
 

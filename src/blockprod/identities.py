@@ -458,8 +458,8 @@ def word_edge_plan(
     ``X1`` and at its ends.  The plan depends on its arguments alone.
     """
     B = base
-    X0 = max(_series_threshold(F), 4 * big)
-    cuts = _series_cuts(F, X0, d, big)
+    X0 = _series_threshold(F, big)
+    cuts = _series_cuts(F, d, big)
     lx = ly = None  # where runs may start, from gammafn._run_bounds once a level asks
     QL = B**length
     first = v or QL
@@ -495,7 +495,7 @@ def word_edge_plan(
         run = None
         if high > 2:
             if lx is None:
-                lx, ly = _run_bounds(F, X0, d, big)[:2]
+                lx, ly = _run_bounds(F, d, big)[:2]
             need = max(-(-a // Bj), QL << lx, -(-max(X0, 1 << ly) // Bj))
             t0 = need + (v - need) % QL  # the run's first block
             t1 = (hi + 1) // Bj - 1
@@ -503,7 +503,7 @@ def word_edge_plan(
             n = (t1 - t0) // QL + 1
             if n > 1:
                 y = t0 * Bj
-                counts = _run_counts(F, X0, d, big, y.bit_length() - 1, (t0 // QL).bit_length() - 1)
+                counts = _run_counts(F, d, big, y.bit_length() - 1, (t0 // QL).bit_length() - 1)
                 steps = 8 * _terms_at(cuts, y) + _RUN_ROW_STEPS * sum(counts) + _RUN_STEPS
                 if cost(blocks - n, high - n, X0, max(a, X0)) + steps < min(best, class_cost):
                     run = t0, t1, n
@@ -554,42 +554,40 @@ def _series_shifts(spec: ProductSpec) -> tuple[tuple[int, ...], tuple[int, ...],
 # the rounding to F adds the other half.  g is the least multiple of 8 from
 # 16 on that passes for the plan made at its own scale (at 128 bits, 16
 # passes at once for every N measured up to 10^30), so that nearby N share
-# one scale, and with it their series coefficients and log ladders.
-def _word_plan(spec: ProductSpec, N: int, F: int) -> tuple[int, list[tuple[int, int, int, int, int]]]:
-    """``(g, pieces)``: the guard bits of :func:`logsum_word` at ``(spec, N, F)`` and the plan made at ``E = F + g``."""
+# one scale, and with it their series coefficients and log ladders.  V is
+# counted in the one pass that fixes each piece's m*, which the sum reads.
+def _word_plan(spec: ProductSpec, N: int, F: int) -> tuple[int, int, list[tuple[int, int, int, int, int, int]]]:
+    """``(g, V, pieces)``: the guard bits of :func:`logsum_word` at ``(spec, N, F)``, the values counted
+    above, and the plan made at ``E = F + g``: each piece of :func:`word_edge_plan` with its ``m*``, the
+    first point at or above the series threshold of its modulus (``first`` for a run), as
+    ``(sign, Q, first, m*, end, h)``."""
     A, T, DB = _series_shifts(spec)
-    big = _largest_shift(A, T, DB)
-    shape = (spec.base, len(spec.word.digits), word_value(spec.word), len(A))
+    d, big = len(A), _largest_shift(A, T, DB)
+    shape = (spec.base, len(spec.word.digits), word_value(spec.word), d)
     g = 16
     while True:
-        pieces = list(word_edge_plan(*shape, N, F + g - _SERIES_GUARD, big))
-        if 4 * _plan_values(A, T, DB, pieces, F + g) <= 1 << g:
-            return g, pieces
+        Fs = F + g - _SERIES_GUARD
+        X0 = _series_threshold(Fs)
+        pieces = []
+        values = low = runs = top = 0
+        for sign, Q, first, end, h in word_edge_plan(*shape, N, Fs, big):
+            mstar = first
+            if h > 1:
+                runs += 1
+            else:
+                lim = (_balanced_threshold(A, T, DB * Q, Fs) if big else X0) * Q  # shifts shrink as Q grows
+                if first < lim:
+                    mstar = min(end, first + (lim - first + Q - 1) // Q * Q)
+                    low += (mstar - first) // Q
+                values += 2 * (mstar < end)
+            top = max(top, end)  # above every point
+            pieces.append((sign, Q, first, mstar, end, h))
+        if runs:
+            values += runs * (16 + len(_run_bounds(Fs, d, big)[2]) + d * (1 + big * big))
+        values += low * (d * (DB * top + max(A + T)).bit_length()) // (8 * (F + g)) + 1
+        if 4 * values <= 1 << g:
+            return g, values, pieces
         g += 8
-
-
-def _plan_values(A: tuple[int, ...], T: tuple[int, ...], DB: int, pieces, E: int) -> int:
-    """The values within two units of ``2**-E`` that summing ``pieces`` at scale ``E`` adds up, counted as above."""
-    d, big = len(A), _largest_shift(A, T, DB)
-    Fs = E - _SERIES_GUARD
-    X0 = _balanced_threshold(A, T, DB, Fs)
-    values = low = runs = 0
-    for _, Q, first, end, h in pieces:
-        if h > 1:
-            runs += 1
-            continue
-        lim = (_balanced_threshold(A, T, DB * Q, Fs) if big else X0) * Q  # shifts shrink as Q grows
-        if first < lim:
-            mstar = min(end, first + (lim - first + Q - 1) // Q * Q)
-            low += (mstar - first) // Q
-            values += 2 * (mstar < end)
-        else:
-            values += 2
-    if runs:
-        values += runs * (16 + len(_run_bounds(Fs, X0, d, big)[2]) + d * (1 + big * big))
-    top = max((end for _, _, _, end, _ in pieces), default=0)  # above every point
-    factor_bits = d * (DB * top + max(A + T)).bit_length()
-    return values + low * factor_bits // (8 * E) + 1
 
 
 def logsum_word(spec: ProductSpec, N: int, F: int) -> int:
@@ -629,13 +627,12 @@ def _logsum_word(spec: ProductSpec, N: int, F: int, shared: dict) -> int:
     """:func:`logsum_word`, its series edges and run ends read from and added to the tables of ``shared``."""
     if N < 1:
         return 0
-    g, pieces = _word_plan(spec, N, F)
+    g, _, pieces = _word_plan(spec, N, F)
     E = F + g
     Fs = E - _SERIES_GUARD  # the series' nominal scale: their Horner sums land at E
     A, T, DB = _series_shifts(spec)
     d = len(A)
     chunk_bits = 8 * E
-    limits: dict[int, int] = {}
     edges = shared.setdefault(("edges", A, T, DB, Fs), {})
 
     def G(Q: int, m: int) -> int:
@@ -646,16 +643,11 @@ def _logsum_word(spec: ProductSpec, N: int, F: int, shared: dict) -> int:
 
     total = 0
     num = den = 1  # the low products since the last chunk log
-    for sign, Q, first, end, h in pieces:
+    for sign, Q, first, mstar, end, h in pieces:
         if h > 1:
             total += sign * _run_sum(A, T, DB, Fs, Q, first, end, h, G, shared)
             continue
-        lim = limits.get(Q)
-        if lim is None:
-            lim = limits[Q] = _balanced_threshold(A, T, DB * Q, Fs) * Q
-        mstar = first
-        if first < lim:
-            mstar = min(end, first + (lim - first + Q - 1) // Q * Q)
+        if first < mstar:
             step, stop = DB * Q, DB * mstar
             span = step * max(1, chunk_bits // (d * stop.bit_length()))
             for u in range(DB * first, stop, span):
@@ -700,8 +692,8 @@ def _run_sum(A, T, DB: int, Fs: int, P: int, ya: int, yc: int, h: int, G, shared
     ``shared`` (see :func:`_logsum_word`).
     """
     E = Fs + _SERIES_GUARD
-    X0, coeffs, cuts = _series(A, T, DB, Fs)
-    counts = _run_counts(Fs, X0, len(A), _largest_shift(A, T, DB), ya.bit_length() - 1, (ya // P).bit_length() - 1)
+    coeffs, cuts = _series(A, T, DB, Fs)
+    counts = _run_counts(Fs, len(A), _largest_shift(A, T, DB), ya.bit_length() - 1, (ya // P).bit_length() - 1)
     integral, rows = _run_rows(A, T, DB, Fs)
     em_rows = [row[:n] for row, n in zip(rows[: len(counts)], counts)]
     P2 = P * P

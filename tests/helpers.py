@@ -127,19 +127,9 @@ def mstar_cuts(spec, lo: int, hi: int, F: int, limit: int = 2) -> list[int]:
     (one point on the series, the rest exact products) and the plan at
     ``N - 1`` has none.
     """
-    B = spec.base
-    D = lcm(*(x.denominator for x in spec.a + spec.b))
-    A = tuple(sorted(int(x * D) for x in spec.a))
-    T = tuple(sorted(int(x * D) for x in spec.b))
-
     def reaches(N: int) -> bool:
-        g, pieces = _word_plan(spec, N, F)
-        Fs = F + g - _SERIES_GUARD
-        for _, Q, first, end, h in pieces:
-            lim = _balanced_threshold(A, T, D * B * Q, Fs) * Q
-            if h == 1 and first < lim <= end - Q < lim + Q:
-                return True
-        return False
+        pieces = _word_plan(spec, N, F)[2]
+        return any(h == 1 and first < mstar == end - Q for _, Q, first, mstar, end, h in pieces)
 
     cuts, before = [], reaches(lo - 1)
     for N in range(lo, hi + 1):
@@ -162,10 +152,10 @@ def run_cuts(spec, lo: int, hi: int, F: int, limit: int = 2) -> tuple[list[int],
     ``B N + B - 1``.
     """
     def runs(N: int) -> tuple[set[int], bool]:
-        _, pieces = _word_plan(spec, N, F)
+        pieces = _word_plan(spec, N, F)[2]
         top = spec.base * (N + 1) - 1
         levels, edge = set(), False
-        for _, Q, first, end, h in pieces:
+        for _, Q, first, _, end, h in pieces:
             if h > 1:
                 levels.add(h)
                 edge |= first == N + 1 or end - Q + h - 1 == top
@@ -415,7 +405,7 @@ def block_class_plan(
     """
     B = base
     X0 = _series_threshold(F)
-    cuts = _series_cuts(F, X0, d)
+    cuts = _series_cuts(F, d)
     QL = B**length
     first = v or QL
     if first <= N:

@@ -144,11 +144,13 @@ class TestClosedForm:
         assert "G(" in out
 
     def test_explicit_parameters(self, capsys):
-        code, out, _ = run(
-            capsys, "closed-form", "--base", "2", "--word", "1", "--a", "1,1", "--b", "0,2"
-        )
-        assert code == 0
-        assert out == "G(1/2) / (G(3/4)^2)\n"
+        """The base-2 family's parameters, typed in any order, print the paper's form, as the
+        defaults do; the words of value 0 are where the general form would differ."""
+        for word, want in (("1", "G(1/2) / (G(3/4)^2)"), ("0", "8 * G(1/2) / (G(1/4)^2)"),
+                           ("00", "16 * G(1/4) / (G(1/8)^2)")):
+            for a, b in (("1,1", "0,2"), ("1,1", "2,0")):
+                code, out, _ = run(capsys, "closed-form", "--base", "2", "--word", word, "--a", a, "--b", b)
+                assert (code, out) == (0, want + "\n"), (word, b)
 
     def test_unbalanced_parameters_exit_2(self, capsys):
         code, _, err = run(
@@ -201,6 +203,13 @@ class TestVerify:
     def test_missing_target_exit_2(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 2
+
+    @pytest.mark.parametrize("flag,value", [("--base", "3"), ("--word", "12"), ("--a", "banana"), ("--b", "0,2")])
+    def test_named_formula_takes_no_spec_flags(self, capsys, flag, value):
+        """A named formula fixes its product, so a spec flag beside it is refused, not ignored."""
+        code, out, err = run(capsys, "verify", "rivoal", "--terms", "1000", flag, value)
+        assert (code, out) == (2, "")
+        assert "a named formula takes no --base, --word, --a or --b" in err
 
 
 class TestLemma1Fuzz:
@@ -404,8 +413,7 @@ class TestOutputDigests:
     EXIT_CODES = {"lemma1-fuzz --trials 200 --seed 5 --misrange --format json": 1}
 
     @pytest.mark.parametrize("argv, digest", RUNS, ids=[argv for argv, _ in RUNS])
-    def test_stdout_digest(self, capsys, monkeypatch, argv, digest):
-        monkeypatch.delenv("BLOCKPROD_PRECISION", raising=False)
+    def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv.split())
         assert code == self.EXIT_CODES.get(argv, 0)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -468,35 +476,32 @@ class TestDeterminismAndConfig:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
-    def test_env_precision_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("BLOCKPROD_PRECISION", "160")
-        code, out, _ = run(capsys, "verify", "rivoal", "--terms", "200", "--format", "json")
-        assert json.loads(out)["precision_bits"] == 160
-
-    def test_explicit_precision_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BLOCKPROD_PRECISION", "160")
-        code, out, _ = run(
-            capsys, "verify", "rivoal", "--terms", "200", "--precision", "192",
-            "--format", "json",
-        )
-        assert json.loads(out)["precision_bits"] == 192
-
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize("argv", [
+        "count --base 2 --word 1 5 --precision 5000",
+        "closed-form --base 2 --word 1 --precision 12",
+        "lemma1-fuzz --trials 10 --precision 128",
+    ])
+    def test_precision_only_where_read(self, capsys, argv):
+        """Commands that compute nothing at a precision take no ``--precision``: the flag is a
+        usage error, whatever its value."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --precision" in capsys.readouterr().err
+
 
 class TestInputCaps:
     """Sizes above the caps exit 2 before any work starts; sizes at the caps run."""
 
-    def test_precision_cap(self, capsys, monkeypatch):
+    def test_precision_cap(self, capsys):
         over = str(cli.MAX_PRECISION + 1)
         code, _, err = run(capsys, "verify", "rivoal", "--terms", "200", "--precision", over)
         assert code == 2 and "--precision must be at most" in err
-        monkeypatch.setenv("BLOCKPROD_PRECISION", over)
-        code, _, _ = run(capsys, "count", "--base", "2", "--word", "11", "15")
-        assert code == 2
 
     def test_block_sum_terms_cap(self, capsys):
         code, out, _ = run(capsys, "verify", "rivoal", "--terms", str(10**30))

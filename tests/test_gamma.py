@@ -20,6 +20,7 @@ from blockprod.gammafn import (
     PoleError,
     _balanced_lgamma,
     _balanced_series,
+    _balanced_threshold,
     _bernoulli,
     _gamma_expr_log,
     _loggamma_fixed,
@@ -254,7 +255,7 @@ def test_run_rows_across_threads(monkeypatch):
     order and with a short switch interval, all read ``floor(B_2p/(2p)! (k)_(2p-1) c_k)``."""
     key = ((1, 1), (0, 2), 10, 544)  # the series of the runs of base-10 words at F = 544
     P = 68  # the most rows those runs keep at N = 10**8
-    coeffs = _series(*key)[1]
+    coeffs = _series(*key)[0]
     bern = bernoulli_recurrence(2 * P)
     want = [[math.floor(c * bern[2 * p] * Fraction(math.prod(range(k, k + 2 * p - 1)), math.factorial(2 * p)))
              for k, c in enumerate(coeffs, 1)] for p in range(1, P + 1)]
@@ -635,8 +636,7 @@ def per_modulus_series(A, T, W, F):
     big = -(-max(A + T) // W)
     if big <= 1:
         big = 0
-    X0 = max(_series_threshold(F), 4 * big)
-    cuts = _series_cuts(F, X0, len(A), big)
+    cuts = _series_cuts(F, len(A), big)
     K = len(cuts)
     bern = _bernoulli(K + 1)
     lam = math.lcm(*(b.denominator for b in bern))
@@ -653,7 +653,7 @@ def per_modulus_series(A, T, W, F):
         if k & 1 == 0:
             y = -y
         coeffs.append((y << (F + _SERIES_GUARD)) // (k * n * lam * W**n))
-    return X0, tuple(coeffs), cuts
+    return tuple(coeffs), cuts
 
 
 class TestBalancedSeries:
@@ -675,7 +675,7 @@ class TestBalancedSeries:
         F = prec + GUARD_BITS
         shifts = self.SHIFTS if prec < 2048 else self.SHIFTS[1:3]
         for A, T, W in shifts:
-            X0 = _series(A, T, W, F)[0]
+            X0 = _balanced_threshold(A, T, W, F)
             for u in (X0 * W, X0 * W + 1):
                 single = (sum(_loggamma_fixed(Fraction(u + x, W), F) for x in A)
                           - sum(_loggamma_fixed(Fraction(u + x, W), F) for x in T))
@@ -687,7 +687,7 @@ class TestBalancedSeries:
         ratio is within one unit of ``2**-F`` of the exact sum."""
         shifts = self.SHIFTS if F < 1056 else self.SHIFTS[:2]
         for A, T, W in shifts:
-            X0 = _series(A, T, W, F)[0]
+            X0 = _balanced_threshold(A, T, W, F)
             for u in (1, W, X0 * W - 1):
                 with mpmath.workprec(F + 64):
                     want = mpmath.fsum(mpmath.loggamma(mpmath.mpf(u + x) / W) for x in A) \
@@ -697,7 +697,7 @@ class TestBalancedSeries:
     def test_series_against_mpmath(self, mp_prec):
         F = 160
         A, T, W = (3, 9), (2, 10), 18
-        X0 = _series(A, T, W, F)[0]
+        X0 = _balanced_threshold(A, T, W, F)
         with mp_prec(F):
             for u in (X0 * W, 10**6 + 7, 10**15 + 3):
                 want = mpmath.fsum(mpmath.loggamma(mpmath.mpf(u + x) / W) for x in A) \
@@ -758,9 +758,10 @@ class TestTermCuts:
 
     def test_balanced_cuts(self, F):
         for A, T, W in CUT_SHIFTS:
-            X0, coeffs, cuts = _series(A, T, W, F)
+            coeffs, cuts = _series(A, T, W, F)
             big = -(-max(A + T) // W)
             big = big if big > 1 else 0
+            X0 = max(F // 2, 4 * big)
             assert len(cuts) == len(coeffs) and cuts[-1] == X0
             assert all(a >= b for a, b in zip(cuts, cuts[1:]))
             assert self.balanced_passes(F, len(A), big, len(cuts), X0)
@@ -794,7 +795,7 @@ class TestTermCuts:
         within one unit of the same sum over all ``K`` terms."""
         points = []
         for A, T, W in CUT_SHIFTS if F < 2080 else CUT_SHIFTS[:2]:
-            X0, _, cuts = _series(A, T, W, F)
+            X0, cuts = _balanced_threshold(A, T, W, F), _series(A, T, W, F)[1]
             points += [(A, T, W, (z - i) * W) for z in cuts for i in (0, 1) if z - i >= X0]
         got = [_balanced_series(*pt, F) for pt in points]
         monkeypatch.setattr(gammafn, "_terms_at", full_terms)

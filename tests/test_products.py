@@ -1,5 +1,6 @@
 """Truncated evaluation, tail bounds, verification reports, and the word sweep."""
 
+import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
@@ -15,17 +16,16 @@ from blockprod.fixedpoint import rshift_round
 from blockprod.gammafn import (
     _SERIES_GUARD,
     _balanced_series,
+    _balanced_threshold,
     _largest_shift,
     _log_ratio,
     _run_bounds,
     _run_counts,
     _series,
-    _series_threshold,
     eval_gamma_expr,
 )
 from blockprod.identities import (
     ProductSpec,
-    _plan_values,
     _run_sum,
     _series_shifts,
     _word_plan,
@@ -306,6 +306,22 @@ ROUNDING_SPECS = [
     (3, "12", ("1/2", "3/2"), ("1/3", "5/3")),
 ]
 
+# the word sums pinned bit for bit: bases 2, 3, 4 and 10 with a zero-leading
+# and an all-zeros word, the non-integer spec, and shifts above 1 (big > 0)
+GOLDEN_SPECS = [
+    (2, "1", ("1", "1"), ("0", "2")),
+    (3, "012", ("1", "1"), ("0", "2")),
+    (4, "00", ("1", "1"), ("0", "2")),
+    (10, "7", ("1", "1"), ("0", "2")),
+    (3, "12", ("1/2", "3/2"), ("1/3", "5/3")),
+    (2, "1", ("32", "1"), ("33", "0")),
+]
+GOLDEN_F = (160, 544, 1056)
+
+
+def golden_ns(base: int) -> tuple[int, ...]:
+    return 7, 2000, base**12 - 1, base**12, 10**30
+
 
 class TestWordEngine:
     """The telescoped log-sum ``identities.logsum_word``: exact low products, series edges, one rounding."""
@@ -380,8 +396,8 @@ class TestWordRuns:
         A, T, DB = _series_shifts(spec)
         Fs = self.F + 16 - _SERIES_GUARD
         E, X = Fs + _SERIES_GUARD, 24
-        X0, coeffs, _ = _series(A, T, DB, Fs)
-        lx, ly = _run_bounds(Fs, X0, len(A))[:2]
+        X0, coeffs = _balanced_threshold(A, T, DB, Fs), _series(A, T, DB, Fs)[0]
+        lx, ly = _run_bounds(Fs, len(A))[:2]
         B, QL, v = spec.base, spec.base ** len(spec.word.digits), helpers.word_value(spec.word)
         for j in (1, 4):
             h = B**j
@@ -392,7 +408,7 @@ class TestWordRuns:
             got = _run_sum(A, T, DB, Fs, P, ya, yc, h, lambda Q, m: _balanced_series(A, T, DB * Q, DB * m, Fs), {})
             deep = sum(_balanced_series(A, T, DB, DB * (y + h), Fs + X) - _balanced_series(A, T, DB, DB * y, Fs + X)
                        for y in range(ya, yc, P))
-            m = len(_run_counts(Fs, X0, len(A), 0, ya.bit_length() - 1, (ya // P).bit_length() - 1))
+            m = len(_run_counts(Fs, len(A), 0, ya.bit_length() - 1, (ya // P).bit_length() - 1))
             bound = 16 + m + 2 * abs(coeffs[0]) // (P << E) + 1
             assert abs((got << X) - deep) <= bound << X, (j, far)
 
@@ -402,7 +418,7 @@ class TestWordRuns:
         kept rows: a run end's corrections are keyed by ``P`` and the rows as well as ``y``."""
         A, T, DB = _series_shifts(make_spec(2, "1"))
         Fs = self.F + 16 - _SERIES_GUARD
-        lx = _run_bounds(Fs, _series(A, T, DB, Fs)[0], len(A))[0]
+        lx = _run_bounds(Fs, len(A))[0]
 
         def G(Q, m):
             return _balanced_series(A, T, DB * Q, DB * m, Fs)
@@ -450,23 +466,23 @@ class TestWordRuns:
         one block index apart, and at most two blocks cut by the range's ends."""
         spec = make_spec(base, text)
         N = 10**30
-        g, pieces = _word_plan(spec, N, self.F)
+        g, _, pieces = _word_plan(spec, N, self.F)
         Fs = self.F + g - _SERIES_GUARD
-        X1 = 1 << _run_bounds(Fs, _series_threshold(Fs), 2)[0]
+        X1 = 1 << _run_bounds(Fs, 2)[0]
         levels = (base * N + base - 1).bit_length()
-        blocks = sum(1 for _, Q, _, _, h in pieces if Q == 1 and h == 1)
-        assert sum(1 for piece in pieces if piece[4] > 1) > 0
+        blocks = sum(1 for _, Q, _, _, _, h in pieces if Q == 1 and h == 1)
+        assert sum(1 for piece in pieces if piece[5] > 1) > 0
         assert blocks <= (X1 + 2) * levels, (blocks, X1, levels)
 
     @pytest.mark.parametrize("base,text,a,b", ORACLE_SPECS)
     @pytest.mark.parametrize("N", [10**3, 10**6, 10**30])
     def test_guard_counts_every_rounded_value(self, monkeypatch, base, text, a, b, N):
         """The guard bits ``g`` come from a count of the values rounded at ``E = F + g``
-        (``identities._plan_values``, ``2^g >= 4`` times it); the count is at least the
+        (counted by ``identities._word_plan``, ``2^g >= 4`` times it); the count is at least the
         series edges and chunk logs the sum takes, and each run's ``16 + m + d (1 + big^2)``
         with ``m`` the rows it keeps."""
         spec = make_spec(base, text, a, b)
-        g, pieces = _word_plan(spec, N, self.F)
+        g, counted, _ = _word_plan(spec, N, self.F)
         seen = {"values": 0, "inner": False}  # inner: inside a run, or a log inside a log
 
         def edge(*args):
@@ -483,8 +499,7 @@ class TestWordRuns:
 
         def run_sum(A_, T_, DB_, Fs, P, ya, yc, h, G, shared):
             big = _largest_shift(A_, T_, DB_)
-            counts = _run_counts(Fs, _series(A_, T_, DB_, Fs)[0], len(A_), big, ya.bit_length() - 1,
-                                 (ya // P).bit_length() - 1)
+            counts = _run_counts(Fs, len(A_), big, ya.bit_length() - 1, (ya // P).bit_length() - 1)
             seen["values"] += 16 + len(counts) + len(A_) * (1 + big**2)
             seen["inner"] = True
             try:
@@ -497,8 +512,35 @@ class TestWordRuns:
         monkeypatch.setattr(identities, "_log_ratio", log_ratio)
         monkeypatch.setattr(identities, "_run_sum", run_sum)
         logsum_word(spec, N, self.F)
-        counted = _plan_values(*_series_shifts(spec), pieces, self.F + g)
         assert seen["values"] <= counted and 4 * counted <= 1 << g
+
+    @pytest.mark.parametrize("base,text,a,b", GOLDEN_SPECS)
+    def test_mstar_is_first_point_at_threshold(self, base, text, a, b):
+        """Each point piece's ``m*`` is the first of its points ``first, first + Q, ... < end``
+        at or above the series threshold ``X0 Q`` of its modulus, or ``end`` if none is;
+        each run's is its ``first``."""
+        spec = make_spec(base, text, a, b)
+        A, T, DB = _series_shifts(spec)
+        for F, N in ((F, N) for F in GOLDEN_F for N in golden_ns(base)):
+            g, _, pieces = _word_plan(spec, N, F)
+            Fs = F + g - _SERIES_GUARD
+            for _, Q, first, mstar, end, h in pieces:
+                if h > 1:
+                    assert mstar == first
+                    continue
+                lim = _balanced_threshold(A, T, DB * Q, Fs) * Q
+                assert first <= mstar <= end and (mstar - first) % Q == 0, (F, N, Q, first)
+                assert mstar == end or mstar >= lim, (F, N, Q, first)
+                assert mstar == first or mstar - Q < lim, (F, N, Q, first)
+
+    def test_golden_integers(self):
+        """The word sums over ``GOLDEN_SPECS`` x ``GOLDEN_F`` x ``golden_ns``, whose plans hold
+        runs, class and block pieces and guards of 16 and 24 bits, are the integers pinned by
+        the sha256 of their decimal texts joined by commas."""
+        sums = [logsum_word(make_spec(base, text, a, b), N, F)
+                for base, text, a, b in GOLDEN_SPECS for F in GOLDEN_F for N in golden_ns(base)]
+        digest = hashlib.sha256(",".join(map(str, sums)).encode()).hexdigest()
+        assert digest == "5fecc83bb79ae1d0346dbb1bda4218171996178a5f953eac3d1dd3349839cc02"
 
 
 def exact_report(r):
