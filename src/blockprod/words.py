@@ -17,15 +17,18 @@ evaluates it for one ``n``; :func:`block_counts` for a whole range.
 Chunked evaluation.  :func:`count_block` applies the recurrence ``c`` digits
 per step, where ``c`` is the largest integer with ``B^(c+L-1) <= 2^10``:
 
-    N_w(n) = N_w(n // B^c) + full_w[n mod B^(c+L-1)]    (n >= B^c),
-    N_w(n) = top_w[n]                                     (n <  B^c),
+    N_w(n) = N_w(n // B^c) + full_w[n mod B^(c+L-1)]    (n >= B^(c+L-1)),
+    N_w(n) = top_w[n]                                     (n <  B^(c+L-1)),
 
 with ``full_w[r] = sum_{i<c} [(r // B^i) mod B^L == v(w)]`` and
-``top_w = block_counts(w, 0, B^c - 1)``.  The first line holds because every
-window ending at one of the low ``c`` digits of ``n >= B^c`` lies inside
-``n``.  Both tables are built on a word's first count and kept on it; each
-has at most ``2^10`` one-byte entries.  Words with ``B^L > 2^10`` have no
-tables and are counted one digit per step.
+``top_w = block_counts(w, 0, B^(c+L-1) - 1)``.  The first line holds for
+every ``n >= B^c``, because every window ending at one of the low ``c``
+digits of such an ``n`` lies inside ``n``; it is used only from the window
+``B^(c+L-1)`` up, so every ``n`` below it takes one lookup.  ``top_w`` is built
+on a word's first count, and ``full_w`` only when a count first takes a chunk
+step; both are kept on the word and each has at most ``2^10`` one-byte
+entries.  Words with ``B^L > 2^10`` have no tables and are counted one digit
+per step.
 
 Bit-parallel evaluation.  In a base ``B = 2^s`` the window ending at digit
 ``i`` of ``n`` is the ``sL`` bits of ``n`` from bit ``si`` up, so all windows
@@ -158,12 +161,22 @@ class Word(_Record):
 
     @cached_property
     def _counter(self) -> tuple:
-        """The constants of :func:`count_block` for this word, built on first use.
+        """The below-window table of :func:`count_block`, built on the word's first count.
 
-        ``(B^c, B^(c+L-1), full_w, top_w)``, or ``(B, B^L, v(w), None)`` when
-        ``B^L`` exceeds the table cap (see the module docstring).
+        ``(B^(c+L-1), top_w)``, or ``(0, None)`` when ``B^L`` exceeds the
+        table cap (see the module docstring).  Raises ``ValueError`` for the
+        empty word, on every call.
         """
         return _build_counter(self)
+
+    @cached_property
+    def _chunk(self) -> tuple:
+        """The chunk step of :func:`count_block`, built when a count of the word first takes one.
+
+        ``(B^c, B^(c+L-1), full_w)``, or ``(B, B^L, v(w))`` when ``B^L``
+        exceeds the table cap (see the module docstring).
+        """
+        return _build_chunk(self)
 
     @cached_property
     def _bit_plan(self) -> tuple | None:
@@ -191,22 +204,22 @@ def word_value(w: Word) -> int:
 def count_block(w: Word, n: int) -> int:
     """``N_w(n)``: possibly overlapping occurrences of ``w`` in the expansion of ``n``.
 
-    Evaluates the counting recurrence ``c`` digits per step with one table
-    lookup each, and one lookup in all for ``n < B^c`` (module docstring,
-    "Chunked evaluation"); words with ``B^L > 2^10`` take one digit per
-    step.  In a power-of-two base, ``n >= 2^_BITWISE_BITS`` is counted with
-    ``2sL + 3`` whole-integer bit operations instead ("Bit-parallel
-    evaluation"), so the time is near-linear in the digit count of ``n``;
-    in other bases it is quadratic.  The count for ``n = 0`` is 0 for every
-    word.
+    One table lookup for every ``n`` below the word's window ``B^(c+L-1)``,
+    and above it one lookup per ``c`` digits (module docstring, "Chunked
+    evaluation"); words with ``B^L > 2^10`` take one digit per step.  In a
+    power-of-two base, ``n >= 2^_BITWISE_BITS`` is counted with ``2sL + 3``
+    whole-integer bit operations instead ("Bit-parallel evaluation"), so the
+    time is near-linear in the digit count of ``n``; in other bases it is
+    quadratic.  The count for ``n = 0`` is 0 for every word.
     """
-    # checks inlined: this is called once per integer in counting sweeps
-    if not w.digits:
-        raise ValueError("block counting needs a nonempty word")
+    # checks inlined (the empty word fails in the table build): this is
+    # called once per integer in counting sweeps
+    window, top = w._counter
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    step, window, full, top = w._counter
-    if n >= step and n >> _BITWISE_BITS and (plan := w._bit_plan):
+    if n < window:
+        return top[n]
+    if n >> _BITWISE_BITS and (plan := w._bit_plan):
         s, ones, zeros = plan
         width = -(-n.bit_length() // s) * s  # s bits for each digit of n
         m = ((1 << width) - 1) // ((1 << s) - 1)  # D: bit s*i for each digit i
@@ -217,13 +230,14 @@ def count_block(w: Word, n: int) -> int:
             for t in zeros:
                 m &= n >> t
         return m.bit_count()
+    step, window, full = w._chunk
     c = 0
     if top is None:  # step = B, window = B^L, full = v(w)
         while n:
             c += n % window == full
             n //= step
         return c
-    while n >= step:
+    while n >= window:
         c += full[n % window]
         n //= step
     return c + top[n]
@@ -280,24 +294,34 @@ _TABLE_CAP = 2**10
 
 
 def _build_counter(w: Word) -> tuple:
-    """:attr:`Word._counter`: the step, window and tables of :func:`count_block`."""
+    """:attr:`Word._counter`: the window and ``top_w`` of :func:`count_block`."""
+    if not w.digits:
+        raise ValueError("block counting needs a nonempty word")
+    base, window = w.base, w.base ** len(w.digits)
+    if window > _TABLE_CAP:
+        return 0, None
+    while window * base <= _TABLE_CAP:
+        window *= base
+    return window, bytes(block_counts(w, 0, window - 1))
+
+
+def _build_chunk(w: Word) -> tuple:
+    """:attr:`Word._chunk`: the step, window and ``full_w`` of :func:`count_block`."""
     base, length = w.base, len(w.digits)
     modulus, v = base**length, word_value(w)
-    if modulus > _TABLE_CAP:
-        return base, modulus, v, None
-    c = 1
-    while base ** (c + length) <= _TABLE_CAP:
-        c += 1
+    window, top = w._counter
+    if top is None:
+        return base, modulus, v
     # full_k[r] = full_(k-1)[r // B] + [r mod B^L == v] on r < B^(k+L-1), from
-    # the all-zero full_0 on r < B^(L-1); full_c is full_w
+    # the all-zero full_0 on r < B^(L-1); full_c, on r < window, is full_w
     full = bytearray(base ** (length - 1))
-    for _ in range(c):
+    while len(full) < window:
         level = bytearray(len(full) * base)
         for r in range(base):
             level[r::base] = full
         level[v::modulus] = level[v::modulus].translate(_INCREMENT)
         full = level
-    return base**c, len(full), bytes(full), bytes(block_counts(w, 0, base**c - 1))
+    return window // base ** (length - 1), window, bytes(full)
 
 
 # count_block counts n >= 2^_BITWISE_BITS bit-parallel in a power-of-two base;

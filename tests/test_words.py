@@ -178,9 +178,15 @@ def cap_words() -> list[Word]:
 
 
 def edge_values(w: Word) -> list[int]:
-    """Integers at the edges of the chunked recurrence for ``w``, and two huge ones."""
+    """Integers at the edges of the chunked recurrence for ``w``, and two huge ones.
+
+    The window ``B^(c+L-1)`` is the first ``n`` that takes a chunk step, and
+    ``B^(2c+L-1)`` the first that takes two.
+    """
     B, L, c = w.base, len(w), max(chunk_digits(w), 1)
-    ns = {0, 1, B**c - 1, B**c, B**c + 1, B ** (c + L - 1) - 1, B ** (c + L - 1) + 1,
+    window = B ** (c + L - 1)
+    ns = {0, 1, B**c - 1, B**c, B**c + 1, window - 1, window, window + 1,
+          window * B**c - 1, window * B**c,
           3**200 + 12345, random.Random(9).randrange(10**999, 10**1000)}
     for k in range(1, 41):
         ns |= {B**k - 1, B**k + 1}
@@ -202,16 +208,52 @@ class TestChunkedCounting:
     def test_tables_within_cap(self):
         """Step B^c and window B^(c+L-1) as in the module docstring; no table above 2^10."""
         for w in default_corpus() + cap_words() + [Word(1024, (5,)), Word(1025, (5,))]:
-            count_block(w, 7)
-            step, window, full, top = w._counter
+            count_block(w, 2**20)  # above every window, below the bit-parallel path
+            (window, top), (step, chunk_window, full) = w._counter, w._chunk
             c = chunk_digits(w)
             if c == 0:
-                assert top is None and w.base ** len(w) > 2**10
-                assert (step, window, full) == (w.base, w.base ** len(w), word_value(w))
+                assert (window, top) == (0, None) and w.base ** len(w) > 2**10
+                assert (step, chunk_window, full) == (w.base, w.base ** len(w), word_value(w))
                 continue
-            assert (step, window) == (w.base**c, w.base ** (c + len(w) - 1))
-            assert len(full) == window <= 2**10 and len(top) == step <= 2**10
-            assert top == bytes(block_counts(w, 0, step - 1))
+            assert (step, window) == (w.base**c, w.base ** (c + len(w) - 1)) and chunk_window == window
+            assert len(full) == window <= 2**10 and len(top) == window
+            assert top == bytes(block_counts(w, 0, window - 1))
+            # full_w[r] counts the windows reading w that end at the low c digits of r
+            v, modulus = word_value(w), w.base ** len(w)
+            assert list(full) == [sum((r // w.base**i) % modulus == v for i in range(c))
+                                  for r in range(window)]
+
+    def test_below_window_builds_no_chunk_table(self):
+        """A word counted only below its window holds ``top_w`` and no chunk table."""
+        for w in default_corpus() + cap_words():
+            if not chunk_digits(w):
+                continue
+            word = Word(w.base, w.digits)
+            window = w.base ** (chunk_digits(w) + len(w) - 1)
+            for n in (0, 1, window - 1):
+                assert count_block(word, n) == count_block_recurrence(word, n)
+            assert "_counter" in vars(word) and "_chunk" not in vars(word)
+            count_block(word, window)
+            assert "_chunk" in vars(word)
+
+    def test_counts_agree_whichever_table_comes_first(self):
+        """The same counts whether a word is first counted below its window, above it, or its chunk step is built first."""
+        for w in default_corpus() + cap_words():
+            ns = edge_values(w)
+            want = [count_block_recurrence(w, n) for n in ns]
+            ascending, descending, chunk_first = (Word(w.base, w.digits) for _ in range(3))
+            chunk_first._chunk  # builds the chunk step before any count
+            assert [count_block(ascending, n) for n in ns] == want
+            assert [count_block(descending, n) for n in reversed(ns)][::-1] == want
+            assert [count_block(chunk_first, n) for n in ns] == want
+
+    def test_empty_word_raises_on_every_call(self):
+        """The empty word has no tables: each count raises, the first and any repeat alike."""
+        empty = Word(2, ())
+        for n in (0, 5, 3**200):
+            with pytest.raises(ValueError, match="nonempty word"):
+                count_block(empty, n)
+        assert "_counter" not in vars(empty) and "_chunk" not in vars(empty)
 
     def test_tables_leave_word_identity_alone(self):
         """A word that holds its tables still equals, hashes, reprs and pickles as a fresh one."""
