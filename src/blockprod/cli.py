@@ -247,6 +247,7 @@ def cmd_lemma1_fuzz(args) -> int:
     rng = random.Random(args.seed)
     exact = 0
     counterexample = None
+    words = {}  # one Word per drawn (base, digits), so each builds its count table once
     for trial in range(args.trials):
         base = bases[rng.randrange(len(bases))]
         length = rng.randrange(1, args.max_word_len + 1)
@@ -254,7 +255,9 @@ def cmd_lemma1_fuzz(args) -> int:
             digits = (0,) * length  # the word of value 0, whose range starts at B^L
         else:
             digits = tuple(rng.randrange(base) for _ in range(length))
-        word = Word(base, digits)
+        word = words.get((base, digits))
+        if word is None:
+            word = words[base, digits] = Word(base, digits)
         entries = {}
         for _ in range(rng.randrange(1, args.max_support + 1)):
             key = rng.randrange(1, 400)

@@ -23,7 +23,8 @@ sides, have a Stirling series with exact rational coefficients and no
 ``log`` term; :func:`_balanced_series` sums it at large arguments, as many
 terms as its own cuts give for ``u/W``.  :func:`_balanced_lgamma` raises a
 smaller argument past the threshold by whole steps and subtracts one
-``log`` of the exact ratio of the two sides' shift products.  The
+``log`` of the floored ratio of the two sides' shift products, certified
+from products kept to the bits it reads (:func:`_shift_log_ratio`).  The
 word-product log-sums take differences of the series above the threshold,
 and the 4/pi bit-length families sum :func:`_balanced_lgamma` at their
 block edges; :func:`gamma_ratio_product` takes ``G(N + 1) - G(0)``, and
@@ -48,6 +49,7 @@ from functools import lru_cache
 from itertools import count, islice
 from math import lcm, prod
 from operator import neg, sub
+from weakref import WeakValueDictionary
 
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision
 from blockprod.fixedpoint import fx_log, pi_fixed, rshift_round
@@ -257,20 +259,38 @@ def _stirling_series(F: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return half_log_2pi, coeffs, _cuts(exponents, X0)
 
 
-_SPLIT_FACTORS = 128  # above this many factors the shift product splits in halves
+_SPLIT_FACTORS = 128  # above this many factors a shift product splits in halves
 
 
-def _shift_product(p: int, q: int, M: int) -> int:
-    """``prod_{k<M} (p + kq)``, by binary splitting above ``_SPLIT_FACTORS`` factors.
+def _floor_to(x: int, e: int, n: int, cap: int) -> tuple[int, int, int]:
+    """``(x, e, n)`` with ``x`` floored to its top ``cap`` bits and the floor counted in ``n``; as it is when ``cap`` is 0 or ``x`` fits."""
+    k = x.bit_length() - cap
+    if cap and k > 0:
+        return x >> k, e + k, n + 1
+    return x, e, n
 
-    One ``math.prod`` over ``M`` factors multiplies a growing product by a
-    small one ``M`` times, quadratic in ``M``; halves of balanced size keep
-    the large multiplications few.  The integer is the same either way.
+
+def _capped_product(p: int, q: int, M: int, cap: int = 0) -> tuple[int, int, int]:
+    """``(x, e, n)`` with ``x 2**e <= prod_{k<M} (p + kq) <= (x + 4n) 2**e``; exact (``e = n = 0``) when ``cap`` is 0.
+
+    Binary splitting above ``_SPLIT_FACTORS`` factors: one ``math.prod``
+    over ``M`` factors multiplies a growing product by a small one ``M``
+    times, quadratic in ``M``; halves of balanced size keep the large
+    multiplications few.  With a cap, every node longer than ``cap`` bits
+    is floored to its top ``cap`` bits and counted in ``n``.  A floored
+    ``x`` keeps at least ``2**(cap-1)``, so each floor lowers its node by a
+    factor above ``1/(1 + 2**(1-cap))``; the ``n`` floors below the root
+    leave it within ``(1 + 2**(1-cap))**n <= 1 + 4n 2**-cap`` (as ``n <=
+    2**(cap-1)``) of the product, and ``x < 2**cap`` makes that at most
+    ``(x + 4n) 2**e``.
     """
     if M <= _SPLIT_FACTORS:
-        return prod(range(p, p + M * q, q))
+        x = prod(range(p, p + M * q, q))
+        return _floor_to(x, 0, 0, cap) if cap else (x, 0, 0)
     h = M // 2
-    return _shift_product(p, q, h) * _shift_product(p + h * q, q, M - h)
+    x1, e1, n1 = _capped_product(p, q, h, cap)
+    x2, e2, n2 = _capped_product(p + h * q, q, M - h, cap)
+    return _floor_to(x1 * x2, e1 + e2, n1 + n2, cap)
 
 
 def _log_ratio(p: int, q: int, E: int) -> int:
@@ -278,6 +298,81 @@ def _log_ratio(p: int, q: int, E: int) -> int:
     if p < q:
         return -_log_ratio(q, p, E)
     return fx_log((p << E) // q, E)
+
+
+# Capping the shift products of a balanced log-Gamma pays only once a side's
+# products are several times the cap: below that they are cheap to multiply
+# whole, and the floors and the second quotient of the bracket cost more than
+# the shorter multiplications save.  Measured on one pinned CPU (x86-64,
+# Python 3.11.7), in us per log ratio, exact / capped at E + 64 bits, over
+# the shapes (0,2)/(1,1), (1,2)/(0,3) and (1,1,1)/(0,0,3), W from 4 to 10^6:
+#
+#     E      break-even        below it               above it
+#     192    1,250-1,700 bits  1,152 bits: 15.0/16.0  4,752 bits: 28.1/22.1
+#     304    1,600-2,000       960: 18.6/18.8         8,064: 55.6/33.5
+#     560    2,200-3,500       2,816: 41.0/43.4       15,776: 144/64
+#     1072   3,800-4,100       3,200: 49.8/53.9       16,896: 204/123
+#     2096   5,500-6,800       5,440: 124/133         35,360: 651/328
+#
+# So a side is capped from max(_CAP_FROM, 4 cap) bits on, never below a
+# measured break-even band.
+_CAP_FROM = 3072  # bits a side's shift products may reach, whatever the cap, uncapped
+_CAP_GUARD = 64  # bits a capped product keeps beyond the scale of its log
+
+
+def _side_product(counts: dict[int, int], sign: int, u: int, W: int, M: int, cap: int) -> tuple[int, int, int]:
+    """``prod P(u + a)**|c|`` over the shifts ``a`` whose count ``c`` has the sign of ``sign``, capped, as ``(x, e, n)`` of :func:`_capped_product`.
+
+    Raising a bracketed product to the power ``c`` raises its bound to
+    ``(1 + 2**(1-cap))**(c n)``, so its floors count ``c`` times.
+    """
+    x, e, n = 1, 0, 0
+    for a, c in counts.items():
+        c *= sign
+        if c > 0:
+            px, pe, pn = _capped_product(u + a, W, M, cap)
+            x, e, n = _floor_to(x * px**c, e + c * pe, n + c * pn, cap)
+    return x, e, n
+
+
+def _quotient(x: int, e: int, y: int, f: int, E: int) -> int:
+    """``floor(x 2**e / (y 2**f) * 2**E)``."""
+    s = e + E - f
+    return (x << s) // y if s >= 0 else x // (y << -s)
+
+
+def _shift_log_ratio(counts: dict[int, int], u: int, W: int, M: int, E: int) -> int:
+    """``log(prod_(c>0) P(u + a)**c / prod_(c<0) P(u + a)**-c)`` at scale ``E``, ``P(p) = prod_{k<M} (p + kW)``.
+
+    The value is :func:`_log_ratio` of the exact products: one floored
+    quotient of the larger side by the smaller at scale ``E``, one
+    ``fx_log``.  Sides longer than ``_CAP_FROM`` bits and four caps are
+    first built capped at ``cap = E + _CAP_GUARD`` bits
+    (:func:`_side_product`), each known to lie in its bracket ``[x 2**e,
+    (x + 4n) 2**e]``.  Where the quotient floored from both ends of the
+    brackets is one integer, at least ``2**E``, it is the exact quotient,
+    and its ``fx_log`` is the value; where the ends differ, the exact
+    products are built and :func:`_log_ratio` runs.  Either way the integer
+    is the one the exact products give.
+    """
+    side = sum(map(abs, counts.values())) // 2  # factors a side, as the counts add up to 0
+    cap = E + _CAP_GUARD
+    if side * M * (u + max(counts) + M * W).bit_length() > max(_CAP_FROM, 4 * cap):
+        sides = _side_product(counts, 1, u, W, M, cap), _side_product(counts, -1, u, W, M, cap)
+        for sign in (1, -1):
+            (x, e, n), (y, f, m) = sides[::sign]
+            low = _quotient(x, e, y + 4 * m, f, E)
+            if low >> E:  # this side is the larger
+                if low == _quotient(x + 4 * n, e, y, f, E):
+                    return sign * fx_log(low, E)
+                break
+    num = den = 1
+    for a, c in counts.items():
+        if c > 0:
+            num *= _capped_product(u + a, W, M)[0] ** c
+        elif c < 0:
+            den *= _capped_product(u + a, W, M)[0] ** -c
+    return _log_ratio(num, den, E) if num != den else 0
 
 
 @lru_cache(maxsize=128)
@@ -310,7 +405,7 @@ def _loggamma_fixed(x: Fraction, F: int) -> int:
         acc += (q - 2 * p) * _log_denominator(q, E)
     acc = acc // (2 * q) - (Z << E) // q
     if M:
-        acc -= fx_log(_shift_product(p, q, M) << E, E)
+        acc -= fx_log(_capped_product(p, q, M)[0] << E, E)
     q2, Z2 = q * q, Z * Z
     s = 0
     for c in reversed(coeffs[: _terms_at(cuts, Z // q)]):
@@ -393,8 +488,32 @@ def _balanced_threshold(A: tuple[int, ...], T: tuple[int, ...], W: int, F: int) 
     return _series_threshold(F, _largest_shift(A, T, W))
 
 
+_SERIES_BUILDS: WeakValueDictionary = WeakValueDictionary()  # key -> its build, while a caller holds it
+_SERIES_BUILDS_LOCK = allocate_lock()
+
+
 @lru_cache(maxsize=64)
 def _series(
+    A: tuple[int, ...], T: tuple[int, ...], W: int, F: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(coefficients, cuts)`` of :func:`_build_series`, built once per key also when threads miss at once.
+
+    A miss takes the key's one build: a :class:`_LazyTable` of one item,
+    drawn under its own lock, which the first caller fills while the others
+    wait.  A build lives only as long as a caller reads it, so a key the
+    cache evicted or cleared is built anew; only a miss that lands in the
+    instant between the last reader letting go and the cache storing the
+    value builds it again, to an equal value.
+    """
+    key = (A, T, W, F)
+    with _SERIES_BUILDS_LOCK:
+        build = _SERIES_BUILDS.get(key)
+        if build is None:
+            build = _SERIES_BUILDS[key] = _LazyTable(_build_series(*key) for _ in (key,))
+    return build[:1][0]
+
+
+def _build_series(
     A: tuple[int, ...], T: tuple[int, ...], W: int, F: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``(coefficients, cuts)``: ``c_1..c_K`` of ``G`` at scale ``F + _SERIES_GUARD``, from power sums, and their :func:`_series_cuts`.
@@ -571,11 +690,15 @@ def _balanced_lgamma(A: tuple[int, ...], T: tuple[int, ...], W: int, u: int, F: 
     only by a translation share one :func:`_series`.  At ``u/W >= X0`` (see
     :func:`_balanced_threshold`) the value is :func:`_balanced_series`;
     below, it is the series at ``u + M W``, ``M = ceil(X0 - u/W)``, minus
-    the log of the exact ratio ``prod_i P(u + A_i) / prod_i P(u + T_i)`` of
-    the shift products ``P(p) = prod_{k<M} (p + kW)`` (their ``W^M`` cancel,
-    as the sides have equal length): one floored quotient and one ``fx_log``
-    (:func:`_log_ratio`), each distinct shift's product built once and
-    raised to its multiplicity.  Both parts are added at scale ``F +
+    the log of the ratio ``prod_i P(u + A_i) / prod_i P(u + T_i)`` of the
+    shift products ``P(p) = prod_{k<M} (p + kW)`` (their ``W^M`` cancel, as
+    the sides have equal length), each distinct shift's product built once
+    and raised to its multiplicity: one ``fx_log`` of the floored quotient
+    of the exact products at scale ``F + _SERIES_GUARD``.  Sides longer
+    than ``max(_CAP_FROM, 4 cap)`` bits are built only to the ``cap`` bits
+    that quotient reads, and the quotient is certified from their brackets,
+    or taken from the exact products where the brackets leave it open
+    (:func:`_shift_log_ratio`).  Both parts are added at scale ``F +
     _SERIES_GUARD`` and rounded once, so the value is an integer fixed by
     ``(A, T, W, u, F)`` alone, within one unit of ``2**-F`` of the exact sum.
     """
@@ -586,16 +709,12 @@ def _balanced_lgamma(A: tuple[int, ...], T: tuple[int, ...], W: int, u: int, F: 
     M = max(0, (_balanced_threshold(A, T, W, F) * W - u + W - 1) // W)  # ceil(X0 - u/W)
     acc = _balanced_series(A, T, W, u + M * W, F)
     if M:
-        counts = Counter(A)
-        counts.subtract(T)
-        num = den = 1
-        for a, c in counts.items():
-            if c > 0:
-                num *= _shift_product(u + a, W, M) ** c
-            elif c < 0:
-                den *= _shift_product(u + a, W, M) ** -c
-        if num != den:
-            acc -= _log_ratio(num, den, F + _SERIES_GUARD)
+        counts = dict.fromkeys(A + T, 0)  # each shift's count in A less its count in T
+        for a in A:
+            counts[a] += 1
+        for t in T:
+            counts[t] -= 1
+        acc -= _shift_log_ratio(counts, u, W, M, F + _SERIES_GUARD)
     return rshift_round(acc, _SERIES_GUARD)
 
 

@@ -408,9 +408,15 @@ class TestOutputDigests:
          "61319f4ff804e20bd2afb782f8f70c5ec9ca72f64399a95e2f4e574e81f27c8f"),
         ("lemma1-fuzz --trials 50 --seed 3",
          "e21fe4dc23bda7bd587c610b5244123e0bb0b1df1ab6bda606871737709e55f9"),
+        # the default 1000 trials, which draw many words more than once
+        ("lemma1-fuzz --format json",
+         "f901a42d7328de40ad755ced0ed79d1da3382d8859156bc5a4e1abb5c5729370"),
+        ("lemma1-fuzz --misrange --format json",
+         "6ec17ff98533b440a692ac51eb9dfdf0d42a1653a72ccd25b9b8f1cbeedebf9a"),
     ]
     # the mis-ranged controls are verified failures
-    EXIT_CODES = {"lemma1-fuzz --trials 200 --seed 5 --misrange --format json": 1}
+    EXIT_CODES = {"lemma1-fuzz --trials 200 --seed 5 --misrange --format json": 1,
+                  "lemma1-fuzz --misrange --format json": 1}
 
     @pytest.mark.parametrize("argv, digest", RUNS, ids=[argv for argv, _ in RUNS])
     def test_stdout_digest(self, capsys, argv, digest):

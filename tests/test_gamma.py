@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import helpers
@@ -22,11 +23,12 @@ from blockprod.gammafn import (
     _balanced_series,
     _balanced_threshold,
     _bernoulli,
+    _capped_product,
     _gamma_expr_log,
     _loggamma_fixed,
     _run_rows,
+    _log_ratio,
     _series,
-    _shift_product,
     _series_cuts,
     _series_threshold,
     _stirling_series,
@@ -313,10 +315,118 @@ def test_lazy_table_never_reads_short():
     assert table[:1] == (0,)
 
 
+def test_series_built_once_across_threads(monkeypatch):
+    """Four threads reading three cold series keys at once build each key once and read equal values."""
+    keys = [((1, 1), (0, 2), W, 1056) for W in (10, 100, 1000)]
+    want = [gammafn._build_series(*key) for key in keys]
+    builds = Counter()
+    build = gammafn._build_series
+
+    def counted(*key):
+        builds[key] += 1
+        return build(*key)
+
+    monkeypatch.setattr(gammafn, "_build_series", counted)
+    _series.cache_clear()
+    start = threading.Barrier(4)
+    got = {}
+
+    def ask(seed):
+        start.wait()
+        got[seed] = [_series(*key) for key in keys]
+
+    in_threads(ask, range(4))
+    assert builds == Counter(keys)
+    assert got == dict.fromkeys(range(4), want)
+    assert _series(*keys[0]) == want[0] and builds == Counter(keys)  # a warm read builds nothing
+
+
 @pytest.mark.parametrize("M", [1, 127, 128, 129, 257, 1040])
 def test_shift_product_is_plain_product(M):
+    """Uncapped, the product is ``math.prod``; capped, its bracket ``[x 2**e, (x + 4n) 2**e]`` holds it."""
     for p, q in ((1, 1), (25, 32), (7, 81)):
-        assert _shift_product(p, q, M) == math.prod(range(p, p + M * q, q)), (p, q)
+        exact = math.prod(range(p, p + M * q, q))
+        assert _capped_product(p, q, M) == (exact, 0, 0), (p, q)
+        for cap in (64, 300):
+            x, e, n = _capped_product(p, q, M, cap)
+            assert x.bit_length() <= cap, (p, q, cap)
+            assert x << e <= exact <= (x + 4 * n) << e, (p, q, cap)
+            assert n or (x, e) == (exact, 0), (p, q, cap)
+
+
+def exact_shift_log_ratio(counts, u, W, M, E):
+    """The log ratio of the exact shift products, as the plain products give it."""
+    num = math.prod(math.prod(range(u + a, u + a + M * W, W)) ** c for a, c in counts.items() if c > 0)
+    den = math.prod(math.prod(range(u + a, u + a + M * W, W)) ** -c for a, c in counts.items() if c < 0)
+    return _log_ratio(num, den, E) if num != den else 0
+
+
+class TestCertifiedLogRatio:
+    """The log of the shift-product ratio, certified from capped products, is the integer of
+    the exact products, and takes the exact products where the brackets leave it open."""
+
+    # the closed forms' (0,2)/(1,1), the grouped and alternating 4/pi prefixes' (W = 4, 8),
+    # and three shifts a side
+    SHAPES = [((0, 2), (1, 1)), ((2, 2), (1, 3)), ((6, 6), (5, 7)), ((1, 1, 1), (0, 0, 3))]
+
+    @staticmethod
+    def cases(F):
+        for A, T in TestCertifiedLogRatio.SHAPES:
+            counts = Counter(A)
+            counts.subtract(T)
+            for W in (4, 8, 64, 81, 256):
+                X0 = _balanced_threshold(A, T, W, F)
+                for u in (1, W, X0 * W - 1):
+                    yield counts, u, W, -(-(X0 * W - u) // W)
+
+    @pytest.mark.parametrize("F", [176, 288, 1056, 2080])
+    def test_equals_exact_log_ratio(self, F, monkeypatch):
+        """Products past the crossover are certified without the exact quotient; the others
+        take it, once."""
+        calls = []
+
+        def exact_only(p, q, E):
+            calls.append(E)
+            return _log_ratio(p, q, E) if p >= q else -_log_ratio(q, p, E)
+
+        monkeypatch.setattr(gammafn, "_log_ratio", exact_only)
+        E = F + _SERIES_GUARD
+        certified = 0
+        for counts, u, W, M in self.cases(F):
+            want = exact_shift_log_ratio(counts, u, W, M, E)
+            calls.clear()
+            assert gammafn._shift_log_ratio(counts, u, W, M, E) == want, (dict(counts), u, W, M)
+            side = sum(c for c in counts.values() if c > 0)
+            cap = E + gammafn._CAP_GUARD
+            capped = side * M * (u + max(counts) + M * W).bit_length() > max(gammafn._CAP_FROM, 4 * cap)
+            assert calls == ([] if capped else [E]), (dict(counts), u, W, M)
+            certified += capped
+        assert certified >= {176: 6, 288: 34, 1056: 40, 2080: 40}[F], certified
+
+    @pytest.mark.parametrize("F", [1056, 2080])
+    def test_open_bracket_takes_the_exact_products(self, F, monkeypatch):
+        """With a guard of two bits the brackets straddle the quotient: the exact products
+        decide it, and neither the log ratio nor the balanced sum moves."""
+        A, T, W = (0, 2), (1, 1), 64
+        counts = Counter(A)
+        counts.subtract(T)
+        E = F + _SERIES_GUARD
+        M = _balanced_threshold(A, T, W, F) - 1
+        want = gammafn._shift_log_ratio(counts, 1, W, M, E)
+        want_sum = _balanced_lgamma(A, T, W, 1, F)
+        calls = []
+
+        def exact(p, q, E):
+            calls.append(E)
+            return _log_ratio(p, q, E) if p >= q else -_log_ratio(q, p, E)
+
+        monkeypatch.setattr(gammafn, "_log_ratio", exact)
+        monkeypatch.setattr(gammafn, "_CAP_GUARD", 2)
+        assert gammafn._shift_log_ratio(counts, 1, W, M, E) == want
+        assert calls == [E]
+        assert _balanced_lgamma(A, T, W, 1, F) == want_sum
+        assert calls == [E, E]
+        assert want == exact_shift_log_ratio(counts, 1, W, M, E)
 
 
 @pytest.mark.parametrize("x", [Fraction(1, 997), Fraction(253, 256), 10**6 + Fraction(1, 3)])
