@@ -316,7 +316,7 @@ def _log_ratio(p: int, q: int, E: int) -> int:
 #
 # So a side is capped from max(_CAP_FROM, 4 cap) bits on, never below a
 # measured break-even band.
-_CAP_FROM = 3072  # bits a side's shift products may reach, whatever the cap, uncapped
+_CAP_FROM = 3072  # a side is capped only above this many bits and above four caps
 _CAP_GUARD = 64  # bits a capped product keeps beyond the scale of its log
 
 
