@@ -3,8 +3,11 @@
 A :class:`BigReal` stores ``man * 2**exp`` with the mantissa normalised to
 exactly ``prec`` bits (round half to even), so every value is an exact
 dyadic rational and identical inputs always produce bit-identical results.
-Binary operations return results at the *maximum* of the two operands'
-precisions.
+A ``BigReal`` is an immutable value with no arithmetic operators; equality
+is structural (same ``man``, ``exp`` and ``prec``).  The few results the
+library derives from finished values (a gap ``|x - y|``, a ratio, a
+rational prefactor product) are computed exactly on the integers and
+rounded once, by :func:`_abs_gap` and :func:`_round_ratio`.
 
 Transcendental evaluation does not happen on :class:`BigReal` directly:
 higher layers compute in integer fixed-point at ``prec + GUARD_BITS`` bits
@@ -62,20 +65,6 @@ def _round_half_even(man: int, shift: int) -> int:
     return t >> 1
 
 
-def _sticky_quotient(n: int, d: int, prec: int) -> tuple[int, int]:
-    """``(q, s)`` with ``q = floor(n * 2**s / d)`` of ``prec + 2`` or ``prec + 3`` bits,
-    for positive ``n`` and ``d``.  An inexact quotient gets its low bit set (a sticky
-    bit), which keeps the later round-to-nearest decision exact."""
-    s = prec + 2 - (n.bit_length() - d.bit_length())
-    if s >= 0:
-        q, r = divmod(n << s, d)
-    else:
-        q, r = divmod(n, d << (-s))
-    if r:
-        q |= 1
-    return q, s
-
-
 class BigReal:
     """An exact dyadic real ``man * 2**exp`` carrying its working precision."""
 
@@ -119,11 +108,7 @@ class BigReal:
         """Round any rational (Fraction or int) to ``prec`` bits."""
         prec = _check_precision(prec)
         fr = Fraction(value)
-        n, d = fr.numerator, fr.denominator
-        if n == 0:
-            return cls(0, 0, prec)
-        q, s = _sticky_quotient(abs(n), d, prec)
-        return cls(q if n > 0 else -q, -s, prec)
+        return _round_ratio(fr.numerator, fr.denominator, 0, prec)
 
     @classmethod
     def from_fixed(cls, value: int, scale: int, prec: int) -> "BigReal":
@@ -167,133 +152,11 @@ class BigReal:
         except OverflowError:
             return math.inf if m > 0 else -math.inf
 
-    def __bool__(self) -> bool:
-        return self.man != 0
-
-    # ---- arithmetic ----
-
-    def _coerce(self, other):
-        if isinstance(other, BigReal):
-            return other
-        if isinstance(other, int):
-            return BigReal.from_int(other, self.prec)
-        if isinstance(other, Fraction):
-            return BigReal.from_fraction(other, self.prec)
-        return None
-
-    def __add__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        a = self
-        prec = max(a.prec, b.prec)
-        if a.man == 0:
-            return BigReal(b.man, b.exp, prec)
-        if b.man == 0:
-            return BigReal(a.man, a.exp, prec)
-        if a.exp < b.exp:
-            a, b = b, a
-        d = a.exp - b.exp
-        if d > 2 * prec + 16:
-            # b is below the rounding horizon: fold it into a quarter-ulp nudge
-            nudge = 1 if b.man > 0 else -1
-            return BigReal((a.man << 2) + nudge, a.exp - 2, prec)
-        return BigReal((a.man << d) + b.man, b.exp, prec)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BigReal(-self.man, self.exp, self.prec)
-
-    def __abs__(self):
-        return BigReal(abs(self.man), self.exp, self.prec)
-
-    def __sub__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        return self.__add__(-b)
-
-    def __rsub__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        return b.__add__(-self)
-
-    def __mul__(self, other):
-        if isinstance(other, Fraction):
-            return self._mul_fraction(other, self.prec)
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        return BigReal(self.man * b.man, self.exp + b.exp, max(self.prec, b.prec))
-
-    __rmul__ = __mul__
-
-    def _mul_fraction(self, fr: Fraction, prec: int) -> "BigReal":
-        """Exact multiply by a rational, single rounding at the end."""
-        if fr == 0 or self.man == 0:
-            return BigReal(0, 0, prec)
-        n = self.man * fr.numerator
-        d = fr.denominator
-        if d == 1:
-            return BigReal(n, self.exp, prec)
-        q, s = _sticky_quotient(abs(n), d, prec)
-        return BigReal(q if n > 0 else -q, self.exp - s, prec)
-
-    def __truediv__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        if b.man == 0:
-            raise ZeroDivisionError("BigReal division by zero")
-        prec = max(self.prec, b.prec)
-        if self.man == 0:
-            return BigReal(0, 0, prec)
-        q, s = _sticky_quotient(abs(self.man), abs(b.man), prec)
-        if (self.man < 0) != (b.man < 0):
-            q = -q
-        return BigReal(q, self.exp - b.exp - s, prec)
-
-    def __rtruediv__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        return b.__truediv__(self)
-
-    # ---- comparisons (exact, precision-independent) ----
-
-    def _cmp(self, other) -> int:
-        b = self._coerce(other)
-        if b is None:
-            raise TypeError(f"cannot compare BigReal with {type(other).__name__}")
-        if self.exp >= b.exp:
-            lhs = self.man << (self.exp - b.exp)
-            rhs = b.man
-        else:
-            lhs = self.man
-            rhs = b.man << (b.exp - self.exp)
-        return (lhs > rhs) - (lhs < rhs)
-
     def __eq__(self, other):
-        try:
-            return self._cmp(other) == 0
-        except TypeError:
+        # structural: records holding BigReals compare field by field
+        if not isinstance(other, BigReal):
             return NotImplemented
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    __hash__ = None  # mutable-free but not meant for dict keys
+        return (self.man, self.exp, self.prec) == (other.man, other.exp, other.prec)
 
     # ---- rendering ----
 
@@ -350,11 +213,39 @@ class BigReal:
             return f"BigReal(man={self.man}, exp={self.exp}, prec={self.prec})"
         return f"BigReal({self.to_decimal(min(24, default_decimal_digits(self.prec)))!r}, prec={self.prec})"
 
-    # ---- spec-named accessors ----
 
-    @property
-    def precision_bits(self) -> int:
-        return self.prec
+def _round_ratio(n: int, d: int, exp: int, prec: int) -> BigReal:
+    """``n / d * 2**exp`` rounded once to ``prec`` bits, for ``d > 0`` (``d = 0`` raises
+    ``ZeroDivisionError``).
+
+    The quotient ``q = floor(|n| * 2**s / d)`` keeps ``prec + 2`` or ``prec + 3``
+    bits; an inexact one gets its low bit set (a sticky bit), which keeps the
+    round-to-nearest decision of the constructor exact.
+    """
+    if n == 0:
+        return BigReal(0, 0, prec)
+    m = abs(n)
+    s = prec + 2 - (m.bit_length() - d.bit_length())
+    if s >= 0:
+        q, r = divmod(m << s, d)
+    else:
+        q, r = divmod(m, d << (-s))
+    if r:
+        q |= 1
+    return BigReal(q if n > 0 else -q, exp - s, prec)
+
+
+def _abs_gap(x: BigReal, y: BigReal) -> BigReal:
+    """``|x - y|`` rounded once to the larger of the two precisions."""
+    prec = max(x.prec, y.prec)
+    (am, ae), (bm, be) = (x.man, x.exp), (y.man, y.exp)
+    if am == 0 or (bm != 0 and ae < be):  # |x - y| = |y - x|: make a the larger side
+        (am, ae), (bm, be) = (bm, be), (am, ae)
+    if bm == 0 or ae - be > 2 * prec + 16:
+        # b is zero or below the rounding horizon, far under half the result's ulp: the
+        # gap rounds to |a|, and no 2**(ae - be)-sized integer is built
+        return BigReal(abs(am), ae, prec)
+    return BigReal(abs((am << (ae - be)) - bm), be, prec)
 
 
 def pi_value(prec: int) -> BigReal:

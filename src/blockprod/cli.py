@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from blockprod import __version__
-from blockprod.bigreal import default_decimal_digits
+from blockprod.bigreal import _abs_gap, default_decimal_digits
 from blockprod.identities import (
     DEFAULT_PARAMS,
     FiniteSupportFn,
@@ -296,8 +296,8 @@ def cmd_alternating(args) -> int:
     prec = args.precision
     k0, k1 = K // 100, K // 10
     e0, e1, e2 = (alternating_product_estimate(k, prec) for k in (k0, k1, K))
-    gap1 = abs(e1 - e0)
-    gap2 = abs(e2 - e1)
+    gap1 = _abs_gap(e1, e0)
+    gap2 = _abs_gap(e2, e1)
     # a zero gap means every printed digit is stable
     digits = default_decimal_digits(prec)
     stable = 0

@@ -51,7 +51,7 @@ from math import lcm, prod
 from operator import neg, sub
 from weakref import WeakValueDictionary
 
-from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision
+from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision, _round_ratio
 from blockprod.fixedpoint import fx_log, pi_fixed, rshift_round
 from blockprod.words import _Record
 
@@ -863,7 +863,10 @@ def _gamma_expr_log(expr: GammaExpr, F: int) -> int:
 
 
 def eval_gamma_expr(expr: GammaExpr, precision_bits: int) -> BigReal:
-    """Evaluate a :class:`GammaExpr` numerically (log space, one final rounding).
+    """Evaluate a :class:`GammaExpr` numerically.
+
+    The Gamma ratio is rounded once from log space; a prefactor other than 1
+    then multiplies it exactly, and the product is rounded once.
 
     A balanced expression is one shifted balanced series (see
     :func:`_gamma_expr_log`), any other one log-Gamma per distinct argument.
@@ -873,7 +876,9 @@ def eval_gamma_expr(expr: GammaExpr, precision_bits: int) -> BigReal:
     value = BigReal.exp_of_fixed(_gamma_expr_log(expr, F), F, prec)
     if expr.prefactor == 1:
         return value
-    return value * expr.prefactor
+    # on the integers: to_fraction would refuse a value beyond MAX_DECIMAL_EXP
+    p = expr.prefactor
+    return _round_ratio(value.man * p.numerator, p.denominator, value.exp, prec)
 
 
 # --------------------------------------------------------------------------

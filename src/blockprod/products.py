@@ -28,14 +28,16 @@ exceeds the digit count ``floor(log_B n) + 1``.  Hence
 
 All constants are computed from the parameter vectors with exact rational
 arithmetic (no fitted factors); the only non-rational inputs, ``log_B N``
-and ``1/ln B``, are rounded *upward* with explicit slack.
+and ``1/ln B``, are rounded *upward* with explicit slack.  The verdict reads
+this exact rational bound; ``tail_estimate`` reports it rounded to nearest,
+which may sit a last bit below it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision, pi_value
+from blockprod.bigreal import GUARD_BITS, BigReal, _abs_gap, _check_precision, _round_ratio, pi_value
 from blockprod.fixedpoint import fx_div, fx_log
 from blockprod.gammafn import eval_gamma_expr
 from blockprod.identities import (
@@ -64,7 +66,7 @@ __all__ = [
 
 NAMED_FORMULAS = ("rivoal_eq1", "companion_eq2")
 
-# verdict threshold is max(tolerance, TAIL_FACTOR * tail_estimate): a partial
+# verdict threshold is max(tolerance, TAIL_FACTOR * exact tail bound): a partial
 # product cannot be expected to sit closer to the limit than its own tail.
 TAIL_FACTOR = 2
 
@@ -147,7 +149,11 @@ def _tail_fraction(spec: ProductSpec, N: int) -> Fraction:
 
 
 def tail_estimate(spec: ProductSpec, N: int) -> BigReal:
-    """Upper bound on the log-gap left after ``N`` terms; decreasing in ``N``."""
+    """The tail bound on the log-gap left after ``N`` terms, rounded to nearest at 64 bits.
+
+    The exact rational bound is rigorous and decreasing in ``N``; the rounded
+    value may sit a last bit below it.
+    """
     return BigReal.from_fraction(_tail_fraction(spec, N), 64)
 
 
@@ -247,8 +253,9 @@ def verify(
     arctangent series, *not* from Gamma values) and
     ``"companion_eq2"`` (signed digit-count product vs its Gamma closed
     form).  The verdict is ``pass`` iff the relative gap is at most
-    ``max(tolerance, TAIL_FACTOR * tail_estimate)``; invalid input raises
-    instead of reporting a failure.
+    ``max(tolerance, TAIL_FACTOR * tail)`` for the exact rational tail bound
+    (the report's ``tail_estimate`` is it rounded to nearest); invalid input
+    raises instead of reporting a failure.
     """
     return _verify(target, N, precision_bits, tolerance, {})
 
@@ -270,7 +277,8 @@ def _verify(target, N: int, precision_bits: int, tolerance, shared: dict) -> Ver
         tail = _tail_fraction_bitlen_form(N)
         if target == "rivoal_eq1":
             logsum = logsum_rivoal_grouped(1, N, F)
-            rhs = BigReal.from_int(4, prec) / pi_value(prec)
+            pi = pi_value(prec)
+            rhs = _round_ratio(4, pi.man, -pi.exp, prec)
         else:
             logsum = logsum_companion(1, N, F)
             rhs = eval_gamma_expr(companion_closed_form(), prec)
@@ -285,8 +293,9 @@ def _verify(target, N: int, precision_bits: int, tolerance, shared: dict) -> Ver
         rhs = eval_gamma_expr(closed_form_baseB(target), prec)
     else:
         raise TypeError(f"target must be a ProductSpec or formula name, got {type(target).__name__}")
-    abs_gap = abs(lhs - rhs)
-    rel_gap = abs_gap / abs(rhs)
+    abs_gap = _abs_gap(lhs, rhs)
+    # the rounded gap is divided, so rel_gap is the quotient of the reported values
+    rel_gap = _round_ratio(abs_gap.man, abs(rhs.man), abs_gap.exp - rhs.exp, prec)
     threshold = max(tol, TAIL_FACTOR * tail)
     return VerifyReport(
         spec=target,

@@ -24,7 +24,7 @@ from operator import add, ne
 import pytest
 from helpers import sin_pi_ref
 
-from blockprod.bigreal import BigReal, pi_value
+from blockprod.bigreal import pi_value
 from blockprod.gammafn import eval_gamma_expr, gamma
 from blockprod.identities import (
     FiniteSupportFn,
@@ -102,11 +102,10 @@ def test_criterion_1_rivoal_reproduction():
 
 def test_criterion_2_closed_form_product_is_4_over_pi():
     """eval(base2(0)) * eval(base2(1)) = 4/pi to 50 decimal digits at 256 bits."""
-    prod = eval_gamma_expr(closed_form_base2(Word.parse("0", 2)), 256) * eval_gamma_expr(
-        closed_form_base2(Word.parse("1", 2)), 256
-    )
-    target = BigReal.from_int(4, 256) / pi_value(256)
-    rel = abs(prod - target).to_fraction() / target.to_fraction()
+    prod = (eval_gamma_expr(closed_form_base2(Word.parse("0", 2)), 256).to_fraction()
+            * eval_gamma_expr(closed_form_base2(Word.parse("1", 2)), 256).to_fraction())
+    target = 4 / pi_value(256).to_fraction()
+    rel = abs(prod - target) / target
     ok = rel <= Fraction(1, 10**50)
     report("2", ok, f"|G-product - 4/pi|/(4/pi) = {float(rel):.3e} <= 1e-50")
     assert ok
@@ -114,14 +113,14 @@ def test_criterion_2_closed_form_product_is_4_over_pi():
 
 def test_criterion_3_companion_formula():
     """Companion closed form equals 16 pi^2 / G(1/4)^4; partial matches at 1e5."""
-    closed = eval_gamma_expr(companion_closed_form(), 256)
-    pi = pi_value(256)
-    g4 = gamma(Fraction(1, 4), 256)
-    rendition = BigReal.from_int(16, 256) * pi * pi / (g4 * g4 * g4 * g4)
-    rel_exact = abs(closed - rendition).to_fraction() / rendition.to_fraction()
-    partial = companion_partial(10**5, 128)
-    closed128 = eval_gamma_expr(companion_closed_form(), 128)
-    rel_partial = abs(partial - closed128).to_fraction() / closed128.to_fraction()
+    closed = eval_gamma_expr(companion_closed_form(), 256).to_fraction()
+    pi = pi_value(256).to_fraction()
+    g4 = gamma(Fraction(1, 4), 256).to_fraction()
+    rendition = 16 * pi * pi / g4**4
+    rel_exact = abs(closed - rendition) / rendition
+    partial = companion_partial(10**5, 128).to_fraction()
+    closed128 = eval_gamma_expr(companion_closed_form(), 128).to_fraction()
+    rel_partial = abs(partial - closed128) / closed128
     ok = rel_exact <= Fraction(1, 10**50) and rel_partial <= Fraction(1, 1000)
     report(
         "3",
@@ -138,9 +137,9 @@ def test_criterion_4_all_zeros_branch():
     gaps = {}
     for j, text in ((1, "0"), (2, "00")):
         w = Word.parse(text, 2)
-        partial = eval_lhs_partial(ProductSpec.canonical_base2(w), 10**5, 128)
-        closed = eval_gamma_expr(closed_form_base2(w), 128)
-        gaps[j] = abs(partial - closed).to_fraction() / closed.to_fraction()
+        partial = eval_lhs_partial(ProductSpec.canonical_base2(w), 10**5, 128).to_fraction()
+        closed = eval_gamma_expr(closed_form_base2(w), 128).to_fraction()
+        gaps[j] = abs(partial - closed) / closed
     ok = all(gap <= Fraction(1, 1000) for gap in gaps.values())
     report("4", ok, f"rel_gap(j=1)={float(gaps[1]):.3e}, rel_gap(j=2)={float(gaps[2]):.3e} <= 1e-3")
     assert all(gap <= Fraction(1, 1000) for gap in gaps.values())
@@ -152,9 +151,9 @@ def test_criterion_5_general_builder_reduction():
     assert len(words) == 62
     worst = Fraction(0)
     for w in words:
-        general = eval_gamma_expr(closed_form_baseB(ProductSpec.canonical_base2(w)), 128)
-        special = eval_gamma_expr(closed_form_base2(w), 128)
-        gap = abs(general - special).to_fraction() / special.to_fraction()
+        general = eval_gamma_expr(closed_form_baseB(ProductSpec.canonical_base2(w)), 128).to_fraction()
+        special = eval_gamma_expr(closed_form_base2(w), 128).to_fraction()
+        gap = abs(general - special) / special
         worst = max(worst, gap)
     ok = worst <= Fraction(1, 2**100)
     report("5", ok, f"worst relative gap over 62 words = {float(worst):.3e} <= 2^-100")
@@ -201,16 +200,17 @@ def test_criterion_8_gamma_quality():
     worst = {128: Fraction(0), 256: Fraction(0)}
     for prec in (128, 256):
         bound = Fraction(2) ** (8 - prec)
-        pi = pi_value(prec)
+        pi = pi_value(prec).to_fraction()
         for _ in range(500):
             x = Fraction(rng.randrange(1, 10**4), rng.randrange(10**3, 10**4))  # (0, 10)
-            defect = abs((gamma(1 + x, prec) / (gamma(x, prec) * x)).to_fraction() - 1)
+            defect = abs(gamma(1 + x, prec).to_fraction() / (gamma(x, prec).to_fraction() * x) - 1)
             worst[prec] = max(worst[prec], defect)
             assert defect <= bound
         for _ in range(500):
             z = Fraction(rng.randrange(1, 9973), 9973)
-            value = gamma(z, prec) * gamma(1 - z, prec) * sin_pi_ref(z, prec) / pi
-            defect = abs(value.to_fraction() - 1)
+            value = (gamma(z, prec).to_fraction() * gamma(1 - z, prec).to_fraction()
+                     * sin_pi_ref(z, prec).to_fraction() / pi)
+            defect = abs(value - 1)
             worst[prec] = max(worst[prec], defect)
             assert defect <= bound
     ok = worst[128] <= Fraction(2) ** -120 and worst[256] <= Fraction(2) ** -248

@@ -413,6 +413,11 @@ class TestOutputDigests:
          "f901a42d7328de40ad755ced0ed79d1da3382d8859156bc5a4e1abb5c5729370"),
         ("lemma1-fuzz --misrange --format json",
          "6ec17ff98533b440a692ac51eb9dfdf0d42a1653a72ccd25b9b8f1cbeedebf9a"),
+        # the once-rounded gaps at 2048 bits, and the prefactor-8 product at 1024 bits
+        ("alternating --terms 1000000 --precision 2048 --format csv",
+         "4711924e828b863f267dde92158136ac9dcb6eff55cbd9596c76ad554056314b"),
+        (f"verify companion --terms {10**30} --precision 1024 --format json",
+         "0972bf99ff3f83668d1616087620cedea6f035bf398d8aa425f0852c911fced4"),
     ]
     # the mis-ranged controls are verified failures
     EXIT_CODES = {"lemma1-fuzz --trials 200 --seed 5 --misrange --format json": 1,

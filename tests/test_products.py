@@ -11,7 +11,7 @@ import pytest
 from helpers import to_mpf
 
 from blockprod import identities, products
-from blockprod.bigreal import GUARD_BITS
+from blockprod.bigreal import GUARD_BITS, BigReal
 from blockprod.fixedpoint import rshift_round
 from blockprod.gammafn import (
     _SERIES_GUARD,
@@ -33,6 +33,8 @@ from blockprod.identities import (
     logsum_word,
 )
 from blockprod.products import (
+    NAMED_FORMULAS,
+    TAIL_FACTOR,
     default_corpus,
     enumerate_words,
     eval_lhs_partial,
@@ -155,6 +157,24 @@ class TestTailEstimate:
                     # the digit-count exponent bound is near-sharp only when the
                     # word is short and the alphabet small
                     assert bound <= 10 * actual_log_gap, word.render()
+
+    def test_rounded_to_nearest_and_verdict_reads_the_exact_bound(self):
+        """The reported tail is the exact bound rounded to nearest, so it can sit below it;
+        the verdict compares the relative gap with the exact rational bound."""
+        spec = ProductSpec.canonical_base2(Word.parse("1", 2))
+        for N in (10**3, 10**4):
+            exact = products._tail_fraction(spec, N)
+            assert tail_estimate(spec, N) == BigReal.from_fraction(exact, 64)
+            assert tail_estimate(spec, N).to_fraction() < exact
+        rivoal = verify("rivoal_eq1", 10**3).tail_estimate
+        assert rivoal.to_fraction() < products._tail_fraction_bitlen_form(10**3)
+        cases = [(spec, N, products._tail_fraction(spec, N)) for N in (10**3, 10**4)]
+        cases += [(name, N, products._tail_fraction_bitlen_form(N))
+                  for name in NAMED_FORMULAS for N in (10**3, 10**4)]
+        for target, N, exact in cases:
+            for tol in (Fraction(1, 10**40), Fraction(1, 1000)):
+                r = verify(target, N, tolerance=tol)
+                assert r.passed == (r.rel_gap.to_fraction() <= max(tol, TAIL_FACTOR * exact))
 
     def test_requires_enough_terms(self):
         spec = ProductSpec(2, Word.parse("1", 2), (Fraction(40), Fraction(1)), (Fraction(0), Fraction(41)))
@@ -658,4 +678,4 @@ class TestVerifyReport:
         report = verify("rivoal_eq1", N=10**3, precision_bits=192)
         for field in (report.lhs_partial, report.rhs_closed, report.abs_gap,
                       report.rel_gap, report.tail_estimate):
-            assert field.precision_bits == 192
+            assert field.prec == 192
