@@ -4,7 +4,7 @@ The log-Gamma evaluator is Stirling's series over the exact Bernoulli
 numbers (Johansson, "Arbitrary-precision computation of the gamma
 function", arXiv:2109.08392), summed at ``z >= X0 = F/2`` for working scale
 ``F``; a smaller argument ``x`` is first raised by ``M = ceil(X0 - x)`` with
-one exact integer product.  The series keeps the first term count ``K``
+one integer product.  The series keeps the first term count ``K``
 whose first omitted term at ``X0`` is below ``2**-(F + 18)``, which bounds
 the remainder for real ``z > 0``.  Larger arguments need fewer terms: with
 each series comes a table of cuts ``z_1 >= ... >= z_K = X0``, ``z_n`` the
@@ -21,21 +21,26 @@ the public error contract is a relative error of at most
 Balanced sums of log-Gammas, whose shifts add up to the same total on both
 sides, have a Stirling series with exact rational coefficients and no
 ``log`` term; :func:`_balanced_series` sums it at large arguments, as many
-terms as its own cuts give for ``u/W``.  :func:`_balanced_lgamma` raises a
-smaller argument past the threshold by whole steps and subtracts one
+terms as its own cuts give for ``u/W``.  :func:`_balanced_lgammas` raises
+a smaller argument past the threshold by whole steps and subtracts one
 ``log`` of the floored ratio of the two sides' shift products, certified
-from products kept to the bits it reads (:func:`_shift_log_ratio`).  The
-word-product log-sums take differences of the series above the threshold,
-and the 4/pi bit-length families sum :func:`_balanced_lgamma` at their
-block edges; :func:`gamma_ratio_product` takes ``G(N + 1) - G(0)``, and
-:func:`eval_gamma_expr` evaluates every balanced closed form as one
-``G(0)``: one series and one ``log``, within one unit of ``2**-F`` (0.50
-measured over the 185-word corpus at ``F`` = 160, 288 and 1056, where the
-sum of single log-Gammas is off by up to 1.72).  The single log-Gamma
-:func:`_loggamma_fixed` is left to :func:`gamma`, :func:`log_gamma` and
-:func:`_loggamma_sum`, which takes the expressions that are not balanced
-or whose arguments spread wider than 1, one log-Gamma per distinct
-argument.
+from products kept to the bits it reads (:func:`_shift_log_ratios`).  The
+points below the threshold of one residue class mod ``W`` share one series
+point, summed once, and one nested chain of shift products, each point's
+the next larger one's times a segment; every value is the integer the
+point gives alone, and :func:`_balanced_lgamma` is the one-point call.
+The word-product log-sums take differences of the series above the
+threshold, and the 4/pi bit-length families take each class's block edges
+in one :func:`_balanced_lgammas` call; :func:`gamma_ratio_product` takes
+``G(N + 1) - G(0)``, and :func:`eval_gamma_expr` evaluates every balanced
+closed form as one ``G(0)``: one series and one ``log``, within one unit
+of ``2**-F`` (0.50 measured over the 185-word corpus at ``F`` = 160, 288
+and 1056, where the sum of single log-Gammas is off by up to 1.72).  The
+single log-Gamma :func:`_loggamma_fixed`, whose long shift product is
+likewise kept to the bits its ``log`` reads (:func:`_log_shift_product`),
+is left to :func:`gamma`, :func:`log_gamma` and :func:`_loggamma_sum`,
+which takes the expressions that are not balanced or whose arguments spread
+wider than 1, one log-Gamma per distinct argument.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from operator import neg, sub
 from weakref import WeakValueDictionary
 
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision, _round_ratio
-from blockprod.fixedpoint import fx_log, pi_fixed, rshift_round
+from blockprod.fixedpoint import _WORK_GUARD, fx_log, pi_fixed, rshift_round
 from blockprod.words import _Record
 
 __all__ = [
@@ -320,13 +325,17 @@ _CAP_FROM = 3072  # a side is capped only above this many bits and above four ca
 _CAP_GUARD = 64  # bits a capped product keeps beyond the scale of its log
 
 
-def _side_product(counts: dict[int, int], sign: int, u: int, W: int, M: int, cap: int) -> tuple[int, int, int]:
-    """``prod P(u + a)**|c|`` over the shifts ``a`` whose count ``c`` has the sign of ``sign``, capped, as ``(x, e, n)`` of :func:`_capped_product`.
+def _side_product(
+    counts: dict[int, int], sign: int, u: int, W: int, M: int, cap: int, start: tuple[int, int, int] = (1, 0, 0)
+) -> tuple[int, int, int]:
+    """``start`` times ``prod P(u + a)**|c|`` over the shifts ``a`` whose count ``c`` has the sign of ``sign``, capped, as ``(x, e, n)`` of :func:`_capped_product`.
 
-    Raising a bracketed product to the power ``c`` raises its bound to
-    ``(1 + 2**(1-cap))**(c n)``, so its floors count ``c`` times.
+    ``start`` is a bracket ``(x, e, n)`` of its own, or an exact integer
+    ``(x, 0, 0)``.  Raising a bracketed product to the power ``c`` raises
+    its bound to ``(1 + 2**(1-cap))**(c n)``, so its floors count ``c``
+    times.
     """
-    x, e, n = 1, 0, 0
+    x, e, n = start
     for a, c in counts.items():
         c *= sign
         if c > 0:
@@ -341,38 +350,106 @@ def _quotient(x: int, e: int, y: int, f: int, E: int) -> int:
     return (x << s) // y if s >= 0 else x // (y << -s)
 
 
-def _shift_log_ratio(counts: dict[int, int], u: int, W: int, M: int, E: int) -> int:
-    """``log(prod_(c>0) P(u + a)**c / prod_(c<0) P(u + a)**-c)`` at scale ``E``, ``P(p) = prod_{k<M} (p + kW)``.
+def _certified_log_ratio(sides, E: int) -> int | None:
+    """``log`` of the ratio of two bracketed sides ``((x, e, n), (y, f, m))`` at scale ``E``, or ``None`` where the brackets leave it open.
 
-    The value is :func:`_log_ratio` of the exact products: one floored
-    quotient of the larger side by the smaller at scale ``E``, one
-    ``fx_log``.  Sides longer than ``_CAP_FROM`` bits and four caps are
-    first built capped at ``cap = E + _CAP_GUARD`` bits
-    (:func:`_side_product`), each known to lie in its bracket ``[x 2**e,
-    (x + 4n) 2**e]``.  Where the quotient floored from both ends of the
-    brackets is one integer, at least ``2**E``, it is the exact quotient,
-    and its ``fx_log`` is the value; where the ends differ, the exact
-    products are built and :func:`_log_ratio` runs.  Either way the integer
-    is the one the exact products give.
+    Where the quotient of the larger side by the smaller, floored at scale
+    ``E`` from both ends of the brackets, is one integer (at least
+    ``2**E``), it is the exact quotient, and its ``fx_log`` is the value.
     """
-    side = sum(map(abs, counts.values())) // 2  # factors a side, as the counts add up to 0
-    cap = E + _CAP_GUARD
-    if side * M * (u + max(counts) + M * W).bit_length() > max(_CAP_FROM, 4 * cap):
-        sides = _side_product(counts, 1, u, W, M, cap), _side_product(counts, -1, u, W, M, cap)
-        for sign in (1, -1):
-            (x, e, n), (y, f, m) = sides[::sign]
-            low = _quotient(x, e, y + 4 * m, f, E)
-            if low >> E:  # this side is the larger
-                if low == _quotient(x + 4 * n, e, y, f, E):
-                    return sign * fx_log(low, E)
-                break
+    for sign in (1, -1):
+        (x, e, n), (y, f, m) = sides[::sign]
+        low = _quotient(x, e, y + 4 * m, f, E)
+        if low >> E:  # this side is the larger
+            if low == _quotient(x + 4 * n, e, y, f, E):
+                return sign * fx_log(low, E)
+            break
+    return None
+
+
+def _exact_sides(counts: dict[int, int], u: int, W: int, M: int) -> tuple[int, int]:
+    """``(prod_(c>0) P(u + a)**c, prod_(c<0) P(u + a)**-c)``, exact, ``P(p) = prod_{k<M} (p + kW)``."""
     num = den = 1
     for a, c in counts.items():
         if c > 0:
             num *= _capped_product(u + a, W, M)[0] ** c
         elif c < 0:
             den *= _capped_product(u + a, W, M)[0] ** -c
-    return _log_ratio(num, den, E) if num != den else 0
+    return num, den
+
+
+def _shift_log_ratios(
+    A: tuple[int, ...], T: tuple[int, ...], z: int, W: int, Ms: list[int], E: int
+) -> Iterator[int]:
+    """For each ``M`` of the ascending ``Ms``, ``log(prod_i P(u + A_i) / prod_i P(u + T_i))`` at scale ``E``, ``u = z - M W``, ``P(p) = prod_{k<M} (p + kW)``.
+
+    Each distinct shift ``a`` enters as ``P(u + a)`` raised to its count
+    ``c``, its multiplicity in ``A`` less that in ``T``, on the side of
+    the sign of ``c``.  Each value is :func:`_log_ratio` of the exact
+    products: one floored quotient of the larger side by the smaller at
+    scale ``E``, one ``fx_log``.  The points share one nested chain of products: as ``u``
+    walks down by ``W (M - M')`` from the previous point's ``M'``, each side
+    is the previous point's side times the products of the new segment,
+    ``prod_{k<M-M'} (u + a + kW)``.  Once a side is longer than
+    ``_CAP_FROM`` bits and four caps, the running sides are kept capped at
+    ``cap = E + _CAP_GUARD`` bits, the new segments built capped
+    (:func:`_side_product`) and every floor counted, so each side lies in
+    its bracket ``[x 2**e, (x + 4n) 2**e]``; a point whose brackets fix the
+    quotient (:func:`_certified_log_ratio`) takes its ``fx_log``, and one
+    whose brackets leave it open builds its own exact products.  Either way
+    each integer is the one the exact products give.
+    """
+    counts = dict.fromkeys(A + T, 0)
+    for a in A:
+        counts[a] += 1
+    for t in T:
+        counts[t] -= 1
+    side = sum(map(abs, counts.values())) // 2  # factors a side, as the counts add up to 0
+    cap = E + _CAP_GUARD
+    bits = (z + max(counts)).bit_length()  # of the largest factor of every point
+    num = den = 1  # the running sides, exact
+    capped = None  # the running sides as brackets, once they pass the cap
+    done = 0  # factors a shift already in the running sides
+    for M in Ms:
+        u = z - M * W
+        if capped is None and side * M * bits > max(_CAP_FROM, 4 * cap):
+            capped = (num, 0, 0), (den, 0, 0)  # floored as the first capped segment joins them
+        if capped is None:
+            sn, sd = _exact_sides(counts, u, W, M - done)
+            num, den = num * sn, den * sd
+            yield _log_ratio(num, den, E) if num != den else 0
+        else:
+            capped = (_side_product(counts, 1, u, W, M - done, cap, capped[0]),
+                      _side_product(counts, -1, u, W, M - done, cap, capped[1]))
+            r = _certified_log_ratio(capped, E)
+            if r is None:
+                p, q = _exact_sides(counts, u, W, M)
+                r = _log_ratio(p, q, E) if p != q else 0
+            yield r
+        done = M
+
+
+def _log_shift_product(p: int, q: int, M: int, E: int) -> int:
+    """``fx_log(prod_{k<M} (p + kq) << E, E)``, from a product kept to the bits ``fx_log`` reads where its bracket fixes them.
+
+    ``fx_log`` reads ``a = P << E`` through its bit length and
+    ``rshift_round(a, bitlen(a) - E - 1 - _WORK_GUARD)``, the top ``E + 17``
+    bits of ``P`` rounded.  A product longer than ``max(_CAP_FROM, 4 cap)``
+    bits is first built capped at ``cap = E + _CAP_GUARD`` bits
+    (:func:`_capped_product`); where both ends of its bracket ``[x 2**e, (x
+    + 4n) 2**e]`` have one bit length and one rounded mantissa, the exact
+    product, between them, reads the same, and the lower end stands for it.
+    Otherwise the exact product is built.  Either way the integer is the
+    exact product's.
+    """
+    cap = E + _CAP_GUARD
+    if M * (p + M * q).bit_length() > max(_CAP_FROM, 4 * cap):
+        x, e, n = _capped_product(p, q, M, cap)
+        hi = x + 4 * n
+        k = x.bit_length() - E - 1 - _WORK_GUARD
+        if hi.bit_length() == x.bit_length() and rshift_round(x, k) == rshift_round(hi, k):
+            return fx_log(x << (e + E), E)
+    return fx_log(_capped_product(p, q, M)[0] << E, E)
 
 
 @lru_cache(maxsize=128)
@@ -384,14 +461,14 @@ def _log_denominator(q: int, E: int) -> int:
 def _loggamma_fixed(x: Fraction, F: int) -> int:
     """``log Gamma(x)`` for rational ``x > 0`` at fixed-point scale ``F``, within one unit of ``2**-F``.
 
-    Three ``fx_log`` calls (``log Z``, ``log q`` and the shift product) run
-    ``H`` bits deeper, ``bitlen(z) + 4`` rounded up to a multiple of
-    ``_SERIES_GUARD`` (16), where the factors ``z - 1/2`` and ``1/2 - x``
-    keep their error below ``2**-4`` units; arguments whose sizes round
-    alike share one ``fx_log`` ladder.  The series is a Horner sum in
-    ``q^2/Z^2`` over the terms that ``z >= Z // q`` needs
-    (:func:`_terms_at`): all ``K`` for a shifted argument, which lands in
-    ``[X0, X0 + 1)``.  Everything is added up at that scale and rounded
+    Three ``fx_log`` calls (``log Z``, ``log q`` and the shift product,
+    :func:`_log_shift_product`) run ``H`` bits deeper, ``bitlen(z) + 4``
+    rounded up to a multiple of ``_SERIES_GUARD`` (16), where the factors
+    ``z - 1/2`` and ``1/2 - x`` keep their error below ``2**-4`` units;
+    arguments whose sizes round alike share one ``fx_log`` ladder.  The
+    series is a Horner sum in ``q^2/Z^2`` over the terms that ``z >= Z //
+    q`` needs (:func:`_terms_at`): all ``K`` for a shifted argument, which
+    lands in ``[X0, X0 + 1)``.  Everything is added up at that scale and rounded
     once, so the value is an integer fixed by ``(x, F)`` alone.
     """
     half_log_2pi, coeffs, cuts = _stirling_series(F)
@@ -405,7 +482,7 @@ def _loggamma_fixed(x: Fraction, F: int) -> int:
         acc += (q - 2 * p) * _log_denominator(q, E)
     acc = acc // (2 * q) - (Z << E) // q
     if M:
-        acc -= fx_log(_capped_product(p, q, M)[0] << E, E)
+        acc -= _log_shift_product(p, q, M, E)
     q2, Z2 = q * q, Z * Z
     s = 0
     for c in reversed(coeffs[: _terms_at(cuts, Z // q)]):
@@ -681,8 +758,8 @@ def _run_rows(A: tuple[int, ...], T: tuple[int, ...], W: int, F: int) -> tuple[t
     return integral, _LazyTable(_LazyTable(_run_row(coeffs, p)) for p in count(1))
 
 
-def _balanced_lgamma(A: tuple[int, ...], T: tuple[int, ...], W: int, u: int, F: int) -> int:
-    """``sum_i lgG((u + A_i)/W) - lgG((u + T_i)/W)`` at fixed-point scale ``F``.
+def _balanced_lgammas(A: tuple[int, ...], T: tuple[int, ...], W: int, us, F: int) -> dict[int, int]:
+    """``{u: sum_i lgG((u + A_i)/W) - lgG((u + T_i)/W)}`` at fixed-point scale ``F``, for every ``u`` of ``us``.
 
     ``A`` and ``T`` are integer shifts of equal length and equal sum, and
     every argument must be positive.  The shifts are first translated so
@@ -692,30 +769,43 @@ def _balanced_lgamma(A: tuple[int, ...], T: tuple[int, ...], W: int, u: int, F: 
     below, it is the series at ``u + M W``, ``M = ceil(X0 - u/W)``, minus
     the log of the ratio ``prod_i P(u + A_i) / prod_i P(u + T_i)`` of the
     shift products ``P(p) = prod_{k<M} (p + kW)`` (their ``W^M`` cancel, as
-    the sides have equal length), each distinct shift's product built once
-    and raised to its multiplicity: one ``fx_log`` of the floored quotient
-    of the exact products at scale ``F + _SERIES_GUARD``.  Sides longer
-    than ``max(_CAP_FROM, 4 cap)`` bits are built only to the ``cap`` bits
-    that quotient reads, and the quotient is certified from their brackets,
-    or taken from the exact products where the brackets leave it open
-    (:func:`_shift_log_ratio`).  Both parts are added at scale ``F +
-    _SERIES_GUARD`` and rounded once, so the value is an integer fixed by
-    ``(A, T, W, u, F)`` alone, within one unit of ``2**-F`` of the exact sum.
+    the sides have equal length), each distinct shift's product raised to
+    its multiplicity: one ``fx_log`` of the floored quotient of the exact
+    products at scale ``F + _SERIES_GUARD``.  The points below ``X0`` of
+    one residue class mod ``W`` share the series point ``u + M W``: it is
+    summed once, and their shift products are one nested chain, each point's
+    the next larger one's times a segment (:func:`_shift_log_ratios`).
+    Sides longer than ``max(_CAP_FROM, 4 cap)`` bits are kept only to the
+    ``cap`` bits that quotient reads, and the quotient is certified from
+    their brackets, or taken from the point's exact products where the
+    brackets leave it open.  Both parts are added at scale ``F +
+    _SERIES_GUARD`` and rounded once, so each value is an integer fixed by
+    ``(A, T, W, u, F)`` alone, within one unit of ``2**-F`` of the exact
+    sum, whichever other points share the call.
     """
     s = min(A + T)
     A = tuple(a - s for a in A)
     T = tuple(t - s for t in T)
-    u += s
-    M = max(0, (_balanced_threshold(A, T, W, F) * W - u + W - 1) // W)  # ceil(X0 - u/W)
-    acc = _balanced_series(A, T, W, u + M * W, F)
-    if M:
-        counts = dict.fromkeys(A + T, 0)  # each shift's count in A less its count in T
-        for a in A:
-            counts[a] += 1
-        for t in T:
-            counts[t] -= 1
-        acc -= _shift_log_ratio(counts, u, W, M, F + _SERIES_GUARD)
-    return rshift_round(acc, _SERIES_GUARD)
+    X0W = _balanced_threshold(A, T, W, F) * W
+    chains: dict[int, dict[int, int]] = {}  # series point -> {M: u}
+    for u in us:
+        M = max(0, (X0W - u - s + W - 1) // W)  # ceil(X0 - u/W)
+        chains.setdefault(u + s + M * W, {})[M] = u
+    out = {}
+    for z, points in chains.items():
+        acc = _balanced_series(A, T, W, z, F)
+        if 0 in points:  # the point is its own series point
+            out[points.pop(0)] = rshift_round(acc, _SERIES_GUARD)
+        if points:
+            Ms = sorted(points)
+            for M, r in zip(Ms, _shift_log_ratios(A, T, z, W, Ms, F + _SERIES_GUARD)):
+                out[points[M]] = rshift_round(acc - r, _SERIES_GUARD)
+    return out
+
+
+def _balanced_lgamma(A: tuple[int, ...], T: tuple[int, ...], W: int, u: int, F: int) -> int:
+    """``sum_i lgG((u + A_i)/W) - lgG((u + T_i)/W)`` at fixed-point scale ``F``: :func:`_balanced_lgammas` at the one point ``u``."""
+    return _balanced_lgammas(A, T, W, (u,), F)[u]
 
 
 def _integer_shifts(a, b) -> tuple[tuple[int, ...], tuple[int, ...], int]:

@@ -40,7 +40,7 @@ from blockprod.gammafn import (
     _SERIES_GUARD,
     BalanceError,
     GammaExpr,
-    _balanced_lgamma,
+    _balanced_lgammas,
     _balanced_series,
     _balanced_threshold,
     _integer_shifts,
@@ -328,11 +328,15 @@ def companion_closed_form() -> GammaExpr:
 # exponent is constant on a class within a dyadic block, so with x_j the
 # class's first m in block j (x_(J+1) the first past N, J = bitlen(N)) the
 # prefix telescopes to P(N) = sum_r 2 sign_r (J Phi_r(x_(J+1)) - sum_{j<=J}
-# Phi_r(x_j)).  Each Phi is within one unit of 2**-E, E = F + 16, and the
-# weights add up to 4J per class: with two classes (or the original form's
-# extra log, weight 2J) P is within 8J units of 2**-E, and rounded once
-# within one unit of 2**-F while bitlen(N) <= 4096.  P is an integer fixed
-# by (N, F), so a range is P(hi) - P(lo - 1) and ranges add up exactly.
+# Phi_r(x_j)).  A class's Phi come from one gammafn._balanced_lgammas call:
+# its edges below the series threshold, all multiples of W, share one series
+# point, whose series is summed once, and one nested chain of shift products,
+# and each Phi is the integer it is alone.  Each Phi is within one unit of
+# 2**-E, E = F + 16, and the weights add up to 4J per class: with two
+# classes (or the original form's extra log, weight 2J) P is within 8J units
+# of 2**-E, and rounded once within one unit of 2**-F while bitlen(N) <=
+# 4096.  P is an integer fixed by (N, F), so a range is P(hi) - P(lo - 1)
+# and ranges add up exactly.
 _GROUPED = (1, 4, ((1, (2, 2), (1, 3)),))
 _ALTERNATING = (2, 8, ((1, (2, 2), (1, 3)), (-1, (6, 6), (5, 7))))
 _FAMILY_GUARD = 16
@@ -348,8 +352,8 @@ def _family_prefix(family, N: int, E: int) -> int:
     for r, (sign, A, T) in enumerate(classes):
         edges = [-((r - (1 << j)) // M) for j in range(J)]  # first m with M*m + r >= 2^j
         last = (N - r) // M + 1
-        phi = {m: _balanced_lgamma(A, T, W, W * m, E) for m in {*edges, last}}
-        total += 2 * sign * (J * phi[last] - sum(phi[m] for m in edges))
+        phi = _balanced_lgammas(A, T, W, {W * m for m in (*edges, last)}, E)
+        total += 2 * sign * (J * phi[W * last] - sum(phi[W * m] for m in edges))
     return total
 
 

@@ -1,5 +1,6 @@
 """Gamma evaluation quality, closed-form expressions, and ratio products."""
 
+import hashlib
 import math
 import random
 import sys
@@ -20,6 +21,7 @@ from blockprod.gammafn import (
     _SERIES_GUARD,
     PoleError,
     _balanced_lgamma,
+    _balanced_lgammas,
     _balanced_series,
     _balanced_threshold,
     _bernoulli,
@@ -361,6 +363,50 @@ def exact_shift_log_ratio(counts, u, W, M, E):
     return _log_ratio(num, den, E) if num != den else 0
 
 
+def shift_log_ratio(A, T, u, W, M, E):
+    """The chain of :func:`gammafn._shift_log_ratios` at the one point ``u``, ``M`` steps below its series point."""
+    (r,) = gammafn._shift_log_ratios(A, T, u + M * W, W, [M], E)
+    return r
+
+
+def is_capped(counts, u, W, M, E):
+    """Whether the shift products of the point ``u`` are past the crossover, where they are kept capped."""
+    side = sum(c for c in counts.values() if c > 0)
+    cap = E + gammafn._CAP_GUARD
+    return side * M * (u + max(counts) + M * W).bit_length() > max(gammafn._CAP_FROM, 4 * cap)
+
+
+def exact_log_ratio_calls(monkeypatch):
+    """Record the scale of every exact quotient the log ratios take."""
+    calls = []
+
+    def exact(p, q, E):
+        calls.append(E)
+        return _log_ratio(p, q, E) if p >= q else -_log_ratio(q, p, E)
+
+    monkeypatch.setattr(gammafn, "_log_ratio", exact)
+    return calls
+
+
+def translated(A, T, W, F):
+    """``(A, T, counts, X0)`` of the shifts translated so the least is 0, as the balanced log-Gammas take them."""
+    s = min(A + T)
+    A, T = tuple(a - s for a in A), tuple(t - s for t in T)
+    counts = Counter(A)
+    counts.subtract(T)
+    return A, T, counts, _balanced_threshold(A, T, W, F), s
+
+
+def balanced_lgamma_oracle(A, T, W, u, F):
+    """The balanced log-Gamma of one point made apart: its own series point's series, less the
+    log ratio of its plain exact shift products, rounded once."""
+    A, T, counts, X0, s = translated(A, T, W, F)
+    u += s
+    M = max(0, -(-(X0 * W - u) // W))
+    r = exact_shift_log_ratio(counts, u, W, M, F + _SERIES_GUARD) if M else 0
+    return fixedpoint.rshift_round(_balanced_series(A, T, W, u + M * W, F) - r, _SERIES_GUARD)
+
+
 class TestCertifiedLogRatio:
     """The log of the shift-product ratio, certified from capped products, is the integer of
     the exact products, and takes the exact products where the brackets leave it open."""
@@ -377,28 +423,20 @@ class TestCertifiedLogRatio:
             for W in (4, 8, 64, 81, 256):
                 X0 = _balanced_threshold(A, T, W, F)
                 for u in (1, W, X0 * W - 1):
-                    yield counts, u, W, -(-(X0 * W - u) // W)
+                    yield A, T, counts, u, W, -(-(X0 * W - u) // W)
 
     @pytest.mark.parametrize("F", [176, 288, 1056, 2080])
     def test_equals_exact_log_ratio(self, F, monkeypatch):
         """Products past the crossover are certified without the exact quotient; the others
         take it, once."""
-        calls = []
-
-        def exact_only(p, q, E):
-            calls.append(E)
-            return _log_ratio(p, q, E) if p >= q else -_log_ratio(q, p, E)
-
-        monkeypatch.setattr(gammafn, "_log_ratio", exact_only)
+        calls = exact_log_ratio_calls(monkeypatch)
         E = F + _SERIES_GUARD
         certified = 0
-        for counts, u, W, M in self.cases(F):
+        for A, T, counts, u, W, M in self.cases(F):
             want = exact_shift_log_ratio(counts, u, W, M, E)
             calls.clear()
-            assert gammafn._shift_log_ratio(counts, u, W, M, E) == want, (dict(counts), u, W, M)
-            side = sum(c for c in counts.values() if c > 0)
-            cap = E + gammafn._CAP_GUARD
-            capped = side * M * (u + max(counts) + M * W).bit_length() > max(gammafn._CAP_FROM, 4 * cap)
+            assert shift_log_ratio(A, T, u, W, M, E) == want, (dict(counts), u, W, M)
+            capped = is_capped(counts, u, W, M, E)
             assert calls == ([] if capped else [E]), (dict(counts), u, W, M)
             certified += capped
         assert certified >= {176: 6, 288: 34, 1056: 40, 2080: 40}[F], certified
@@ -406,27 +444,147 @@ class TestCertifiedLogRatio:
     @pytest.mark.parametrize("F", [1056, 2080])
     def test_open_bracket_takes_the_exact_products(self, F, monkeypatch):
         """With a guard of two bits the brackets straddle the quotient: the exact products
-        decide it, and neither the log ratio nor the balanced sum moves."""
+        decide it, and neither the log ratio nor the balanced sum moves, also for the points
+        of one chain, whose running products are capped and whose floors add up."""
         A, T, W = (0, 2), (1, 1), 64
         counts = Counter(A)
         counts.subtract(T)
         E = F + _SERIES_GUARD
-        M = _balanced_threshold(A, T, W, F) - 1
-        want = gammafn._shift_log_ratio(counts, 1, W, M, E)
+        X0 = _balanced_threshold(A, T, W, F)
+        M = X0 - 1
+        want = shift_log_ratio(A, T, 1, W, M, E)
         want_sum = _balanced_lgamma(A, T, W, 1, F)
-        calls = []
-
-        def exact(p, q, E):
-            calls.append(E)
-            return _log_ratio(p, q, E) if p >= q else -_log_ratio(q, p, E)
-
-        monkeypatch.setattr(gammafn, "_log_ratio", exact)
+        # one class's points below the threshold, down from its series point X0 W + 1
+        us = [1 + W * m for m in (0, 1, 2, 5, 17, 60, X0 // 2, X0 - 3, X0 - 1)]
+        want_chain = _balanced_lgammas(A, T, W, us, F)
+        capped = sum(is_capped(counts, u, W, X0 - (u - 1) // W, E) for u in us)
+        assert 0 < capped < len(us)
+        calls = exact_log_ratio_calls(monkeypatch)
+        assert _balanced_lgammas(A, T, W, us, F) == want_chain
+        assert calls == [E] * (len(us) - capped)  # the capped points are certified
+        calls.clear()
         monkeypatch.setattr(gammafn, "_CAP_GUARD", 2)
-        assert gammafn._shift_log_ratio(counts, 1, W, M, E) == want
+        assert shift_log_ratio(A, T, 1, W, M, E) == want
         assert calls == [E]
         assert _balanced_lgamma(A, T, W, 1, F) == want_sum
         assert calls == [E, E]
+        calls.clear()
+        assert _balanced_lgammas(A, T, W, us, F) == want_chain
+        assert calls == [E] * len(us)  # every capped point fell back to its exact products
         assert want == exact_shift_log_ratio(counts, 1, W, M, E)
+        assert want_chain == {u: balanced_lgamma_oracle(A, T, W, u, F) for u in us}
+
+
+class TestBalancedLgammas:
+    """Many points in one call: each class below the threshold sums its series once and walks
+    one nested chain of shift products, and every point keeps the integer it has alone."""
+
+    # the grouped and alternating 4/pi classes, and the closed forms' shape at three moduli
+    CLASSES = [((2, 2), (1, 3), 4), ((2, 2), (1, 3), 8), ((6, 6), (5, 7), 8),
+               ((0, 2), (1, 1), 4), ((0, 2), (1, 1), 27), ((0, 2), (1, 1), 256)]
+
+    @staticmethod
+    def points(A, T, W, F, seed):
+        """Points on both sides of the threshold, in two residue classes and one other, and at random below it."""
+        X0 = translated(A, T, W, F)[3]
+        rng = random.Random(seed)
+        us = {1, 2, 3, W - 1, W, W + 1, 5 * W + 3, X0 * W - W - 1, X0 * W - W, X0 * W - 1, X0 * W,
+              X0 * W + 1, X0 * W + W, 3 * X0 * W + 7}
+        us.update(W * rng.randrange(1, X0) for _ in range(8))
+        us.update(rng.randrange(1, X0 * W) for _ in range(8))
+        return sorted(u for u in us if u + min(A + T) > 0)
+
+    @pytest.mark.parametrize("F", [160, 1056, 2080])
+    def test_equals_independent_oracle(self, F):
+        """Each value is the series at its own series point less the log ratio of its own
+        exact shift products, rounded once, and the one-point call's value."""
+        for i, (A, T, W) in enumerate(self.CLASSES):
+            us = self.points(A, T, W, F, seed=F + i)
+            got = _balanced_lgammas(A, T, W, us, F)
+            assert sorted(got) == us
+            for u in us:
+                assert got[u] == balanced_lgamma_oracle(A, T, W, u, F), (A, T, W, u)
+                if u % 5 == 0:
+                    assert got[u] == _balanced_lgamma(A, T, W, u, F), (A, T, W, u)
+
+    @pytest.mark.parametrize("F", [160, 2080])
+    def test_one_series_per_series_point(self, F, monkeypatch):
+        """A class's points below the threshold share one series, and each point above it has its own."""
+        calls = Counter()
+        series = gammafn._balanced_series
+
+        def counted(A, T, W, u, F):
+            calls[A, T, W, u] += 1
+            return series(A, T, W, u, F)
+
+        monkeypatch.setattr(gammafn, "_balanced_series", counted)
+        A, T, W = (0, 2), (1, 1), 27
+        X0 = _balanced_threshold(A, T, W, F)
+        us = [1, 2, 28, 29, 55, W * X0 - 1, W * X0 + 2, 5 * W * X0]
+        _balanced_lgammas(A, T, W, us, F)
+        assert calls == Counter({(A, T, W, u): 1 for u in (W * X0 + 1, W * X0 + 2, W * X0 + W - 1, 5 * W * X0)})
+
+
+class TestCappedShiftProduct:
+    """The single log-Gamma's shift product past the crossover is kept to the bits its ``log``
+    reads, and every value is the one the exact product gives."""
+
+    # (exp, sha256 of the decimal mantissa), as the exact shift products gave them
+    PINS = {
+        (gamma, Fraction(1, 3), 2048): (-2046, "f1b9da11b2482fac22db5f311903bb62bbec914d4ac2c2879c1fbead20a80461"),
+        (log_gamma, Fraction(1, 3), 1024): (-1024, "405c6a2d0ee45ffa30dfe461188c0cc8b39bacaa7cae9bf96e21bdbede43c5c3"),
+        (log_gamma, Fraction(1, 3), 2048): (-2048, "dc09807fed48d9de991ed2ed26b4009f9bcb5e02465ca4a5040c2bb7eec513eb"),
+        (log_gamma, Fraction(253, 256), 2048): (-2055, "635646a214c2c345b0ef103670fb9249ea8fc2e7a58c9c28cf2f720ca68b7da7"),
+    }
+
+    @staticmethod
+    def exact_products(monkeypatch):
+        """Record ``(p, q, M)`` of every shift product built whole, without a cap."""
+        built = []
+
+        def recorded(p, q, M, cap=0):
+            if not cap:
+                built.append((p, q, M))
+            return _capped_product(p, q, M, cap)
+
+        monkeypatch.setattr(gammafn, "_capped_product", recorded)
+        return built
+
+    @staticmethod
+    def pinned(fn, x, prec):
+        v = fn(x, prec)
+        return v.exp, hashlib.sha256(str(v.man).encode()).hexdigest()
+
+    @staticmethod
+    def shift(x, prec):
+        """``(p, q, M)`` of the shift product of ``x`` at ``precision``."""
+        X0 = _series_threshold(prec + GUARD_BITS)
+        return x.numerator, x.denominator, -(-(X0 * x.denominator - x.numerator) // x.denominator)
+
+    @pytest.mark.parametrize("key", list(PINS), ids=lambda k: f"{k[0].__name__}-{k[1]}-{k[2]}")
+    def test_certified_and_pinned(self, key, monkeypatch):
+        """The value is pinned, and the product's bracket fixes what ``fx_log`` reads."""
+        built = self.exact_products(monkeypatch)
+        fn, x, prec = key
+        assert self.pinned(fn, x, prec) == self.PINS[key]
+        assert self.shift(x, prec) not in built
+
+    @pytest.mark.parametrize("key", list(PINS)[:2], ids=lambda k: f"{k[0].__name__}-{k[1]}-{k[2]}")
+    def test_open_bracket_takes_the_exact_product(self, key, monkeypatch):
+        """With a guard of two bits the bracket cannot fix the rounded mantissa: the exact
+        product is built once, and the value does not move."""
+        built = self.exact_products(monkeypatch)
+        monkeypatch.setattr(gammafn, "_CAP_GUARD", 2)
+        fn, x, prec = key
+        assert self.pinned(fn, x, prec) == self.PINS[key]
+        assert built.count(self.shift(x, prec)) == 1
+
+    def test_short_products_stay_exact(self, monkeypatch):
+        """Below the crossover (Gamma at 128 and 256 bits) the product is built whole."""
+        built = self.exact_products(monkeypatch)
+        for prec in (128, 256):
+            gamma(Fraction(1, 3), prec)
+            assert self.shift(Fraction(1, 3), prec) in built
 
 
 @pytest.mark.parametrize("x", [Fraction(1, 997), Fraction(253, 256), 10**6 + Fraction(1, 3)])

@@ -1,5 +1,7 @@
 """Summation identity (exact), closed-form builders, and the 4/pi product family."""
 
+import collections
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -546,6 +548,36 @@ class TestBlockSums:
         grouped = logsum_rivoal_grouped(1, M, self.F)
         assert logsum_rivoal_original(2, 4 * M + 1, self.F) == grouped
         assert logsum_rivoal_original(2, 4 * M + 3, self.F) == grouped
+
+    # sha256 of the prefixes over FAMILY_GRID, as the per-edge balanced log-Gammas gave them
+    FAMILY_DIGESTS = {
+        "_GROUPED": "6ca17888821819b2d69be5c6aa055a29c8b4138536402bda9d015eabb96dcded",
+        "_ALTERNATING": "7904733e12f1cd3dd07c1cd43441ce07548e7b8137e6b73a92c9415bce068196",
+    }
+    FAMILY_GRID = ((96, 176, 304, 560, 1072, 2112),
+                   (1, 2, 3, 7, 8, 1000, 2000, 2**20 - 1, 2**20, 2**20 + 1, 10**6, 10**30, 3**200))
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_DIGESTS))
+    def test_family_prefix_digest(self, family):
+        """The prefixes of both families, at scales from 96 to 2112 bits and ``N`` from 1 to
+        ``3^200``, are the integers each edge's own balanced log-Gamma gave, bit for bit."""
+        Es, Ns = self.FAMILY_GRID
+        values = [identities._family_prefix(getattr(identities, family), N, E) for E in Es for N in Ns]
+        assert hashlib.sha256(",".join(map(str, values)).encode()).hexdigest() == self.FAMILY_DIGESTS[family]
+
+    def test_one_series_per_point(self, monkeypatch):
+        """A prefix sums each series point's series once: the edges of a class below the
+        threshold share one, where each edge used to sum it again."""
+        calls = collections.Counter()
+        series = gammafn._balanced_series
+
+        def counted(A, T, W, u, F):
+            calls[A, T, W, u] += 1
+            return series(A, T, W, u, F)
+
+        monkeypatch.setattr(gammafn, "_balanced_series", counted)
+        identities._family_prefix(identities._ALTERNATING, 10**6, 176)
+        assert calls and max(calls.values()) == 1, calls.most_common(2)
 
     @pytest.mark.parametrize("family", sorted(BLOCK_SUMS))
     def test_range_splits_exactly(self, family):
