@@ -326,7 +326,7 @@ _CAP_GUARD = 64  # bits a capped product keeps beyond the scale of its log
 
 
 def _side_product(
-    counts: dict[int, int], sign: int, u: int, W: int, M: int, cap: int, start: tuple[int, int, int] = (1, 0, 0)
+    counts: tuple[tuple[int, int], ...], sign: int, u: int, W: int, M: int, cap: int, start: tuple[int, int, int] = (1, 0, 0)
 ) -> tuple[int, int, int]:
     """``start`` times ``prod P(u + a)**|c|`` over the shifts ``a`` whose count ``c`` has the sign of ``sign``, capped, as ``(x, e, n)`` of :func:`_capped_product`.
 
@@ -336,7 +336,7 @@ def _side_product(
     times.
     """
     x, e, n = start
-    for a, c in counts.items():
+    for a, c in counts:
         c *= sign
         if c > 0:
             px, pe, pn = _capped_product(u + a, W, M, cap)
@@ -367,10 +367,10 @@ def _certified_log_ratio(sides, E: int) -> int | None:
     return None
 
 
-def _exact_sides(counts: dict[int, int], u: int, W: int, M: int) -> tuple[int, int]:
+def _exact_sides(counts: tuple[tuple[int, int], ...], u: int, W: int, M: int) -> tuple[int, int]:
     """``(prod_(c>0) P(u + a)**c, prod_(c<0) P(u + a)**-c)``, exact, ``P(p) = prod_{k<M} (p + kW)``."""
     num = den = 1
-    for a, c in counts.items():
+    for a, c in counts:
         if c > 0:
             num *= _capped_product(u + a, W, M)[0] ** c
         elif c < 0:
@@ -379,18 +379,17 @@ def _exact_sides(counts: dict[int, int], u: int, W: int, M: int) -> tuple[int, i
 
 
 def _shift_log_ratios(
-    A: tuple[int, ...], T: tuple[int, ...], z: int, W: int, Ms: list[int], E: int
+    counts: tuple[tuple[int, int], ...], z: int, W: int, Ms: list[int], E: int
 ) -> Iterator[int]:
-    """For each ``M`` of the ascending ``Ms``, ``log(prod_i P(u + A_i) / prod_i P(u + T_i))`` at scale ``E``, ``u = z - M W``, ``P(p) = prod_{k<M} (p + kW)``.
+    """For each ``M`` of the ascending ``Ms``, ``log(prod_(c>0) P(u + a)**c / prod_(c<0) P(u + a)**-c)`` at scale ``E``, ``u = z - M W``, ``P(p) = prod_{k<M} (p + kW)``.
 
-    Each distinct shift ``a`` enters as ``P(u + a)`` raised to its count
-    ``c``, its multiplicity in ``A`` less that in ``T``, on the side of
-    the sign of ``c``.  Each value is :func:`_log_ratio` of the exact
-    products: one floored quotient of the larger side by the smaller at
-    scale ``E``, one ``fx_log``.  The points share one nested chain of products: as ``u``
-    walks down by ``W (M - M')`` from the previous point's ``M'``, each side
-    is the previous point's side times the products of the new segment,
-    ``prod_{k<M-M'} (u + a + kW)``.  Once a side is longer than
+    ``counts`` pairs each distinct shift ``a`` with its count ``c`` (see
+    :func:`_balanced_shape`).  Each value is :func:`_log_ratio` of the exact products:
+    one floored quotient of the larger side by the smaller at scale ``E``,
+    one ``fx_log``.  The points share one nested chain of products: as
+    ``u`` walks down by ``W (M - M')`` from the previous point's ``M'``,
+    each side is the previous point's side times the products of the new
+    segment, ``prod_{k<M-M'} (u + a + kW)``.  Once a side is longer than
     ``_CAP_FROM`` bits and four caps, the running sides are kept capped at
     ``cap = E + _CAP_GUARD`` bits, the new segments built capped
     (:func:`_side_product`) and every floor counted, so each side lies in
@@ -399,14 +398,9 @@ def _shift_log_ratios(
     whose brackets leave it open builds its own exact products.  Either way
     each integer is the one the exact products give.
     """
-    counts = dict.fromkeys(A + T, 0)
-    for a in A:
-        counts[a] += 1
-    for t in T:
-        counts[t] -= 1
-    side = sum(map(abs, counts.values())) // 2  # factors a side, as the counts add up to 0
+    side = sum(abs(c) for _, c in counts) // 2  # factors a side, as the counts add up to 0
     cap = E + _CAP_GUARD
-    bits = (z + max(counts)).bit_length()  # of the largest factor of every point
+    bits = (z + max(counts)[0]).bit_length()  # of the largest factor of every point
     num = den = 1  # the running sides, exact
     capped = None  # the running sides as brackets, once they pass the cap
     done = 0  # factors a shift already in the running sides
@@ -758,6 +752,25 @@ def _run_rows(A: tuple[int, ...], T: tuple[int, ...], W: int, F: int) -> tuple[t
     return integral, _LazyTable(_LazyTable(_run_row(coeffs, p)) for p in count(1))
 
 
+@lru_cache(maxsize=256)
+def _balanced_shape(
+    A: tuple[int, ...], T: tuple[int, ...], W: int, F: int
+) -> tuple[tuple[int, ...], tuple[int, ...], int, int, tuple[tuple[int, int], ...]]:
+    """``(A - s, T - s, s, X0 W, counts)``: the shifts translated by their least ``s``, the threshold of the translated shifts in units of ``1/W``, and each distinct translated shift paired with its multiplicity in ``A`` less that in ``T``.
+
+    Kept per key, so a one-point call pays for none of it again.
+    """
+    s = min(A + T)
+    A = tuple(a - s for a in A)
+    T = tuple(t - s for t in T)
+    counts = dict.fromkeys(A + T, 0)
+    for a in A:
+        counts[a] += 1
+    for t in T:
+        counts[t] -= 1
+    return A, T, s, _balanced_threshold(A, T, W, F) * W, tuple(counts.items())
+
+
 def _balanced_lgammas(A: tuple[int, ...], T: tuple[int, ...], W: int, us, F: int) -> dict[int, int]:
     """``{u: sum_i lgG((u + A_i)/W) - lgG((u + T_i)/W)}`` at fixed-point scale ``F``, for every ``u`` of ``us``.
 
@@ -783,10 +796,7 @@ def _balanced_lgammas(A: tuple[int, ...], T: tuple[int, ...], W: int, us, F: int
     ``(A, T, W, u, F)`` alone, within one unit of ``2**-F`` of the exact
     sum, whichever other points share the call.
     """
-    s = min(A + T)
-    A = tuple(a - s for a in A)
-    T = tuple(t - s for t in T)
-    X0W = _balanced_threshold(A, T, W, F) * W
+    A, T, s, X0W, counts = _balanced_shape(A, T, W, F)
     chains: dict[int, dict[int, int]] = {}  # series point -> {M: u}
     for u in us:
         M = max(0, (X0W - u - s + W - 1) // W)  # ceil(X0 - u/W)
@@ -798,7 +808,7 @@ def _balanced_lgammas(A: tuple[int, ...], T: tuple[int, ...], W: int, us, F: int
             out[points.pop(0)] = rshift_round(acc, _SERIES_GUARD)
         if points:
             Ms = sorted(points)
-            for M, r in zip(Ms, _shift_log_ratios(A, T, z, W, Ms, F + _SERIES_GUARD)):
+            for M, r in zip(Ms, _shift_log_ratios(counts, z, W, Ms, F + _SERIES_GUARD)):
                 out[points[M]] = rshift_round(acc - r, _SERIES_GUARD)
     return out
 

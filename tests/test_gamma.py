@@ -363,9 +363,9 @@ def exact_shift_log_ratio(counts, u, W, M, E):
     return _log_ratio(num, den, E) if num != den else 0
 
 
-def shift_log_ratio(A, T, u, W, M, E):
+def shift_log_ratio(counts, u, W, M, E):
     """The chain of :func:`gammafn._shift_log_ratios` at the one point ``u``, ``M`` steps below its series point."""
-    (r,) = gammafn._shift_log_ratios(A, T, u + M * W, W, [M], E)
+    (r,) = gammafn._shift_log_ratios(tuple(counts.items()), u + M * W, W, [M], E)
     return r
 
 
@@ -423,7 +423,7 @@ class TestCertifiedLogRatio:
             for W in (4, 8, 64, 81, 256):
                 X0 = _balanced_threshold(A, T, W, F)
                 for u in (1, W, X0 * W - 1):
-                    yield A, T, counts, u, W, -(-(X0 * W - u) // W)
+                    yield counts, u, W, -(-(X0 * W - u) // W)
 
     @pytest.mark.parametrize("F", [176, 288, 1056, 2080])
     def test_equals_exact_log_ratio(self, F, monkeypatch):
@@ -432,10 +432,10 @@ class TestCertifiedLogRatio:
         calls = exact_log_ratio_calls(monkeypatch)
         E = F + _SERIES_GUARD
         certified = 0
-        for A, T, counts, u, W, M in self.cases(F):
+        for counts, u, W, M in self.cases(F):
             want = exact_shift_log_ratio(counts, u, W, M, E)
             calls.clear()
-            assert shift_log_ratio(A, T, u, W, M, E) == want, (dict(counts), u, W, M)
+            assert shift_log_ratio(counts, u, W, M, E) == want, (dict(counts), u, W, M)
             capped = is_capped(counts, u, W, M, E)
             assert calls == ([] if capped else [E]), (dict(counts), u, W, M)
             certified += capped
@@ -452,7 +452,7 @@ class TestCertifiedLogRatio:
         E = F + _SERIES_GUARD
         X0 = _balanced_threshold(A, T, W, F)
         M = X0 - 1
-        want = shift_log_ratio(A, T, 1, W, M, E)
+        want = shift_log_ratio(counts, 1, W, M, E)
         want_sum = _balanced_lgamma(A, T, W, 1, F)
         # one class's points below the threshold, down from its series point X0 W + 1
         us = [1 + W * m for m in (0, 1, 2, 5, 17, 60, X0 // 2, X0 - 3, X0 - 1)]
@@ -464,7 +464,7 @@ class TestCertifiedLogRatio:
         assert calls == [E] * (len(us) - capped)  # the capped points are certified
         calls.clear()
         monkeypatch.setattr(gammafn, "_CAP_GUARD", 2)
-        assert shift_log_ratio(A, T, 1, W, M, E) == want
+        assert shift_log_ratio(counts, 1, W, M, E) == want
         assert calls == [E]
         assert _balanced_lgamma(A, T, W, 1, F) == want_sum
         assert calls == [E, E]
