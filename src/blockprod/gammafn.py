@@ -326,7 +326,8 @@ _CAP_GUARD = 64  # bits a capped product keeps beyond the scale of its log
 
 
 def _side_product(
-    counts: tuple[tuple[int, int], ...], sign: int, u: int, W: int, M: int, cap: int, start: tuple[int, int, int] = (1, 0, 0)
+    counts: tuple[tuple[int, int], ...], sign: int, u: int, W: int, M: int, cap: int,
+    start: tuple[int, int, int] = (1, 0, 0),
 ) -> tuple[int, int, int]:
     """``start`` times ``prod P(u + a)**|c|`` over the shifts ``a`` whose count ``c`` has the sign of ``sign``, capped, as ``(x, e, n)`` of :func:`_capped_product`.
 
@@ -384,19 +385,19 @@ def _shift_log_ratios(
     """For each ``M`` of the ascending ``Ms``, ``log(prod_(c>0) P(u + a)**c / prod_(c<0) P(u + a)**-c)`` at scale ``E``, ``u = z - M W``, ``P(p) = prod_{k<M} (p + kW)``.
 
     ``counts`` pairs each distinct shift ``a`` with its count ``c`` (see
-    :func:`_balanced_shape`).  Each value is :func:`_log_ratio` of the exact products:
-    one floored quotient of the larger side by the smaller at scale ``E``,
-    one ``fx_log``.  The points share one nested chain of products: as
-    ``u`` walks down by ``W (M - M')`` from the previous point's ``M'``,
-    each side is the previous point's side times the products of the new
-    segment, ``prod_{k<M-M'} (u + a + kW)``.  Once a side is longer than
-    ``_CAP_FROM`` bits and four caps, the running sides are kept capped at
-    ``cap = E + _CAP_GUARD`` bits, the new segments built capped
-    (:func:`_side_product`) and every floor counted, so each side lies in
-    its bracket ``[x 2**e, (x + 4n) 2**e]``; a point whose brackets fix the
-    quotient (:func:`_certified_log_ratio`) takes its ``fx_log``, and one
-    whose brackets leave it open builds its own exact products.  Either way
-    each integer is the one the exact products give.
+    :func:`_balanced_shape`).  Each value is :func:`_log_ratio` of the exact
+    products: one floored quotient of the larger side by the smaller at
+    scale ``E``, one ``fx_log``.  The points share one nested chain of
+    products: as ``u`` walks down by ``W (M - M')`` from the previous
+    point's ``M'``, each side is the previous point's side times the
+    products of the new segment, ``prod_{k<M-M'} (u + a + kW)``.  Once a
+    side is longer than ``_CAP_FROM`` bits and four caps, the running sides
+    are kept capped at ``cap = E + _CAP_GUARD`` bits, the new segments built
+    capped (:func:`_side_product`) and every floor counted, so each side
+    lies in its bracket ``[x 2**e, (x + 4n) 2**e]``; a point whose brackets
+    fix the quotient (:func:`_certified_log_ratio`) takes its ``fx_log``,
+    and one whose brackets leave it open builds its own exact products.
+    Either way each integer is the one the exact products give.
     """
     side = sum(abs(c) for _, c in counts) // 2  # factors a side, as the counts add up to 0
     cap = E + _CAP_GUARD
@@ -752,23 +753,19 @@ def _run_rows(A: tuple[int, ...], T: tuple[int, ...], W: int, F: int) -> tuple[t
     return integral, _LazyTable(_LazyTable(_run_row(coeffs, p)) for p in count(1))
 
 
-@lru_cache(maxsize=256)
-def _balanced_shape(
-    A: tuple[int, ...], T: tuple[int, ...], W: int, F: int
-) -> tuple[tuple[int, ...], tuple[int, ...], int, int, tuple[tuple[int, int], ...]]:
-    """``(A - s, T - s, s, X0 W, counts)``: the shifts translated by their least ``s``, the threshold of the translated shifts in units of ``1/W``, and each distinct translated shift paired with its multiplicity in ``A`` less that in ``T``.
+@lru_cache(maxsize=128)
+def _balanced_shape(A: tuple[int, ...], T: tuple[int, ...], W: int, F: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``(X0 W, counts)`` of shifts whose least is 0: the threshold in units of ``1/W``, and each distinct shift paired with its multiplicity in ``A`` less that in ``T``.
 
-    Kept per key, so a one-point call pays for none of it again.
+    Kept per key, as :func:`_series` is, so a one-point call pays for
+    neither again.
     """
-    s = min(A + T)
-    A = tuple(a - s for a in A)
-    T = tuple(t - s for t in T)
     counts = dict.fromkeys(A + T, 0)
     for a in A:
         counts[a] += 1
     for t in T:
         counts[t] -= 1
-    return A, T, s, _balanced_threshold(A, T, W, F) * W, tuple(counts.items())
+    return _balanced_threshold(A, T, W, F) * W, tuple(counts.items())
 
 
 def _balanced_lgammas(A: tuple[int, ...], T: tuple[int, ...], W: int, us, F: int) -> dict[int, int]:
@@ -777,26 +774,30 @@ def _balanced_lgammas(A: tuple[int, ...], T: tuple[int, ...], W: int, us, F: int
     ``A`` and ``T`` are integer shifts of equal length and equal sum, and
     every argument must be positive.  The shifts are first translated so
     that the least is 0, ``u`` taking up the difference, so sums that differ
-    only by a translation share one :func:`_series`.  At ``u/W >= X0`` (see
+    only by a translation share one :func:`_series` and one
+    :func:`_balanced_shape`.  At ``u/W >= X0`` (see
     :func:`_balanced_threshold`) the value is :func:`_balanced_series`;
     below, it is the series at ``u + M W``, ``M = ceil(X0 - u/W)``, minus
     the log of the ratio ``prod_i P(u + A_i) / prod_i P(u + T_i)`` of the
     shift products ``P(p) = prod_{k<M} (p + kW)`` (their ``W^M`` cancel, as
     the sides have equal length), each distinct shift's product raised to
     its multiplicity: one ``fx_log`` of the floored quotient of the exact
-    products at scale ``F + _SERIES_GUARD``.  The points below ``X0`` of
-    one residue class mod ``W`` share the series point ``u + M W``: it is
-    summed once, and their shift products are one nested chain, each point's
-    the next larger one's times a segment (:func:`_shift_log_ratios`).
-    Sides longer than ``max(_CAP_FROM, 4 cap)`` bits are kept only to the
-    ``cap`` bits that quotient reads, and the quotient is certified from
-    their brackets, or taken from the point's exact products where the
-    brackets leave it open.  Both parts are added at scale ``F +
-    _SERIES_GUARD`` and rounded once, so each value is an integer fixed by
-    ``(A, T, W, u, F)`` alone, within one unit of ``2**-F`` of the exact
-    sum, whichever other points share the call.
+    products at scale ``F + _SERIES_GUARD``.  The points below ``X0`` of one
+    residue class mod ``W`` share the series point ``u + M W``: it is summed
+    once, and their shift products are one nested chain, each point's the
+    next larger one's times a segment (:func:`_shift_log_ratios`).  Sides
+    longer than ``max(_CAP_FROM, 4 cap)`` bits are kept only to the ``cap``
+    bits that quotient reads, and the quotient is certified from their
+    brackets, or taken from the point's exact products where the brackets
+    leave it open.  Both parts are added at scale ``F + _SERIES_GUARD`` and
+    rounded once, so each value is an integer fixed by ``(A, T, W, u, F)``
+    alone, within one unit of ``2**-F`` of the exact sum, whichever other
+    points share the call.
     """
-    A, T, s, X0W, counts = _balanced_shape(A, T, W, F)
+    s = min(A + T)
+    A = tuple(a - s for a in A)
+    T = tuple(t - s for t in T)
+    X0W, counts = _balanced_shape(A, T, W, F)
     chains: dict[int, dict[int, int]] = {}  # series point -> {M: u}
     for u in us:
         M = max(0, (X0W - u - s + W - 1) // W)  # ceil(X0 - u/W)
