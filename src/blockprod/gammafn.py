@@ -23,8 +23,11 @@ sides, have a Stirling series with exact rational coefficients and no
 ``log`` term; :func:`_balanced_series` sums it at large arguments, as many
 terms as its own cuts give for ``u/W``.  :func:`_balanced_lgammas` raises
 a smaller argument past the threshold by whole steps and subtracts one
-``log`` of the floored ratio of the two sides' shift products, certified
-from products kept to the bits it reads (:func:`_shift_log_ratios`).  The
+``log`` of the floored ratio of the two sides' shift products
+(:func:`_shift_log_ratios`).  Long products are kept to the bits that
+``log`` reads, and one rule certifies every such ``log``, the single
+log-Gamma's too: the quotient floored from both ends of the brackets must
+read the same to ``fx_log`` (:func:`_certified_log_ratio`).  The
 points below the threshold of one residue class mod ``W`` share one series
 point, summed once, and one nested chain of shift products, each point's
 the next larger one's times a segment; every value is the integer the
@@ -36,8 +39,8 @@ in one :func:`_balanced_lgammas` call; :func:`gamma_ratio_product` takes
 closed form as one ``G(0)``: one series and one ``log``, within one unit
 of ``2**-F`` (0.50 measured over the 185-word corpus at ``F`` = 160, 288
 and 1056, where the sum of single log-Gammas is off by up to 1.72).  The
-single log-Gamma :func:`_loggamma_fixed`, whose long shift product is
-likewise kept to the bits its ``log`` reads (:func:`_log_shift_product`),
+single log-Gamma :func:`_loggamma_fixed`, whose shift product is the
+one-point chain of :func:`_shift_log_ratios` over one shift of count 1,
 is left to :func:`gamma`, :func:`log_gamma` and :func:`_loggamma_sum`,
 which takes the expressions that are not balanced or whose arguments spread
 wider than 1, one log-Gamma per distinct argument.
@@ -325,24 +328,30 @@ _CAP_FROM = 3072  # a side is capped only above this many bits and above four ca
 _CAP_GUARD = 64  # bits a capped product keeps beyond the scale of its log
 
 
-def _side_product(
-    counts: tuple[tuple[int, int], ...], sign: int, u: int, W: int, M: int, cap: int,
-    start: tuple[int, int, int] = (1, 0, 0),
-) -> tuple[int, int, int]:
-    """``start`` times ``prod P(u + a)**|c|`` over the shifts ``a`` whose count ``c`` has the sign of ``sign``, capped, as ``(x, e, n)`` of :func:`_capped_product`.
+def _sides(
+    counts: tuple[tuple[int, int], ...], u: int, W: int, M: int, cap: int,
+    start=((1, 0, 0), (1, 0, 0)),
+) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The two sides ``start`` times ``(prod_(c>0) P(u + a)**c, prod_(c<0) P(u + a)**-c)``, ``P(p) = prod_{k<M} (p + kW)``, capped, each as ``(x, e, n)`` of :func:`_capped_product`.
 
-    ``start`` is a bracket ``(x, e, n)`` of its own, or an exact integer
-    ``(x, 0, 0)``.  Raising a bracketed product to the power ``c`` raises
-    its bound to ``(1 + 2**(1-cap))**(c n)``, so its floors count ``c``
-    times.
+    ``counts`` pairs each distinct shift ``a`` with its count ``c``.  With
+    ``cap`` 0 the sides stay exact: ``(x, 0, 0)`` and ``(y, 0, 0)``.
+    Raising a bracketed product to the power ``|c|`` raises its bound to
+    ``(1 + 2**(1-cap))**(|c| n)``, so its floors count ``|c|`` times.
     """
-    x, e, n = start
+    (x, e, n), (y, f, m) = start
     for a, c in counts:
-        c *= sign
-        if c > 0:
+        if c:
             px, pe, pn = _capped_product(u + a, W, M, cap)
-            x, e, n = _floor_to(x * px**c, e + c * pe, n + c * pn, cap)
-    return x, e, n
+            if c > 0:
+                x, e, n = x * px**c, e + c * pe, n + c * pn
+                if cap:
+                    x, e, n = _floor_to(x, e, n, cap)
+            else:
+                y, f, m = y * px**-c, f - c * pe, m - c * pn
+                if cap:
+                    y, f, m = _floor_to(y, f, m, cap)
+    return (x, e, n), (y, f, m)
 
 
 def _quotient(x: int, e: int, y: int, f: int, E: int) -> int:
@@ -354,97 +363,67 @@ def _quotient(x: int, e: int, y: int, f: int, E: int) -> int:
 def _certified_log_ratio(sides, E: int) -> int | None:
     """``log`` of the ratio of two bracketed sides ``((x, e, n), (y, f, m))`` at scale ``E``, or ``None`` where the brackets leave it open.
 
-    Where the quotient of the larger side by the smaller, floored at scale
-    ``E`` from both ends of the brackets, is one integer (at least
-    ``2**E``), it is the exact quotient, and its ``fx_log`` is the value.
+    ``fx_log`` reads its argument ``a`` only through ``bitlen(a)`` and
+    ``rshift_round(a, bitlen(a) - E - 1 - _WORK_GUARD)``, both monotone in
+    ``a``.  The exact quotient of the larger side by the smaller, floored at
+    scale ``E``, lies between the quotients floored from the two ends of the
+    brackets; where both ends (the lower at least ``2**E``) have one bit
+    length and one such rounded mantissa, the exact quotient reads the same,
+    and the lower end's ``fx_log`` is the value.  For a ratio below
+    ``2**_WORK_GUARD`` the rounding keeps every bit, so the two ends must be
+    one integer.  Exact sides (``n = m = 0``, so ``e = f = 0``) have one
+    end: their value is :func:`_log_ratio`'s.
     """
+    (x, e, n), (y, f, m) = sides
+    if not n | m:
+        return _log_ratio(x, y, E) if x != y else 0
     for sign in (1, -1):
         (x, e, n), (y, f, m) = sides[::sign]
         low = _quotient(x, e, y + 4 * m, f, E)
         if low >> E:  # this side is the larger
-            if low == _quotient(x + 4 * n, e, y, f, E):
+            high = _quotient(x + 4 * n, e, y, f, E)
+            k = low.bit_length() - E - 1 - _WORK_GUARD
+            if high.bit_length() == low.bit_length() and rshift_round(low, k) == rshift_round(high, k):
                 return sign * fx_log(low, E)
             break
     return None
 
 
-def _exact_sides(counts: tuple[tuple[int, int], ...], u: int, W: int, M: int) -> tuple[int, int]:
-    """``(prod_(c>0) P(u + a)**c, prod_(c<0) P(u + a)**-c)``, exact, ``P(p) = prod_{k<M} (p + kW)``."""
-    num = den = 1
-    for a, c in counts:
-        if c > 0:
-            num *= _capped_product(u + a, W, M)[0] ** c
-        elif c < 0:
-            den *= _capped_product(u + a, W, M)[0] ** -c
-    return num, den
-
-
 def _shift_log_ratios(
-    counts: tuple[tuple[int, int], ...], z: int, W: int, Ms: list[int], E: int
+    counts: tuple[tuple[int, int], ...], z: int, W: int, Ms, E: int
 ) -> Iterator[int]:
     """For each ``M`` of the ascending ``Ms``, ``log(prod_(c>0) P(u + a)**c / prod_(c<0) P(u + a)**-c)`` at scale ``E``, ``u = z - M W``, ``P(p) = prod_{k<M} (p + kW)``.
 
-    ``counts`` pairs each distinct shift ``a`` with its count ``c`` (see
-    :func:`_balanced_shape`).  Each value is :func:`_log_ratio` of the exact
-    products: one floored quotient of the larger side by the smaller at
-    scale ``E``, one ``fx_log``.  The points share one nested chain of
-    products: as ``u`` walks down by ``W (M - M')`` from the previous
-    point's ``M'``, each side is the previous point's side times the
-    products of the new segment, ``prod_{k<M-M'} (u + a + kW)``.  Once a
-    side is longer than ``_CAP_FROM`` bits and four caps, the running sides
-    are kept capped at ``cap = E + _CAP_GUARD`` bits, the new segments built
-    capped (:func:`_side_product`) and every floor counted, so each side
-    lies in its bracket ``[x 2**e, (x + 4n) 2**e]``; a point whose brackets
-    fix the quotient (:func:`_certified_log_ratio`) takes its ``fx_log``,
-    and one whose brackets leave it open builds its own exact products.
-    Either way each integer is the one the exact products give.
+    ``counts`` pairs each distinct shift ``a`` with its count ``c``: a
+    balanced shape's (see :func:`_balanced_shape`), whose counts add up to
+    0, or ``((0, 1),)`` for the single product of :func:`_loggamma_fixed`.
+    Each value is :func:`_log_ratio` of the exact products: one floored
+    quotient of the larger side by the smaller at scale ``E``, one
+    ``fx_log``.  The points share one nested chain of products: as ``u``
+    walks down by ``W (M - M')`` from the previous point's ``M'``, each side
+    is the previous point's side times the products of the new segment,
+    ``prod_{k<M-M'} (u + a + kW)`` (:func:`_sides`).  Once a side of
+    ``ceil(sum |c| / 2)`` products is longer than ``_CAP_FROM`` bits and
+    four caps, the running sides are kept capped at ``cap = E + _CAP_GUARD``
+    bits and every floor counted, so each side lies in its bracket ``[x
+    2**e, (x + 4n) 2**e]``.  Every point takes its value from
+    :func:`_certified_log_ratio`, and one whose brackets leave it open from
+    its own exact products, the ``cap = 0`` sides.  Either way each integer
+    is the one the exact products give.
     """
-    side = sum(abs(c) for _, c in counts) // 2  # factors a side, as the counts add up to 0
-    cap = E + _CAP_GUARD
+    side = -(-sum(abs(c) for _, c in counts) // 2)  # products a side
     bits = (z + max(counts)[0]).bit_length()  # of the largest factor of every point
-    num = den = 1  # the running sides, exact
-    capped = None  # the running sides as brackets, once they pass the cap
+    cap = 0  # exact, until a side passes the crossover
+    sides = (1, 0, 0), (1, 0, 0)
     done = 0  # factors a shift already in the running sides
     for M in Ms:
         u = z - M * W
-        if capped is None and side * M * bits > max(_CAP_FROM, 4 * cap):
-            capped = (num, 0, 0), (den, 0, 0)  # floored as the first capped segment joins them
-        if capped is None:
-            sn, sd = _exact_sides(counts, u, W, M - done)
-            num, den = num * sn, den * sd
-            yield _log_ratio(num, den, E) if num != den else 0
-        else:
-            capped = (_side_product(counts, 1, u, W, M - done, cap, capped[0]),
-                      _side_product(counts, -1, u, W, M - done, cap, capped[1]))
-            r = _certified_log_ratio(capped, E)
-            if r is None:
-                p, q = _exact_sides(counts, u, W, M)
-                r = _log_ratio(p, q, E) if p != q else 0
-            yield r
+        if not cap and side * M * bits > max(_CAP_FROM, 4 * (E + _CAP_GUARD)):
+            cap = E + _CAP_GUARD  # the exact sides are floored as the first capped segment joins them
+        sides = _sides(counts, u, W, M - done, cap, sides)
         done = M
-
-
-def _log_shift_product(p: int, q: int, M: int, E: int) -> int:
-    """``fx_log(prod_{k<M} (p + kq) << E, E)``, from a product kept to the bits ``fx_log`` reads where its bracket fixes them.
-
-    ``fx_log`` reads ``a = P << E`` through its bit length and
-    ``rshift_round(a, bitlen(a) - E - 1 - _WORK_GUARD)``, the top ``E + 17``
-    bits of ``P`` rounded.  A product longer than ``max(_CAP_FROM, 4 cap)``
-    bits is first built capped at ``cap = E + _CAP_GUARD`` bits
-    (:func:`_capped_product`); where both ends of its bracket ``[x 2**e, (x
-    + 4n) 2**e]`` have one bit length and one rounded mantissa, the exact
-    product, between them, reads the same, and the lower end stands for it.
-    Otherwise the exact product is built.  Either way the integer is the
-    exact product's.
-    """
-    cap = E + _CAP_GUARD
-    if M * (p + M * q).bit_length() > max(_CAP_FROM, 4 * cap):
-        x, e, n = _capped_product(p, q, M, cap)
-        hi = x + 4 * n
-        k = x.bit_length() - E - 1 - _WORK_GUARD
-        if hi.bit_length() == x.bit_length() and rshift_round(x, k) == rshift_round(hi, k):
-            return fx_log(x << (e + E), E)
-    return fx_log(_capped_product(p, q, M)[0] << E, E)
+        r = _certified_log_ratio(sides, E)
+        yield r if r is not None else _certified_log_ratio(_sides(counts, u, W, M, 0), E)
 
 
 @lru_cache(maxsize=128)
@@ -456,8 +435,10 @@ def _log_denominator(q: int, E: int) -> int:
 def _loggamma_fixed(x: Fraction, F: int) -> int:
     """``log Gamma(x)`` for rational ``x > 0`` at fixed-point scale ``F``, within one unit of ``2**-F``.
 
-    Three ``fx_log`` calls (``log Z``, ``log q`` and the shift product,
-    :func:`_log_shift_product`) run ``H`` bits deeper, ``bitlen(z) + 4``
+    Three ``fx_log`` calls (``log Z``, ``log q`` and the shift product, the
+    one-point chain ``counts = ((0, 1),)`` of :func:`_shift_log_ratios`,
+    capped and certified past the crossover as a balanced side is) run
+    ``H`` bits deeper, ``bitlen(z) + 4``
     rounded up to a multiple of ``_SERIES_GUARD`` (16), where the factors
     ``z - 1/2`` and ``1/2 - x`` keep their error below ``2**-4`` units;
     arguments whose sizes round alike share one ``fx_log`` ladder.  The
@@ -477,7 +458,7 @@ def _loggamma_fixed(x: Fraction, F: int) -> int:
         acc += (q - 2 * p) * _log_denominator(q, E)
     acc = acc // (2 * q) - (Z << E) // q
     if M:
-        acc -= _log_shift_product(p, q, M, E)
+        acc -= next(_shift_log_ratios(((0, 1),), Z, q, (M,), E))
     q2, Z2 = q * q, Z * Z
     s = 0
     for c in reversed(coeffs[: _terms_at(cuts, Z // q)]):
@@ -788,8 +769,8 @@ def _balanced_lgammas(A: tuple[int, ...], T: tuple[int, ...], W: int, us, F: int
     next larger one's times a segment (:func:`_shift_log_ratios`).  Sides
     longer than ``max(_CAP_FROM, 4 cap)`` bits are kept only to the ``cap``
     bits that quotient reads, and the quotient is certified from their
-    brackets, or taken from the point's exact products where the brackets
-    leave it open.  Both parts are added at scale ``F + _SERIES_GUARD`` and
+    brackets by the one rule of :func:`_certified_log_ratio`, or taken
+    from the point's exact products where the brackets leave it open.  Both parts are added at scale ``F + _SERIES_GUARD`` and
     rounded once, so each value is an integer fixed by ``(A, T, W, u, F)``
     alone, within one unit of ``2**-F`` of the exact sum, whichever other
     points share the call.

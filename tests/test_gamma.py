@@ -11,6 +11,8 @@ from fractions import Fraction
 import helpers
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import assert_close, sin_pi_ref, to_mpf
 
 from blockprod import fixedpoint, gammafn, identities
@@ -26,6 +28,8 @@ from blockprod.gammafn import (
     _balanced_threshold,
     _bernoulli,
     _capped_product,
+    _certified_log_ratio,
+    _floor_to,
     _gamma_expr_log,
     _loggamma_fixed,
     _run_rows,
@@ -407,9 +411,52 @@ def balanced_lgamma_oracle(A, T, W, u, F):
     return fixedpoint.rshift_round(_balanced_series(A, T, W, u + M * W, F) - r, _SERIES_GUARD)
 
 
+# one side: shift products (p, q, M), each factor count at most 400, and each factor at most 10^6
+side_st = st.lists(st.tuples(st.integers(1, 10**6), st.integers(1, 10**3), st.integers(1, 400)), max_size=3)
+
+
+def bracketed(side, cap):
+    """``(exact, (x, e, n))``: the product of one side's shift products, and its bracket at ``cap``."""
+    exact, bracket = 1, (1, 0, 0)
+    for p, q, M in side:
+        exact *= math.prod(range(p, p + M * q, q))
+        x, e, n = bracket
+        px, pe, pn = _capped_product(p, q, M, cap)
+        bracket = _floor_to(x * px, e + pe, n + pn, cap)
+    return exact, bracket
+
+
 class TestCertifiedLogRatio:
-    """The log of the shift-product ratio, certified from capped products, is the integer of
-    the exact products, and takes the exact products where the brackets leave it open."""
+    """One rule: a bracketed quotient stands for the exact one where ``fx_log`` reads the same
+    at both ends (one bit length, one rounded mantissa); the log of the shift-product ratio is
+    the integer of the exact products, and takes the exact products where the brackets leave
+    it open."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(side_st, side_st, st.none() | st.integers(0, 3), st.integers(8, 600), st.integers(-8, 80))
+    def test_certified_is_exact(self, num, den, shift, E, guard):
+        """Whenever brackets of random sides at a random cap give a value, it is the exact sides'.
+
+        With a ``shift`` the denominator is the numerator's products shifted by it, a ratio
+        near 1 as a balanced one is, where the two ends must be one integer."""
+        if shift is not None:
+            den = [(p + shift, q, M) for p, q, M in num]
+        cap = max(2, E + guard)
+        (X, sx), (Y, sy) = bracketed(num, cap), bracketed(den, cap)
+        assert sx[0] << sx[1] <= X <= (sx[0] + 4 * sx[2]) << sx[1]
+        assert sy[0] << sy[1] <= Y <= (sy[0] + 4 * sy[2]) << sy[1]
+        r = _certified_log_ratio((sx, sy), E)
+        assert r is None or r == _log_ratio(X, Y, E), (num, den, E, cap)
+
+    def test_long_single_product_is_certified(self):
+        """A single product far above ``2**(E + 16)``, floored six times, is certified by its
+        rounded mantissa where the two ends are different integers."""
+        E = 2096
+        x, e, n = bracket = _capped_product(1, 3, 1040, E + 64)
+        assert n == 6 and e > 0
+        got = _certified_log_ratio((bracket, (1, 0, 0)), E)
+        assert got is not None
+        assert got == _log_ratio(math.prod(range(1, 1 + 1040 * 3, 3)), 1, E)
 
     # the closed forms' (0,2)/(1,1), the grouped and alternating 4/pi prefixes' (W = 4, 8),
     # and three shifts a side
@@ -477,7 +524,8 @@ class TestCertifiedLogRatio:
 
 class TestBalancedLgammas:
     """Many points in one call: each class below the threshold sums its series once and walks
-    one nested chain of shift products, and every point keeps the integer it has alone."""
+    one nested chain of shift products, each point certified by the one rule of
+    ``_certified_log_ratio``, and every point keeps the integer it has alone."""
 
     # the grouped and alternating 4/pi classes, and the closed forms' shape at three moduli
     CLASSES = [((2, 2), (1, 3), 4), ((2, 2), (1, 3), 8), ((6, 6), (5, 7), 8),
@@ -526,8 +574,9 @@ class TestBalancedLgammas:
 
 
 class TestCappedShiftProduct:
-    """The single log-Gamma's shift product past the crossover is kept to the bits its ``log``
-    reads, and every value is the one the exact product gives."""
+    """The single log-Gamma's shift product is the one-point chain of ``_shift_log_ratios``:
+    past the crossover it is kept to the bits its ``log`` reads and certified by the one rule
+    of ``_certified_log_ratio``, and every value is the one the exact product gives."""
 
     # (exp, sha256 of the decimal mantissa), as the exact shift products gave them
     PINS = {
