@@ -390,7 +390,7 @@ def _certified_log_ratio(sides, E: int) -> int | None:
 
 
 def _shift_log_ratios(
-    counts: tuple[tuple[int, int], ...], z: int, W: int, Ms, E: int
+    counts: tuple[tuple[int, int], ...], z: int, W: int, Ms: list[int], E: int
 ) -> Iterator[int]:
     """For each ``M`` of the ascending ``Ms``, ``log(prod_(c>0) P(u + a)**c / prod_(c<0) P(u + a)**-c)`` at scale ``E``, ``u = z - M W``, ``P(p) = prod_{k<M} (p + kW)``.
 
@@ -458,7 +458,7 @@ def _loggamma_fixed(x: Fraction, F: int) -> int:
         acc += (q - 2 * p) * _log_denominator(q, E)
     acc = acc // (2 * q) - (Z << E) // q
     if M:
-        acc -= next(_shift_log_ratios(((0, 1),), Z, q, (M,), E))
+        acc -= next(_shift_log_ratios(((0, 1),), Z, q, [M], E))
     q2, Z2 = q * q, Z * Z
     s = 0
     for c in reversed(coeffs[: _terms_at(cuts, Z // q)]):
