@@ -344,13 +344,13 @@ def _sides(
         if c:
             px, pe, pn = _capped_product(u + a, W, M, cap)
             if c > 0:
-                x, e, n = x * px**c, e + c * pe, n + c * pn
+                x *= px**c
                 if cap:
-                    x, e, n = _floor_to(x, e, n, cap)
+                    x, e, n = _floor_to(x, e + c * pe, n + c * pn, cap)
             else:
-                y, f, m = y * px**-c, f - c * pe, m - c * pn
+                y *= px**-c
                 if cap:
-                    y, f, m = _floor_to(y, f, m, cap)
+                    y, f, m = _floor_to(y, f - c * pe, m - c * pn, cap)
     return (x, e, n), (y, f, m)
 
 
@@ -371,12 +371,9 @@ def _certified_log_ratio(sides, E: int) -> int | None:
     length and one such rounded mantissa, the exact quotient reads the same,
     and the lower end's ``fx_log`` is the value.  For a ratio below
     ``2**_WORK_GUARD`` the rounding keeps every bit, so the two ends must be
-    one integer.  Exact sides (``n = m = 0``, so ``e = f = 0``) have one
-    end: their value is :func:`_log_ratio`'s.
+    one integer.  Exact sides (``n = m = 0``) always pass, with the value of
+    :func:`_log_ratio`.
     """
-    (x, e, n), (y, f, m) = sides
-    if not n | m:
-        return _log_ratio(x, y, E) if x != y else 0
     for sign in (1, -1):
         (x, e, n), (y, f, m) = sides[::sign]
         low = _quotient(x, e, y + 4 * m, f, E)
@@ -406,24 +403,28 @@ def _shift_log_ratios(
     ``ceil(sum |c| / 2)`` products is longer than ``_CAP_FROM`` bits and
     four caps, the running sides are kept capped at ``cap = E + _CAP_GUARD``
     bits and every floor counted, so each side lies in its bracket ``[x
-    2**e, (x + 4n) 2**e]``.  Every point takes its value from
-    :func:`_certified_log_ratio`, and one whose brackets leave it open from
+    2**e, (x + 4n) 2**e]``.  A capped point takes its value from
+    :func:`_certified_log_ratio`, or, where its brackets leave it open, from
     its own exact products, the ``cap = 0`` sides.  Either way each integer
     is the one the exact products give.
     """
     side = -(-sum(abs(c) for _, c in counts) // 2)  # products a side
     bits = (z + max(counts)[0]).bit_length()  # of the largest factor of every point
+    crossover = max(_CAP_FROM, 4 * (E + _CAP_GUARD))
     cap = 0  # exact, until a side passes the crossover
     sides = (1, 0, 0), (1, 0, 0)
     done = 0  # factors a shift already in the running sides
     for M in Ms:
         u = z - M * W
-        if not cap and side * M * bits > max(_CAP_FROM, 4 * (E + _CAP_GUARD)):
+        if not cap and side * M * bits > crossover:
             cap = E + _CAP_GUARD  # the exact sides are floored as the first capped segment joins them
         sides = _sides(counts, u, W, M - done, cap, sides)
         done = M
-        r = _certified_log_ratio(sides, E)
-        yield r if r is not None else _certified_log_ratio(_sides(counts, u, W, M, 0), E)
+        r = _certified_log_ratio(sides, E) if cap else None
+        if r is None:  # the exact sides, or the point's own where its brackets leave the quotient open
+            (p, _, _), (q, _, _) = _sides(counts, u, W, M, 0) if cap else sides
+            r = _log_ratio(p, q, E) if p != q else 0
+        yield r
 
 
 @lru_cache(maxsize=128)
