@@ -439,10 +439,10 @@ def _loggamma_fixed(x: Fraction, F: int) -> int:
     Three ``fx_log`` calls (``log Z``, ``log q`` and the shift product, the
     one-point chain ``counts = ((0, 1),)`` of :func:`_shift_log_ratios`,
     capped and certified past the crossover as a balanced side is) run
-    ``H`` bits deeper, ``bitlen(z) + 4``
-    rounded up to a multiple of ``_SERIES_GUARD`` (16), where the factors
-    ``z - 1/2`` and ``1/2 - x`` keep their error below ``2**-4`` units;
-    arguments whose sizes round alike share one ``fx_log`` ladder.  The
+    ``H`` bits deeper, ``bitlen(z) + 4`` rounded up to a multiple of
+    ``_SERIES_GUARD`` (16), where the factors ``z - 1/2`` and ``1/2 - x``
+    keep their error below ``2**-4`` units; arguments whose sizes round
+    alike share one ``fx_log`` ladder.  The
     series is a Horner sum in ``q^2/Z^2`` over the terms that ``z >= Z //
     q`` needs (:func:`_terms_at`): all ``K`` for a shifted argument, which
     lands in ``[X0, X0 + 1)``.  Everything is added up at that scale and rounded
@@ -771,10 +771,11 @@ def _balanced_lgammas(A: tuple[int, ...], T: tuple[int, ...], W: int, us, F: int
     longer than ``max(_CAP_FROM, 4 cap)`` bits are kept only to the ``cap``
     bits that quotient reads, and the quotient is certified from their
     brackets by the one rule of :func:`_certified_log_ratio`, or taken
-    from the point's exact products where the brackets leave it open.  Both parts are added at scale ``F + _SERIES_GUARD`` and
-    rounded once, so each value is an integer fixed by ``(A, T, W, u, F)``
-    alone, within one unit of ``2**-F`` of the exact sum, whichever other
-    points share the call.
+    from the point's exact products where the brackets leave it open.  Both
+    parts are added at scale ``F + _SERIES_GUARD`` and rounded once, so
+    each value is an integer fixed by ``(A, T, W, u, F)`` alone, within one
+    unit of ``2**-F`` of the exact sum, whichever other points share the
+    call.
     """
     s = min(A + T)
     A = tuple(a - s for a in A)
