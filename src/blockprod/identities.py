@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
+from functools import cache
 from math import lcm, prod
 
 from blockprod.bigreal import GUARD_BITS, BigReal, _check_precision
@@ -261,28 +262,20 @@ class ProductSpec(_Record):
 def closed_form_base2(w: Word) -> GammaExpr:
     """Closed form of the canonical base-2 product with exponent ``2 N_w(n)``.
 
-    With ``v`` the word value and ``L`` its length, the word of value 0
-    gives ``2^(L+2) G(1/2^L) / G(1/2^(L+1))^2``; every other word gives
-    ``G(v/2^L) G((v+1)/2^L) / G((2v+1)/2^(L+1))^2``.  The two are one
-    formula, :func:`closed_form_baseB` at ``a = (1, 1)``, ``b = (0, 2)``;
-    for ``v = 0``, ``G(x + 1) = x G(x)`` brings its arguments below 1.
+    It is :func:`closed_form_baseB` at ``a = (1, 1)``, ``b = (0, 2)``, each
+    argument ``x > 1`` moved down by ``G(x) = (x - 1) G(x - 1)`` with ``x - 1``
+    put into the prefactor.  Only the all-zeros words have such arguments, so
+    the word of value 0 and length ``L`` gives ``2^(L+2) G(1/2^L) /
+    G(1/2^(L+1))^2`` and a word of value ``v > 0`` gives
+    ``G(v/2^L) G((v+1)/2^L) / G((2v+1)/2^(L+1))^2``.
     """
-    if w.base != 2:
-        raise ValueError("closed_form_base2 needs a base-2 word")
-    if w.is_empty:
-        raise ValueError("closed_form_base2 needs a nonempty word")
-    v = word_value(w)
-    L = len(w.digits)
-    if v == 0:
-        return GammaExpr(
-            Fraction(2 ** (L + 2)),
-            num=(Fraction(1, 2**L),),
-            den=(Fraction(1, 2 ** (L + 1)),) * 2,
-        )
+    form = closed_form_baseB(ProductSpec.canonical_base2(w))
+    up = [x - 1 for x in form.num if x > 1]
+    down = [x - 1 for x in form.den if x > 1]
     return GammaExpr(
-        Fraction(1),
-        num=(Fraction(v, 2**L), Fraction(v + 1, 2**L)),
-        den=(Fraction(2 * v + 1, 2 ** (L + 1)),) * 2,
+        form.prefactor * prod(up, start=Fraction(1)) / prod(down, start=Fraction(1)),
+        num=[x for x in form.num if x <= 1] + up,
+        den=[x for x in form.den if x <= 1] + down,
     )
 
 
@@ -303,17 +296,21 @@ def closed_form_baseB(spec: ProductSpec) -> GammaExpr:
     return GammaExpr(Fraction(1), num=num, den=den)
 
 
+@cache
 def companion_closed_form() -> GammaExpr:
     """``8 G(3/4)^2 / G(1/4)^2``, the value of the signed-exponent companion product.
 
-    Via reflection this equals ``16 pi^2 / G(1/4)^4``; the package checks the
-    two renditions against each other rather than against any decimal literal.
+    The companion's exponent ``2(N_0 - N_1)`` is the base-2 word ``0``'s
+    exponent minus the word ``1``'s, and both word products converge, so the
+    product is the quotient of their closed forms (:func:`closed_form_base2`),
+    ``8 G(1/2) / G(1/4)^2`` over ``G(1/2) / G(3/4)^2``, whose ``G(1/2)``
+    cancels.  Via reflection this equals ``16 pi^2 / G(1/4)^4``; the package
+    checks the two renditions against each other rather than against any
+    decimal literal.  The form is built once per process.
     """
-    return GammaExpr(
-        Fraction(8),
-        num=(Fraction(3, 4), Fraction(3, 4)),
-        den=(Fraction(1, 4), Fraction(1, 4)),
-    )
+    zero = closed_form_base2(Word.parse("0", 2))
+    one = closed_form_base2(Word.parse("1", 2))
+    return GammaExpr(zero.prefactor / one.prefactor, num=zero.num + one.den, den=zero.den + one.num)
 
 
 # --------------------------------------------------------------------------
@@ -332,14 +329,14 @@ def companion_closed_form() -> GammaExpr:
 # its edges below the series threshold, all multiples of W, share one series
 # point, whose series is summed once, and one nested chain of shift products,
 # and each Phi is the integer it is alone.  Each Phi is within one unit of
-# 2**-E, E = F + 16, and the weights add up to 4J per class: with two
-# classes (or the original form's extra log, weight 2J) P is within 8J units
-# of 2**-E, and rounded once within one unit of 2**-F while bitlen(N) <=
-# 4096.  P is an integer fixed by (N, F), so a range is P(hi) - P(lo - 1)
-# and ranges add up exactly.
+# 2**-E and the weights add up to 4J per class: with two classes (or the
+# original form's extra log, weight 2J) P is within 8J units of 2**-E.  So P
+# is summed at E = F + g, g = max(16, bitlen(16J - 1)) the least g from 16
+# on with 2**g >= 16J, and rounded once is within one unit of 2**-F for
+# every N (g = 16 for every N below 2**4096).  P is an integer fixed by
+# (N, F), so a range is P(hi) - P(lo - 1) and ranges add up exactly.
 _GROUPED = (1, 4, ((1, (2, 2), (1, 3)),))
 _ALTERNATING = (2, 8, ((1, (2, 2), (1, 3)), (-1, (6, 6), (5, 7))))
-_FAMILY_GUARD = 16
 
 
 def _family_prefix(family, N: int, E: int) -> int:
@@ -372,12 +369,14 @@ def _original_prefix(K: int, E: int) -> int:
 
 
 def _prefix_range(prefix, lo: int, hi: int, F: int) -> int:
-    """``P(hi) - P(lo - 1)`` at scale ``F``, each prefix summed at ``F + 16`` and rounded once."""
+    """``P(hi) - P(lo - 1)`` at scale ``F``, each prefix ``P(N)`` summed at ``F + g(N)`` and rounded once."""
     if lo > hi:
         return 0
-    E = F + _FAMILY_GUARD
-    return (rshift_round(prefix(hi, E), _FAMILY_GUARD)
-            - rshift_round(prefix(lo - 1, E), _FAMILY_GUARD))
+    total = 0
+    for N, sign in ((hi, 1), (lo - 1, -1)):
+        g = max(16, (16 * N.bit_length() - 1).bit_length())
+        total += sign * rshift_round(prefix(N, F + g), g)
+    return total
 
 
 def logsum_rivoal_original(lo: int, hi: int, F: int) -> int:

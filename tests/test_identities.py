@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -208,6 +209,14 @@ class TestClosedFormBase2:
         e = closed_form_base2(Word.parse("101", 2))  # v=5, L=3
         assert e.num == (Fraction(5, 8), Fraction(6, 8))
         assert e.den == (Fraction(11, 16), Fraction(11, 16))
+
+    def test_forms_pinned(self):
+        """Built from ``closed_form_baseB``, the 510 words up to length 8 render, as JSON, byte for
+        byte as the two-branch formula of the paper gave them."""
+        forms = [closed_form_base2(w).to_json_dict() for w in all_words(2, 8)]
+        digest = hashlib.sha256(json.dumps(forms, separators=(",", ":")).encode()).hexdigest()
+        assert len(forms) == 510
+        assert digest == "72c144d3fb20308fac48e4403ffd2edfd522a1052d607d8c16a9a3b3d499bd78"
 
     def test_rejects_wrong_base_or_empty(self):
         with pytest.raises(ValueError):
@@ -565,6 +574,24 @@ class TestBlockSums:
         values = [identities._family_prefix(getattr(identities, family), N, E) for E in Es for N in Ns]
         assert hashlib.sha256(",".join(map(str, values)).encode()).hexdigest() == self.FAMILY_DIGESTS[family]
 
+    def test_guard_grows_with_N(self, monkeypatch):
+        """Each ``Phi`` moved by its one unit with the sign of its weight (``+`` on a class's last
+        edge, ``-`` on its other edges, times the class sign) drifts a prefix by ``8J`` units of
+        ``2^-E``: 2.44 units of ``2^-F`` at a fixed 16-bit guard for ``J = 20001``, 0.31 at the
+        guard ``g(N)``, so the rounded log-sum moves by at most one unit."""
+        N, F = 2**20000 + 5, 160
+        exact = logsum_alternating(1, N, F)
+        lgammas = identities._balanced_lgammas
+        signs = {(A, T): sign for sign, A, T in identities._ALTERNATING[2]}
+
+        def moved(A, T, W, us, E):
+            phi = lgammas(A, T, W, us, E)
+            last, sign = max(phi), signs[A, T]
+            return {u: v + (sign if u == last else -sign) for u, v in phi.items()}
+
+        monkeypatch.setattr(identities, "_balanced_lgammas", moved)
+        assert abs(logsum_alternating(1, N, F) - exact) <= 1
+
     def test_one_series_per_point(self, monkeypatch):
         """A prefix sums each series point's series once: the edges of a class below the
         threshold share one, where each edge used to sum it again."""
@@ -731,6 +758,9 @@ class TestCompanion:
         assert e.prefactor == 8
         assert e.num == (Fraction(3, 4), Fraction(3, 4))
         assert e.den == (Fraction(1, 4), Fraction(1, 4))
+
+    def test_built_once(self):
+        assert companion_closed_form() is companion_closed_form()
 
     def test_equals_pi_gamma_rendition(self, mp_prec):
         """8 G(3/4)^2/G(1/4)^2 equals 16 pi^2 / G(1/4)^4 via reflection."""
